@@ -24,7 +24,8 @@ from fractions import Fraction
 from . import __version__
 from .symexpr import (Chart, OracleConfig, ParseError, SymExprError,
                       is_zero, parse_expr, simplify)
-from .exterior import KForm, form_is_zero, parse_form, parse_vector_field
+from .exterior import (KForm, form_is_zero, parse_form, parse_vector_field,
+                       vf_apply)
 from .courant import GenSection, pairing
 from . import dirac
 from . import liealg
@@ -567,7 +568,7 @@ def cmd_bracket(source, f_name, g_name, structure=None, seed=None,
     out = out or sys.stdout
     Xf = dirac.hamiltonian_vf(D, f)
     Xg = dirac.hamiltonian_vf(D, g)
-    bracket = dirac.poisson_bracket(D, f, g)
+    bracket = simplify(vf_apply(Xf, g))
     label = ""
     for name, e in run.exprs.items():
         if simplify(e) == bracket:

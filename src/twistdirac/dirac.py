@@ -3,9 +3,13 @@
 A TwistedGraph couples a 2-form h with a closed twisting 3-form H.  Sections
 of the structure are the pairs (X, sign * i_X h); a function f is admissible
 when df = sign * i_{X_f} h is solvable for a vector field X_f, and
-H-admissible when additionally i_{X_f} H vanishes identically.  Hamiltonian
-fields are obtained by exact Gaussian elimination over the expression field,
-so every solve is verified by a residual zero-test.
+H-admissible when additionally i_{X_f} H vanishes identically.
+
+Each TwistedGraph runs one exact Gauss-Jordan elimination of the
+coefficient matrix when it is built.  It yields the rank, the determinant,
+the inverse and a transform that turns every Hamiltonian solve, on
+degenerate structures too, into one matrix-vector product; every solve is
+then verified by a residual zero-test.
 
 The sign convention flag defaults to +1 (df = i_{X_f} h), which reproduces
 the angular-momentum bracket table verbatim; -1 gives df = -i_{X_f} h.
@@ -18,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .symexpr import (OracleConfig, Pow, Prod, Rat, Sum, SymExprError,
-                      as_expr, diff, is_zero, simplify)
+from .symexpr import (OracleConfig, OracleInconclusiveError, Pow, Prod, Rat,
+                      Sum, SymExprError, as_expr, diff, function_symbols,
+                      is_zero, oracle_function_env, sampled_sums, simplify)
 from .exterior import (FormVerdict, KForm, VectorField, ext_d, form_is_zero,
                        interior, lie_derivative, vf_apply, vf_bracket,
                        vf_is_zero, _require_same_chart)
@@ -131,9 +136,9 @@ class TwistedGraph:
 
     The twist may be given as a 3-form, as the string "dh" (use the exterior
     derivative of h), or omitted (zero twist).  Construction verifies that
-    the twist is closed, samples the determinant of the coefficient matrix
-    of h for nondegeneracy, and records the integrability verdict
-    (dh - H = 0).
+    the twist is closed, eliminates the coefficient matrix of h (see
+    _eliminate), samples its determinant for nondegeneracy, and records
+    the integrability verdict (dh - H = 0).
     """
 
     def __init__(self, chart, h, twist=None, sign=1, cfg=OracleConfig()):
@@ -157,99 +162,93 @@ class TwistedGraph:
         if not closed.zero:
             raise TwistNotClosedError(
                 f"the twisting 3-form is not closed: {closed}")
-        self._matrix = self._coefficient_matrix()
-        self._inverse = None
-        self.det = simplify(_determinant(self._matrix))
+        self._eliminate()
         self.nondegenerate = self._det_nonvanishing()
         self.integrable = form_is_zero(ext_d(self.h) - self.H, cfg).zero
 
-    def _coefficient_matrix(self):
-        """M[i][j] = h(d/dx_i, d/dx_j)."""
+    def _eliminate(self):
+        """Gauss-Jordan elimination on (M^T | I), once per structure.
+
+        Pivots are taken column by column, rational entries first, then
+        the first entry the zero-test oracle finds nonzero.  Records the
+        pivot columns (their count is the rank), the determinant (the
+        product of the pivots, signed by the row permutation) and the
+        transform E with E M^T in reduced row echelon form: pivot rows
+        first, in column order.
+        """
         dim = self.chart.dim
-        M = [[Rat(0)] * dim for _ in range(dim)]
+        rows = [[Rat(0)] * dim
+                + [Rat(1) if k == i else Rat(0) for k in range(dim)]
+                for i in range(dim)]
         for mask, c in self.h.coeffs.items():
+            # M[lo][hi] = h(d/dx_lo, d/dx_hi) = c, so M^T[hi][lo] = c
             lo = (mask & -mask).bit_length() - 1
             hi = mask.bit_length() - 1
-            M[lo][hi] = c
-            M[hi][lo] = Prod(Rat(-1), c)
-        return M
+            rows[hi][lo] = c
+            rows[lo][hi] = simplify(Prod(Rat(-1), c))
+        pivot_rows = {}
+        det = Rat(1)
+        for col in range(dim):
+            candidates = sorted(
+                (rows[r][col].kind != "rat", r) for r in range(dim)
+                if r not in pivot_rows.values()
+                and not _is_literal_zero(rows[r][col]))
+            chosen = next((r for symbolic, r in candidates
+                           if not symbolic
+                           or not is_zero(rows[r][col], self.cfg).zero),
+                          None)
+            if chosen is None:
+                continue
+            pivot = rows[chosen][col]
+            # one pivot at a time: the running product is, up to sign, the
+            # minor on the pivot rows and columns so far, so each product
+            # cancels back to a polynomial (for polynomial h) instead of
+            # one large cancellation at the end
+            det = simplify(Prod(det, pivot))
+            pivot_rows[col] = chosen
+            inv_p = Pow(pivot, Fraction(-1))
+            rows[chosen] = [e if _is_literal_zero(e)
+                            else simplify(Prod(e, inv_p))
+                            for e in rows[chosen]]
+            for r in range(dim):
+                factor = rows[r][col]
+                if r == chosen or _is_literal_zero(factor):
+                    continue
+                rows[r] = [a if _is_literal_zero(b)
+                           else simplify(Sum(a, Prod(Rat(-1), factor, b)))
+                           for a, b in zip(rows[r], rows[chosen])]
+        order = list(pivot_rows.values())
+        if len(order) < dim:
+            self.det = Rat(0)
+        else:
+            swaps = sum(a > b for i, a in enumerate(order)
+                        for b in order[i + 1:])
+            self.det = simplify(Prod(Rat(-1 if swaps & 1 else 1), det))
+        order += [r for r in range(dim) if r not in order]
+        self._pivot_cols = list(pivot_rows)
+        self._transform = [rows[r][dim:] for r in order]
 
     def _det_nonvanishing(self):
         """True when |det| clears the tolerance at every sample point."""
-        from .symexpr import (sample_point, eval_expr, oracle_function_env,
-                              function_symbols, EvaluationSingularityError)
-        cfg = self.cfg
-        env = oracle_function_env(cfg, function_symbols(self.det))
-        terms = self.det.args if self.det.kind == "sum" else (self.det,)
-        for i in range(cfg.samples):
-            vals = None
-            for attempt in range(cfg.max_resample):
-                point = sample_point(cfg, self.chart.coords, i, attempt)
-                try:
-                    vals = [float(eval_expr(t, point, env)) for t in terms]
-                except EvaluationSingularityError:
-                    continue
-                break
-            if vals is None:
-                return False
-            scale = max((abs(v) for v in vals), default=0.0)
-            if abs(sum(vals)) <= cfg.abs_tol + cfg.rel_tol * scale:
-                return False
-        return True
+        env = oracle_function_env(self.cfg, function_symbols(self.det))
+        try:
+            return all(abs(total) > tol for _, total, tol in sampled_sums(
+                self.det, self.cfg, self.chart.coords, env))
+        except OracleInconclusiveError:
+            return False
 
     def inverse_matrix(self):
-        """Exact inverse of the coefficient matrix (adjugate over det)."""
-        if self._inverse is None:
-            if not self.nondegenerate:
-                raise NondegeneracyError(
-                    "h is degenerate on the sampling box")
-            dim = self.chart.dim
-            inv_det = Pow(self.det, Fraction(-1))
-            inv = []
-            for i in range(dim):
-                row = []
-                for j in range(dim):
-                    minor = _minor(self._matrix, j, i)
-                    sign = Rat(-1 if (i + j) & 1 else 1)
-                    row.append(simplify(Prod(sign, minor, inv_det)))
-                inv.append(row)
-            self._inverse = inv
-        return self._inverse
+        """Exact inverse of the coefficient matrix M: the transpose of the
+        elimination transform E, since E = (M^T)^-1 at full rank."""
+        if not self.nondegenerate:
+            raise NondegeneracyError("h is degenerate on the sampling box")
+        dim = self.chart.dim
+        return [[self._transform[j][i] for j in range(dim)]
+                for i in range(dim)]
 
 
-def _determinant(M, _memo=None, rows=None, cols=None):
-    """Exact determinant by memoized expansion along the first row."""
-    dim = len(M)
-    if rows is None:
-        rows = tuple(range(dim))
-        cols = tuple(range(dim))
-        _memo = {}
-    key = (rows, cols)
-    if key in _memo:
-        return _memo[key]
-    if not rows:
-        out = Rat(1)
-    else:
-        r = rows[0]
-        terms = []
-        for pos, c in enumerate(cols):
-            entry = M[r][c]
-            if entry.kind == "rat" and entry.value == 0:
-                continue
-            sub = _determinant(M, _memo, rows[1:],
-                               cols[:pos] + cols[pos + 1:])
-            sign = Rat(-1 if pos & 1 else 1)
-            terms.append(Prod(sign, entry, sub))
-        out = simplify(Sum(*terms)) if terms else Rat(0)
-    _memo[key] = out
-    return out
-
-
-def _minor(M, i, j):
-    dim = len(M)
-    rows = tuple(r for r in range(dim) if r != i)
-    cols = tuple(c for c in range(dim) if c != j)
-    return _determinant(M, {}, rows, cols)
+def _is_literal_zero(e):
+    return e.kind == "rat" and e.value == 0
 
 
 def graph_section(D, X):
@@ -271,94 +270,45 @@ def _gradient(D, f):
 def hamiltonian_vf(D, f):
     """Solve df = sign * i_{X_f} h for X_f and verify the residual.
 
-    Nondegenerate structures use the cached exact inverse; degenerate ones
-    fall back to elimination and raise when the system is inconsistent.
+    Raises NondegeneracyError when the system is inconsistent and
+    SolveError when the residual does not vanish.
     """
-    f = as_expr(f)
-    X = _try_hamiltonian_vf(D, f)
+    X, residual = _solve_verified(D, f)
     if X is None:
         raise NondegeneracyError(
             "no Hamiltonian field: the linear system for f is inconsistent")
-    residual = ext_d(KForm.scalar(D.chart, f)) - \
-        graph_section(D, X).alpha
-    verdict = form_is_zero(residual, D.cfg)
-    if not verdict.zero:
-        raise SolveError(f"solver residual is nonzero: {verdict}")
+    if not residual.zero:
+        raise SolveError(f"solver residual is nonzero: {residual}")
     return X
 
 
+def _solve_verified(D, f):
+    """(X_f, verdict on df - sign * i_{X_f} h), or (None, None) when the
+    system is inconsistent."""
+    f = as_expr(f)
+    X = _try_hamiltonian_vf(D, f)
+    if X is None:
+        return None, None
+    residual = ext_d(KForm.scalar(D.chart, f)) - graph_section(D, X).alpha
+    return X, form_is_zero(residual, D.cfg)
+
+
 def _try_hamiltonian_vf(D, f):
-    grad = _gradient(D, f)
+    """Apply the elimination transform to sign * grad f: rows past the
+    rank must vanish, pivot rows give the pivot components, and free
+    components are zero.  None when the system is inconsistent."""
     sgn = Rat(D.sign)
-    if D.nondegenerate:
-        inv = D.inverse_matrix()
-        comps = []
-        for i in range(D.chart.dim):
-            terms = [Prod(sgn, inv[j][i], grad[j])
-                     for j in range(D.chart.dim)
-                     if not (grad[j].kind == "rat" and grad[j].value == 0)]
-            comps.append(simplify(Sum(*terms)) if terms else Rat(0))
-        return VectorField(D.chart, comps)
-    # degenerate: eliminate on the augmented system (M^T | sign * grad)
-    dim = D.chart.dim
-    rows = [[D._matrix[j][i] for j in range(dim)] + [Prod(sgn, grad[i])]
-            for i in range(dim)]
-    rows = [[simplify(e) for e in row] for row in rows]
-    solution = _solve_rows(rows, dim, D.cfg)
-    if solution is None:
+    grad = _gradient(D, f)
+    b = [simplify(Sum(*[Prod(sgn, e, g) for e, g in zip(row, grad)
+                        if not (_is_literal_zero(e) or _is_literal_zero(g))]))
+         for row in D._transform]
+    rank = len(D._pivot_cols)
+    if any(not is_zero(x, D.cfg).zero for x in b[rank:]):
         return None
-    return VectorField(D.chart, solution)
-
-
-def _pivot_quality(e):
-    return 0 if e.kind == "rat" else 1
-
-
-def _solve_rows(rows, dim, cfg):
-    """Gaussian elimination over the expression field with oracle-guided
-    pivoting.  Returns component list (free variables zero) or None when
-    inconsistent."""
-    pivots = {}
-    used_rows = set()
-    for col in range(dim):
-        candidates = []
-        for r in range(len(rows)):
-            if r in used_rows:
-                continue
-            entry = rows[r][col]
-            if entry.kind == "rat" and entry.value == 0:
-                continue
-            candidates.append((_pivot_quality(entry), r, entry))
-        candidates.sort(key=lambda t: t[:2])
-        chosen = None
-        for _, r, entry in candidates:
-            if entry.kind == "rat" or not is_zero(entry, cfg).zero:
-                chosen = r
-                break
-        if chosen is None:
-            continue
-        used_rows.add(chosen)
-        pivots[col] = chosen
-        pivot = rows[chosen][col]
-        inv_p = Pow(pivot, Fraction(-1))
-        rows[chosen] = [simplify(Prod(e, inv_p)) for e in rows[chosen]]
-        for r in range(len(rows)):
-            if r == chosen:
-                continue
-            factor = rows[r][col]
-            if factor.kind == "rat" and factor.value == 0:
-                continue
-            rows[r] = [simplify(Sum(a, Prod(Rat(-1), factor, b)))
-                       for a, b in zip(rows[r], rows[chosen])]
-    for r in range(len(rows)):
-        if r in used_rows:
-            continue
-        if not is_zero(rows[r][dim], cfg).zero:
-            return None
-    comps = [Rat(0)] * dim
-    for col, r in pivots.items():
-        comps[col] = rows[r][dim]
-    return comps
+    comps = [Rat(0)] * D.chart.dim
+    for col, x in zip(D._pivot_cols, b):
+        comps[col] = x
+    return VectorField(D.chart, comps)
 
 
 def poisson_bracket(D, f, g):
@@ -371,15 +321,8 @@ def is_courant_admissible(D, f):
 
     Returns (flag, X_f or None).
     """
-    try:
-        X = _try_hamiltonian_vf(D, f)
-    except (NondegeneracyError, SolveError):
-        return False, None
-    if X is None:
-        return False, None
-    residual = ext_d(KForm.scalar(D.chart, as_expr(f))) - \
-        graph_section(D, X).alpha
-    if not form_is_zero(residual, D.cfg).zero:
+    X, residual = _solve_verified(D, f)
+    if X is None or not residual.zero:
         return False, None
     return True, X
 
@@ -411,17 +354,6 @@ def is_admissible_pair(X, alpha, H, cfg=OracleConfig()):
     return form_is_zero(residual, cfg)
 
 
-def _normalized_fields(D, fs):
-    """Hamiltonian fields in the (X, +i_X h) normalization, regardless of
-    the structure's sign flag; contraction identities for the twisting form
-    are pinned to this normalization."""
-    out = []
-    for f in fs:
-        X = hamiltonian_vf(D, f)
-        out.append(X if D.sign > 0 else X.scale(Rat(-1)).simplified())
-    return out
-
-
 def jacobi_defect(D, f, g, k):
     """Cyclic bracket sum and the matching contraction of the twist.
 
@@ -436,9 +368,12 @@ def jacobi_defect(D, f, g, k):
     fg = simplify(vf_apply(Xf, g))
     cyclic = simplify(Sum(vf_apply(Xf, gk), vf_apply(Xg, kf),
                           vf_apply(Xk, fg)))
-    Nf, Ng, Nk = _normalized_fields(D, (f, g, k))
+    # the contraction is pinned to the (X, +i_X h) normalization,
+    # whatever the structure's sign flag
+    if D.sign < 0:
+        Xf, Xg, Xk = (X.scale(Rat(-1)).simplified() for X in (Xf, Xg, Xk))
     contraction = simplify(
-        interior(Nk, interior(Ng, interior(Nf, D.H))).scalar_value())
+        interior(Xk, interior(Xg, interior(Xf, D.H))).scalar_value())
     return cyclic, contraction
 
 
@@ -478,9 +413,9 @@ def check_theorem(D, f, g, k=None):
     report.add("antisymmetry {f,g} + {g,f} = 0",
                is_zero(Sum(fg_bracket, gf_bracket), cfg))
 
-    lhs = poisson_bracket(D, Prod(f, g), k)
-    rhs = Sum(Prod(g, poisson_bracket(D, f, k)),
-              Prod(f, poisson_bracket(D, g, k)))
+    lhs = simplify(vf_apply(X_prod, k))
+    rhs = Sum(Prod(g, simplify(vf_apply(Xf, k))),
+              Prod(f, simplify(vf_apply(Xg, k))))
     report.add("Leibniz {fg,k} = g{f,k} + f{g,k}",
                is_zero(Sum(lhs, Prod(Rat(-1), rhs)), cfg))
     return report

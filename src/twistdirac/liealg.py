@@ -112,20 +112,6 @@ class LieAlgebraData:
                             f"bilinear form is not ad-invariant at "
                             f"({i + 1},{j + 1},{k + 1})")
 
-    def bracket_vec(self, u, v):
-        """[u, v] for coefficient vectors u, v."""
-        d = self.dim
-        out = [Fraction(0)] * d
-        for i in range(d):
-            if not u[i]:
-                continue
-            for j in range(d):
-                if not v[j]:
-                    continue
-                for k in range(d):
-                    out[k] += u[i] * v[j] * self.structure[i][j][k]
-        return tuple(out)
-
 
 def _det(M):
     n = len(M)
@@ -279,9 +265,3 @@ def abelian(dim):
     g = [[Fraction(1 if i == j else 0) for j in range(dim)]
          for i in range(dim)]
     return LieAlgebraData(dim, C, g)
-
-
-BUILTIN_ALGEBRAS = {
-    "so3": so3,
-    "abelian": abelian,
-}

@@ -12,6 +12,7 @@ Expressions are immutable; every operation is a pure function.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,6 +69,10 @@ class Chart:
                 f"{min(max_dim, self.HARD_DIM_LIMIT)}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "coords", coords)
+        # identity of the chart in coordinate keys: charts that share a
+        # name but not their coordinates must not share atoms; one interned
+        # string keeps those keys cheap to hash and compare
+        object.__setattr__(self, "ident", sys.intern(repr((name, coords))))
 
     @property
     def dim(self):
@@ -163,9 +168,6 @@ class Expr:
     def __repr__(self):
         return f"<{type(self).__name__} {self}>"
 
-    def is_rational_const(self):
-        return self.kind == "rat"
-
 
 class Rat(Expr):
     __slots__ = ("value",)
@@ -179,9 +181,6 @@ class Rat(Expr):
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
-    def sort_key(self):
-        return self._key
-
 
 class Var(Expr):
     __slots__ = ("index",)
@@ -193,16 +192,13 @@ class Var(Expr):
                 f"coordinate index {index} out of range for {chart.name!r}")
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "index", index)
-        key = ("var", chart.name, index)
+        key = ("var", chart.ident, index)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
     @property
     def name(self):
         return self.chart.coords[self.index]
-
-    def sort_key(self):
-        return self._key
 
 
 class Sum(Expr):
@@ -224,9 +220,6 @@ class Sum(Expr):
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
-    def sort_key(self):
-        return self._key
-
 
 class Prod(Expr):
     __slots__ = ("args",)
@@ -247,9 +240,6 @@ class Prod(Expr):
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
-    def sort_key(self):
-        return self._key
-
 
 class Pow(Expr):
     __slots__ = ("base", "exp")
@@ -264,9 +254,6 @@ class Pow(Expr):
         key = ("pow", base.sort_key(), exp.numerator, exp.denominator)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
-
-    def sort_key(self):
-        return self._key
 
 
 class Func(Expr):
@@ -287,9 +274,6 @@ class Func(Expr):
         key = ("func", name, order, arg.sort_key())
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
-
-    def sort_key(self):
-        return self._key
 
 
 _normal._NormCtx.register(Rat, Var, Sum, Prod, Pow, Func)
@@ -552,8 +536,31 @@ def oracle_function_env(cfg, names):
             for name in sorted(names)}
 
 
-def _additive_terms(e):
-    return e.args if e.kind == "sum" else (e,)
+def sampled_sums(e, cfg, coords, func_env):
+    """Float evaluations of e at the seeded sample points.
+
+    Yields (point, total, tol) for each of cfg.samples points: the sum of
+    e's additive terms at the point, and the zero tolerance there (abs_tol
+    plus rel_tol times the largest term).  A point where evaluation hits a
+    singularity is redrawn up to cfg.max_resample times;
+    OracleInconclusiveError when every attempt fails.
+    """
+    terms = e.args if e.kind == "sum" else (e,)
+    for i in range(cfg.samples):
+        for attempt in range(cfg.max_resample):
+            point = sample_point(cfg, coords, i, attempt)
+            try:
+                values = [float(eval_expr(t, point, func_env))
+                          for t in terms]
+            except EvaluationSingularityError:
+                continue
+            break
+        else:
+            raise OracleInconclusiveError(
+                f"sample point {i} hit singularities in all "
+                f"{cfg.max_resample} resampling attempts")
+        scale = max((abs(v) for v in values), default=0.0)
+        yield point, sum(values), cfg.abs_tol + cfg.rel_tol * scale
 
 
 def _poly_over_vars(p):
@@ -604,23 +611,8 @@ def is_zero(e, cfg=OracleConfig()):
         raise OracleInconclusiveError(
             "nonzero normal form but no nonzero sample point found")
     env = oracle_function_env(cfg, function_symbols(simplified))
-    terms = _additive_terms(simplified)
-    for i in range(cfg.samples):
-        values = None
-        for attempt in range(cfg.max_resample):
-            point = sample_point(cfg, coords, i, attempt)
-            try:
-                values = [float(eval_expr(t, point, env)) for t in terms]
-            except EvaluationSingularityError:
-                continue
-            break
-        else:
-            raise OracleInconclusiveError(
-                f"sample point {i} hit singularities in all "
-                f"{cfg.max_resample} resampling attempts")
-        total = sum(values)
-        scale = max((abs(v) for v in values), default=0.0)
-        if abs(total) > cfg.abs_tol + cfg.rel_tol * scale:
+    for point, total, tol in sampled_sums(simplified, cfg, coords, env):
+        if abs(total) > tol:
             return ZeroVerdict(
                 zero=False, exact=False,
                 witness=tuple(sorted(point.items())),

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from twistdirac.symexpr import Pow, Rat, is_zero, parse_expr, simplify
+from twistdirac.symexpr import (Chart, Pow, Prod, Rat, Sum, is_zero,
+                                parse_expr, simplify)
 from twistdirac.exterior import (KForm, VectorField, ext_d, form_is_zero,
                                  interior, parse_form, vf_bracket,
                                  vf_is_zero)
@@ -130,6 +131,79 @@ class TestHamiltonianSolve:
         assert form_is_zero(residual, cfg).zero
         with pytest.raises((NondegeneracyError, SolveError)):
             hamiltonian_vf(D, phase["p2"])
+
+
+def coefficient_matrix(h):
+    """M[i][j] = h(d/dx_i, d/dx_j), built from contractions."""
+    basis = [VectorField.basis(h.chart, c) for c in h.chart.coords]
+    return [[interior(Y, interior(X, h)).scalar_value() for Y in basis]
+            for X in basis]
+
+
+def dense_graph(chart):
+    """omega + (2 + (-1)^(i+j) x_k/4) dx_i^dx_j on every pair, with
+    k = (i + j + 1) mod dim: no coefficient is constant."""
+    dim = chart.dim
+    h = standard_omega(chart)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            xk = chart.vars()[(i + j + 1) % dim]
+            c = 2 + Rat((-1) ** (i + j), 4) * xk
+            h = h + KForm.basis(chart, [i, j], c)
+    return h
+
+
+def rank_four_graph(chart):
+    """(1 + q1)(dp1^dq1 + dp2^dq2) plus a constant form on the block
+    (q1, q2, p1, p2); the kernel is spanned by d/dq3 and d/dp3."""
+    h = (KForm.basis(chart, ["p1", "q1"])
+         + KForm.basis(chart, ["p2", "q2"])).scale(1 + chart["q1"])
+    for pair, c in ((("q1", "q2"), Rat(1, 4)), (("p1", "p2"), Rat(-1, 2)),
+                    (("q1", "p2"), Rat(3, 4))):
+        h = h + KForm.basis(chart, pair, c)
+    return h
+
+
+class TestElimination:
+    @pytest.mark.parametrize("which", ["dense4", "conformal6"])
+    def test_inverse_times_matrix_is_identity(self, phase, cfg, which):
+        if which == "dense4":
+            chart = Chart("dense", ["q1", "q2", "p1", "p2"])
+            h = dense_graph(chart)
+        else:
+            chart = phase
+            h = standard_omega(phase).scale(1 + phase["q1"])
+            for i in range(6):
+                for j in range(i + 1, 6):
+                    h = h + KForm.basis(phase, [i, j],
+                                        Rat((-1) ** (i + j), 16))
+        D = TwistedGraph(chart, h, "dh", cfg=cfg)
+        assert D.nondegenerate
+        inv, M = D.inverse_matrix(), coefficient_matrix(D.h)
+        dim = chart.dim
+        for i in range(dim):
+            for j in range(dim):
+                entry = Sum(*[Prod(inv[i][k], M[k][j]) for k in range(dim)])
+                assert is_zero(entry - Rat(1 if i == j else 0), cfg).zero, \
+                    (i, j)
+
+    def test_rank_four_graph(self, phase, cfg):
+        D = TwistedGraph(phase, rank_four_graph(phase), "dh", cfg=cfg)
+        assert not D.nondegenerate
+        assert D.det == Rat(0)
+        f = parse_expr("q1*p2 + q2^2 - 3*q1*p1", phase)
+        ok, X = is_courant_admissible(D, f)
+        assert ok
+        residual = ext_d(KForm.scalar(phase, f)) - \
+            graph_section(D, X).alpha
+        assert form_is_zero(residual, cfg).zero
+        assert vf_is_zero(hamiltonian_vf(D, f) - X, cfg).zero
+        kernel_touching = parse_expr("q1*p2 + q3", phase)
+        assert is_courant_admissible(D, kernel_touching) == (False, None)
+        with pytest.raises(NondegeneracyError):
+            hamiltonian_vf(D, kernel_touching)
+        with pytest.raises(NondegeneracyError):
+            D.inverse_matrix()
 
 
 class TestPoissonBracket:

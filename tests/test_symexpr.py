@@ -265,6 +265,18 @@ class TestSimplify:
             assert is_zero(ratio - guarded, cfg).zero, i
 
 
+    def test_charts_sharing_a_name_do_not_collide(self):
+        # coordinates are keyed on the whole chart, not on its name, so
+        # the normal form's caches cannot hand one chart's atoms to the
+        # other
+        xy, uv = Chart("c", ["x", "y"]), Chart("c", ["u", "v"])
+        a = simplify(parse_expr("1/(x+y) + 1", xy))
+        b = simplify(parse_expr("1/(u+v) + 1", uv))
+        assert a.chart == xy and b.chart == uv
+        assert a != b and xy["x"] != uv["u"]
+        assert is_zero(b - parse_expr("(u + v + 1)/(u + v)", uv)).zero
+
+
 class TestGrammar:
     def test_angular_momentum_literal(self, phase):
         e = parse_expr("q2*p3 - q3*p2", phase)
