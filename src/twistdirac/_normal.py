@@ -1,15 +1,22 @@
-"""Internal canonical-form engine for expression trees.
+"""Internal canonical-form engine: the coefficient representation.
 
-Expressions are normalized to a sparse sum-of-monomials representation over
-"atoms": coordinates, function applications, and irreducible power bases
-(sums raised to negative or fractional exponents, non-perfect rational
-radicals).  The polynomial/Laurent subclass over coordinates gets an exact
-canonical form; sum denominators are recombined into a single fraction and
-cancelled by exact multivariate division when the division is exact.
+Form coefficients, vector-field components and the entries of every
+elimination are sparse sum-of-monomials polynomials over "atoms":
+coordinates, function applications, and irreducible power bases (sums
+raised to negative or fractional exponents, non-perfect rational radicals,
+and even powers under a root, which keep their sign).  Expression trees
+are converted once on the way in (``to_poly``) and rebuilt only to print or
+evaluate (``from_poly``).  Arithmetic (``p_mul``, ``p_add_inplace``,
+``p_pow``) and differentiation (``p_diff``) act on polynomials directly.
+The polynomial/Laurent subclass over coordinates gets an exact canonical
+form (``normal``): sum denominators are recombined into a single fraction
+and cancelled by exact multivariate division when the division is exact.
 
 A monomial is a tuple of (atom, exponent) pairs sorted by the atom's sort
-key, exponents are nonzero Fractions.  A polynomial is a dict mapping
-monomials to nonzero Fraction coefficients.
+key; exponents are nonzero ints or Fractions (coordinates carry ints; an
+integral Fraction compares and hashes equal to its int).  A polynomial is
+a dict mapping monomials to nonzero Fraction coefficients; polynomials
+are shared, so no operation mutates an argument.
 """
 
 from __future__ import annotations
@@ -17,7 +24,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+# a cycle: symexpr imports this module first, and its node classes are
+# looked up when a polynomial is built, after both modules are loaded
+from . import symexpr
+
 ONE_M = ()
+_ONE = Fraction(1)
 
 _atom_poly_cache = {}
 
@@ -27,13 +39,18 @@ def p_const(c):
     return {ONE_M: c} if c else {}
 
 
-def p_add_inplace(acc, p, scale=Fraction(1)):
+def p_add_inplace(acc, p, scale=None):
+    """acc += scale * p (scale 1 when None); scale must be nonzero."""
     for m, c in p.items():
-        v = acc.get(m, Fraction(0)) + c * scale
-        if v:
-            acc[m] = v
-        else:
-            acc.pop(m, None)
+        if scale is not None:
+            c = c * scale
+        old = acc.get(m)
+        if old is not None:
+            c = old + c
+            if not c:
+                del acc[m]
+                continue
+        acc[m] = c
     return acc
 
 
@@ -79,25 +96,6 @@ def rational_pow(c, e):
 
 def _mono_key(m):
     return tuple((a.sort_key(), e) for a, e in m)
-
-
-class _NormCtx:
-    """Bundles the node constructors so the engine stays import-cycle free.
-
-    symexpr registers its node classes here at import time.
-    """
-
-    Rat = None
-    Var = None
-    Sum = None
-    Prod = None
-    Pow = None
-    Func = None
-
-    @classmethod
-    def register(cls, Rat, Var, Sum, Prod, Pow, Func):
-        cls.Rat, cls.Var, cls.Sum, cls.Prod, cls.Pow, cls.Func = (
-            Rat, Var, Sum, Prod, Pow, Func)
 
 
 _CACHE_LIMIT = 20000
@@ -179,8 +177,8 @@ def term_mul(m1, c1, m2, c2):
             v, leftover = rational_pow(a.value, Fraction(n))
             base = {m: c * v for m, c in base.items()}
             if leftover is not None:
-                la = _NormCtx.Rat(leftover[0])
-                base = p_mul(base, {((la, leftover[1]),): Fraction(1)})
+                la = symexpr.Rat(leftover[0])
+                base = p_mul(base, {((la, leftover[1]),): _ONE})
         else:
             base = p_mul(base, atom_poly_pow(a, n))
     return base
@@ -222,7 +220,7 @@ def _vectorizer(*polys):
     polynomials (a genuine monomial order: total, multiplicative)."""
     universe = _atom_universe(*polys)
     pos = {a: i for i, a in enumerate(universe)}
-    zero = (Fraction(0),) * len(universe)
+    zero = (0,) * len(universe)
 
     def vec(m):
         v = list(zero)
@@ -252,47 +250,55 @@ def normalize_sum(p):
     return unit, {m: c / unit for m, c in p.items()}
 
 
-def _poly_pow(p, e):
+def _atom_pow(a, k, e):
+    """(a^k)^e for an atom a, folded into a^(k*e) unless k is even and
+    k*e is not: a^k is nonnegative where a^(k*e) may be negative, as in
+    (x^2)^(1/2) = |x|, so a^k stays an opaque power atom (a positive
+    constant base is safe)."""
+    ne = k * e
+    if k % 2 == 0 and ne % 2 != 0 and not (a.kind == "rat" and a.value > 0):
+        return {((symexpr.Pow(a, k), e),): _ONE}
+    if ne.denominator == 1 and a.kind in ("sum", "rat"):
+        if a.kind == "sum" and ne > 0:
+            return atom_poly_pow(a, int(ne))
+        return p_pow(_atom_poly(a), ne)
+    return {((a, ne),): _ONE}
+
+
+def p_pow(p, e):
     """p**e with full expansion for positive integer exponents and atom
     formation otherwise."""
-    Rat, Pow = _NormCtx.Rat, _NormCtx.Pow
+    Rat, Pow = symexpr.Rat, symexpr.Pow
     if e == 0:
         return p_const(1)
     if e == 1:
         return p
+    if e.denominator == 1:
+        e = int(e)
     if not p:
         if e > 0:
             return {}
         # 0**negative kept symbolically; evaluation reports the singularity
-        return {((Pow(Rat(0), e), Fraction(1)),): Fraction(1)}
+        return {((Pow(Rat(0), e), 1),): _ONE}
     if len(p) == 1:
         (m, c), = p.items()
         val, leftover = rational_pow(c, e)
         out = p_const(val)
         if leftover is not None:
-            out = p_mul(out, {((Rat(leftover[0]), leftover[1]),): Fraction(1)})
+            out = p_mul(out, {((Rat(leftover[0]), leftover[1]),): _ONE})
         for a, ae in m:
-            ne = ae * e
-            if not ne:
-                continue
-            if ne.denominator == 1 and a.kind in ("sum", "rat"):
-                if a.kind == "sum" and ne > 0:
-                    out = p_mul(out, atom_poly_pow(a, int(ne)))
-                else:
-                    out = p_mul(out, _poly_pow(_atom_poly(a), ne))
-            else:
-                out = p_mul(out, {((a, ne),): Fraction(1)})
+            out = p_mul(out, _atom_pow(a, ae, e))
         return out
     if e.denominator == 1 and e > 0:
-        return p_pow_int(p, int(e))
+        return p_pow_int(p, e)
     # negative or fractional power of a sum: clear any internal fractions
     # first so atom bases are always polynomial numerators (keeps repeated
     # normalization confluent), then form the atom
     num, dmap = combined_fraction(p)
     if dmap:
-        out = _poly_pow(num, e)
+        out = p_pow(num, e)
         for a, k in dmap.items():
-            out = p_mul(out, _atom_power(a, -Fraction(k) * e))
+            out = p_mul(out, _atom_pow(a, -k, e))
         return out
     if e.denominator == 1:
         unit, norm = normalize_sum(p)
@@ -300,21 +306,11 @@ def _poly_pow(p, e):
         val, leftover = rational_pow(unit, e)
         out = {((atom, e),): val}
         if leftover is not None:
-            out = p_mul(out, {((Rat(leftover[0]), leftover[1]),): Fraction(1)})
+            out = p_mul(out, {((Rat(leftover[0]), leftover[1]),): _ONE})
         return out
     # fractional power: opaque atom, base kept as written
     atom = from_poly(p)
-    return {((atom, e),): Fraction(1)}
-
-
-def _atom_power(a, e):
-    if e == 0:
-        return p_const(1)
-    if e.denominator == 1 and e > 0 and a.kind in ("sum", "rat"):
-        if a.kind == "sum":
-            return atom_poly_pow(a, int(e))
-        return _poly_pow(_atom_poly(a), e)
-    return {((a, e),): Fraction(1)}
+    return {((atom, e),): _ONE}
 
 
 def to_poly(e):
@@ -322,13 +318,25 @@ def to_poly(e):
     if kind == "rat":
         return p_const(e.value)
     if kind == "var":
-        return {((e, Fraction(1)),): Fraction(1)}
+        return {((e, 1),): _ONE}
     if kind == "sum":
         out = {}
         for a in e.args:
             p_add_inplace(out, to_poly(a))
         return out
     if kind == "prod":
+        # a monomial: multiply the constants, count the coordinates
+        c, exps = _ONE, {}
+        for a in e.args:
+            if a.kind == "var":
+                exps[a] = exps.get(a, 0) + 1
+            elif a.kind == "rat":
+                c = a.value if c is _ONE else c * a.value
+            else:
+                break
+        else:
+            m = tuple(sorted(exps.items(), key=lambda t: t[0].sort_key()))
+            return {m: c} if c else {}
         out = p_const(1)
         for a in e.args:
             out = p_mul(out, to_poly(a))
@@ -336,12 +344,42 @@ def to_poly(e):
                 return out
         return out
     if kind == "pow":
-        return _poly_pow(to_poly(e.base), e.exp)
+        return p_pow(to_poly(e.base), e.exp)
     if kind == "func":
         arg = canon_expr(e.arg)
-        atom = _NormCtx.Func(e.name, e.order, arg)
-        return {((atom, Fraction(1)),): Fraction(1)}
+        atom = symexpr.Func(e.name, e.order, arg)
+        return {((atom, 1),): _ONE}
     raise TypeError(f"unknown node kind {kind!r}")
+
+
+def p_diff(p, v):
+    """Partial derivative of p by the coordinate v, with the chain rule on
+    function, sum and power atoms."""
+    out = {}
+    for m, c in p.items():
+        for i, (a, e) in enumerate(m):
+            kind = a.kind
+            if a.chart is None:
+                continue        # a constant atom
+            if kind == "var":
+                if a != v:
+                    continue
+                da = None
+            elif kind == "func":
+                darg = p_diff(_atom_poly(a.arg), v)
+                if not darg:
+                    continue
+                da = p_mul({((symexpr.Func(a.name, a.order + 1, a.arg),
+                              1),): _ONE}, darg)
+            else:
+                da = p_diff(_atom_poly(a), v)
+                if not da:
+                    continue
+            ne = e - 1
+            rest = m[:i] + ((a, ne),) + m[i + 1:] if ne else m[:i] + m[i + 1:]
+            term = {rest: c * e}
+            p_add_inplace(out, term if da is None else p_mul(term, da))
+    return out
 
 
 def mono_div(m, d):
@@ -410,7 +448,7 @@ def try_divide(num, den):
         p_add_inplace(quotient, {qm: qc})
         del work[lt]
         if den_tail:
-            p_add_inplace(work, p_mul({qm: qc}, den_tail), Fraction(-1))
+            p_add_inplace(work, p_mul({qm: qc}, den_tail), -1)
     return quotient
 
 
@@ -447,7 +485,7 @@ def combined_fraction(p):
             if a not in seen:
                 term = p_mul(term, atom_poly_pow(a, k))
         if rest:
-            term = p_mul(term, {tuple(rest): Fraction(1)})
+            term = p_mul(term, {tuple(rest): _ONE})
         p_add_inplace(num, term)
     if not num:
         return {}, {}
@@ -480,15 +518,14 @@ def combined_fraction(p):
 def recompose(num, dens):
     if not dens:
         return num
-    inv = {ONE_M: Fraction(1)}
+    inv = {ONE_M: _ONE}
     for a, k in dens.items():
-        inv = p_mul(inv, {((a, Fraction(-k)),): Fraction(1)})
+        inv = p_mul(inv, {((a, -k),): _ONE})
     return p_mul(num, inv)
 
 
 def from_poly(p):
-    Rat, Prod, Pow, Sum = (_NormCtx.Rat, _NormCtx.Prod, _NormCtx.Pow,
-                           _NormCtx.Sum)
+    Rat, Prod, Pow, Sum = symexpr.Rat, symexpr.Prod, symexpr.Pow, symexpr.Sum
     if not p:
         return Rat(0)
     terms = []
@@ -505,7 +542,12 @@ def from_poly(p):
     return terms[0] if len(terms) == 1 else Sum(*terms)
 
 
+def normal(p):
+    """Canonical form of a polynomial: sum denominators recombined into
+    one fraction and cancelled where the division is exact."""
+    return recompose(*combined_fraction(p))
+
+
 def canon_expr(e):
     """Full normalization: expand/collect, recombine fractions, cancel."""
-    num, dens = combined_fraction(to_poly(e))
-    return from_poly(recompose(num, dens))
+    return from_poly(normal(to_poly(e)))

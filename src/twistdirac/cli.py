@@ -568,7 +568,7 @@ def cmd_bracket(source, f_name, g_name, structure=None, seed=None,
     out = out or sys.stdout
     Xf = dirac.hamiltonian_vf(D, f)
     Xg = dirac.hamiltonian_vf(D, g)
-    bracket = simplify(vf_apply(Xf, g))
+    bracket = vf_apply(Xf, g)
     label = ""
     for name, e in run.exprs.items():
         if simplify(e) == bracket:

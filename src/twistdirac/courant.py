@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .symexpr import Rat, Sum, simplify
+from .symexpr import Rat
 from .exterior import (ext_d, interior, lie_derivative, vf_bracket,
                        _require_same_chart)
 
@@ -78,7 +78,7 @@ def pairing(A, B):
     half = Rat(Fraction(1, 2))
     form = (interior(A.X, B.alpha) + interior(B.X, A.alpha)).scale(half)
     if n == 2:
-        return simplify(form.scalar_value())
+        return form.scalar_value()
     return form.simplified()
 
 
@@ -155,6 +155,4 @@ def courant_tensor(A, B, C, H):
         raise ValueError("the tensor is a level-2 operation")
     _check_twist(A, H)
     br = twisted_courant_bracket(A, B, H)
-    first = interior(C.X, br.alpha).scalar_value()
-    second = interior(br.X, C.alpha).scalar_value()
-    return simplify(Sum(first, second))
+    return (interior(C.X, br.alpha) + interior(br.X, C.alpha)).scalar_value()

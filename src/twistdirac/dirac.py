@@ -20,14 +20,15 @@ preserves admissibility verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .symexpr import (OracleConfig, OracleInconclusiveError, Pow, Prod, Rat,
-                      Sum, SymExprError, as_expr, diff, function_symbols,
-                      is_zero, oracle_function_env, sampled_sums, simplify)
+from ._normal import (ONE_M, from_poly, normal, p_add_inplace, p_const,
+                      p_diff, p_mul, p_pow, to_poly)
+from .symexpr import (OracleConfig, OracleInconclusiveError, Prod, Rat, Sum,
+                      SymExprError, as_expr, function_symbols, is_zero,
+                      oracle_function_env, sampled_sums)
 from .exterior import (FormVerdict, KForm, VectorField, ext_d, form_is_zero,
                        interior, lie_derivative, vf_apply, vf_bracket,
-                       vf_is_zero, _require_same_chart)
+                       vf_is_zero, apply_poly, _require_same_chart)
 from .courant import (GenSection, derived_bracket, pairing,
                       twisted_courant_bracket)
 
@@ -177,22 +178,20 @@ class TwistedGraph:
         first, in column order.
         """
         dim = self.chart.dim
-        rows = [[Rat(0)] * dim
-                + [Rat(1) if k == i else Rat(0) for k in range(dim)]
+        rows = [[{}] * dim + [p_const(1 if k == i else 0) for k in range(dim)]
                 for i in range(dim)]
-        for mask, c in self.h.coeffs.items():
+        for mask, c in self.h.polys.items():
             # M[lo][hi] = h(d/dx_lo, d/dx_hi) = c, so M^T[hi][lo] = c
             lo = (mask & -mask).bit_length() - 1
             hi = mask.bit_length() - 1
             rows[hi][lo] = c
-            rows[lo][hi] = simplify(Prod(Rat(-1), c))
+            rows[lo][hi] = {m: -v for m, v in c.items()}
         pivot_rows = {}
-        det = Rat(1)
+        det = p_const(1)
         for col in range(dim):
             candidates = sorted(
-                (rows[r][col].kind != "rat", r) for r in range(dim)
-                if r not in pivot_rows.values()
-                and not _is_literal_zero(rows[r][col]))
+                (not _is_constant(rows[r][col]), r) for r in range(dim)
+                if r not in pivot_rows.values() and rows[r][col])
             chosen = next((r for symbolic, r in candidates
                            if not symbolic
                            or not is_zero(rows[r][col], self.cfg).zero),
@@ -204,18 +203,17 @@ class TwistedGraph:
             # minor on the pivot rows and columns so far, so each product
             # cancels back to a polynomial (for polynomial h) instead of
             # one large cancellation at the end
-            det = simplify(Prod(det, pivot))
+            det = normal(p_mul(det, pivot))
             pivot_rows[col] = chosen
-            inv_p = Pow(pivot, Fraction(-1))
-            rows[chosen] = [e if _is_literal_zero(e)
-                            else simplify(Prod(e, inv_p))
+            inv_p = p_pow(pivot, -1)
+            rows[chosen] = [normal(p_mul(e, inv_p)) if e else e
                             for e in rows[chosen]]
             for r in range(dim):
                 factor = rows[r][col]
-                if r == chosen or _is_literal_zero(factor):
+                if r == chosen or not factor:
                     continue
-                rows[r] = [a if _is_literal_zero(b)
-                           else simplify(Sum(a, Prod(Rat(-1), factor, b)))
+                rows[r] = [normal(p_add_inplace(dict(a), p_mul(factor, b), -1))
+                           if b else a
                            for a, b in zip(rows[r], rows[chosen])]
         order = list(pivot_rows.values())
         if len(order) < dim:
@@ -223,7 +221,7 @@ class TwistedGraph:
         else:
             swaps = sum(a > b for i, a in enumerate(order)
                         for b in order[i + 1:])
-            self.det = simplify(Prod(Rat(-1 if swaps & 1 else 1), det))
+            self.det = from_poly(p_mul(p_const(-1 if swaps & 1 else 1), det))
         order += [r for r in range(dim) if r not in order]
         self._pivot_cols = list(pivot_rows)
         self._transform = [rows[r][dim:] for r in order]
@@ -243,12 +241,12 @@ class TwistedGraph:
         if not self.nondegenerate:
             raise NondegeneracyError("h is degenerate on the sampling box")
         dim = self.chart.dim
-        return [[self._transform[j][i] for j in range(dim)]
+        return [[from_poly(self._transform[j][i]) for j in range(dim)]
                 for i in range(dim)]
 
 
-def _is_literal_zero(e):
-    return e.kind == "rat" and e.value == 0
+def _is_constant(p):
+    return all(m == ONE_M for m in p)
 
 
 def graph_section(D, X):
@@ -258,13 +256,6 @@ def graph_section(D, X):
     if D.sign < 0:
         alpha = alpha.scale(Rat(-1))
     return GenSection(X, alpha.simplified())
-
-
-def _gradient(D, f):
-    f = as_expr(f)
-    if f.chart is not None and f.chart != D.chart:
-        raise SymExprError("function lives on a different chart")
-    return [simplify(diff(f, v)) for v in D.chart.vars()]
 
 
 def hamiltonian_vf(D, f):
@@ -297,15 +288,22 @@ def _try_hamiltonian_vf(D, f):
     """Apply the elimination transform to sign * grad f: rows past the
     rank must vanish, pivot rows give the pivot components, and free
     components are zero.  None when the system is inconsistent."""
-    sgn = Rat(D.sign)
-    grad = _gradient(D, f)
-    b = [simplify(Sum(*[Prod(sgn, e, g) for e, g in zip(row, grad)
-                        if not (_is_literal_zero(e) or _is_literal_zero(g))]))
-         for row in D._transform]
+    if f.chart is not None and f.chart != D.chart:
+        raise SymExprError("function lives on a different chart")
+    fp = to_poly(f)
+    grad = [normal(p_diff(fp, v)) for v in D.chart.vars()]
+    sign = -1 if D.sign < 0 else None
+    b = []
+    for row in D._transform:
+        acc = {}
+        for e, g in zip(row, grad):
+            if e and g:
+                p_add_inplace(acc, p_mul(e, g), sign)
+        b.append(normal(acc))
     rank = len(D._pivot_cols)
     if any(not is_zero(x, D.cfg).zero for x in b[rank:]):
         return None
-    comps = [Rat(0)] * D.chart.dim
+    comps = [{}] * D.chart.dim
     for col, x in zip(D._pivot_cols, b):
         comps[col] = x
     return VectorField(D.chart, comps)
@@ -313,7 +311,7 @@ def _try_hamiltonian_vf(D, f):
 
 def poisson_bracket(D, f, g):
     """{f, g} = X_f(g)."""
-    return simplify(vf_apply(hamiltonian_vf(D, f), as_expr(g)))
+    return vf_apply(hamiltonian_vf(D, f), g)
 
 
 def is_courant_admissible(D, f):
@@ -363,17 +361,16 @@ def jacobi_defect(D, f, g, k):
     Xf = hamiltonian_vf(D, f)
     Xg = hamiltonian_vf(D, g)
     Xk = hamiltonian_vf(D, k)
-    gk = simplify(vf_apply(Xg, k))
-    kf = simplify(vf_apply(Xk, f))
-    fg = simplify(vf_apply(Xf, g))
-    cyclic = simplify(Sum(vf_apply(Xf, gk), vf_apply(Xg, kf),
-                          vf_apply(Xk, fg)))
+    fp, gp, kp = (to_poly(as_expr(h)) for h in (f, g, k))
+    cyclic = {}
+    for X, Y, h in ((Xf, Xg, kp), (Xg, Xk, fp), (Xk, Xf, gp)):
+        p_add_inplace(cyclic, apply_poly(X, normal(apply_poly(Y, h))))
+    cyclic = from_poly(normal(cyclic))
     # the contraction is pinned to the (X, +i_X h) normalization,
     # whatever the structure's sign flag
     if D.sign < 0:
-        Xf, Xg, Xk = (X.scale(Rat(-1)).simplified() for X in (Xf, Xg, Xk))
-    contraction = simplify(
-        interior(Xk, interior(Xg, interior(Xf, D.H))).scalar_value())
+        Xf, Xg, Xk = -Xf, -Xg, -Xk
+    contraction = interior(Xk, interior(Xg, interior(Xf, D.H))).scalar_value()
     return cyclic, contraction
 
 
@@ -401,7 +398,7 @@ def check_theorem(D, f, g, k=None):
     report.add("fg is H-admissible",
                form_is_zero(interior(X_prod, D.H), cfg))
 
-    fg_bracket = simplify(vf_apply(Xf, g))
+    fg_bracket = vf_apply(Xf, g)
     X_bracket = hamiltonian_vf(D, fg_bracket)
     commutator = vf_bracket(Xf, Xg)
     report.add("X_{{f,g}} = [X_f, X_g]",
@@ -409,13 +406,12 @@ def check_theorem(D, f, g, k=None):
     report.add("{f,g} is H-admissible",
                form_is_zero(interior(commutator, D.H), cfg))
 
-    gf_bracket = simplify(vf_apply(Xg, f))
+    gf_bracket = vf_apply(Xg, f)
     report.add("antisymmetry {f,g} + {g,f} = 0",
                is_zero(Sum(fg_bracket, gf_bracket), cfg))
 
-    lhs = simplify(vf_apply(X_prod, k))
-    rhs = Sum(Prod(g, simplify(vf_apply(Xf, k))),
-              Prod(f, simplify(vf_apply(Xg, k))))
+    lhs = vf_apply(X_prod, k)
+    rhs = Sum(Prod(g, vf_apply(Xf, k)), Prod(f, vf_apply(Xg, k)))
     report.add("Leibniz {fg,k} = g{f,k} + f{g,k}",
                is_zero(Sum(lhs, Prod(Rat(-1), rhs)), cfg))
     return report
@@ -514,7 +510,7 @@ def check_poiss_brak_adm(D, f, g):
     A = GenSection(Xf, ext_d(KForm.scalar(chart, f)))
     B = GenSection(Xg, ext_d(KForm.scalar(chart, g)))
     lhs = twisted_courant_bracket(A, B, D.H)
-    fg = simplify(vf_apply(Xf, g))
+    fg = vf_apply(Xf, g)
     expected_vf = vf_bracket(Xf, Xg)
     expected_form = ext_d(KForm.scalar(chart, fg))
     report = CheckReport("bracket_of_admissible_pairs")

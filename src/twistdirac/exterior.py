@@ -5,16 +5,22 @@ bitmasks over the chart coordinates; all sign bookkeeping happens at
 operation time via merge-parity counts.  Iterated contractions are
 innermost-first: interior(X, interior(Y, a)) contracts Y into the first
 slot of a, so i_Z i_Y i_X H = H(X, Y, Z).
+
+Coefficients and components are normal-form ``_normal`` polynomials.
+Constructors convert expression trees once; every operation acts on the
+polynomials; ``coeffs``, ``coeff()``, ``terms()``, ``scalar_value()`` and
+``comps`` rebuild canonical trees for printing and evaluation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from ._normal import (from_poly, normal, p_add_inplace, p_const, p_diff,
+                      p_mul, to_poly)
 from .symexpr import (Chart, ChartMismatchError, Expr, ExprParser,
-                      OracleConfig, ParseError, Pow, Prod, Rat, Sum,
-                      SymExprError, TokenStream, as_expr, diff, is_zero,
-                      simplify, tokenize)
+                      OracleConfig, ParseError, Pow, Prod, Rat,
+                      SymExprError, TokenStream, as_expr, is_zero, tokenize)
 
 __all__ = [
     "Chart", "VectorField", "KForm", "FormVerdict", "wedge", "ext_d",
@@ -41,64 +47,74 @@ def _merge_sign(m1, m2):
     return -1 if inversions & 1 else 1
 
 
-class VectorField:
-    """Vector field on a chart: one component expression per coordinate."""
+def _as_poly(c, chart):
+    """A coefficient as a polynomial: a polynomial passes through, an
+    expression (or number) on the chart is converted once."""
+    if isinstance(c, dict):
+        return c
+    c = as_expr(c)
+    if c.chart is not None and c.chart != chart:
+        raise ChartMismatchError("coefficient from a different chart")
+    return to_poly(c)
 
-    __slots__ = ("chart", "comps")
+
+class VectorField:
+    """Vector field on a chart: one component per coordinate, each given
+    as an expression or a polynomial and held as a polynomial."""
+
+    __slots__ = ("chart", "polys")
 
     def __init__(self, chart, comps):
-        comps = tuple(as_expr(c) for c in comps)
-        if len(comps) != chart.dim:
+        polys = tuple(_as_poly(c, chart) for c in comps)
+        if len(polys) != chart.dim:
             raise ValueError("one component per chart coordinate required")
-        for c in comps:
-            if c.chart is not None and c.chart != chart:
-                raise ChartMismatchError("component from a different chart")
         self.chart = chart
-        self.comps = comps
+        self.polys = polys
+
+    @property
+    def comps(self):
+        """The components as canonical expressions."""
+        return tuple(from_poly(normal(p)) for p in self.polys)
 
     @classmethod
     def zero(cls, chart):
-        return cls(chart, (Rat(0),) * chart.dim)
+        return cls(chart, ({},) * chart.dim)
 
     @classmethod
     def basis(cls, chart, coord):
         i = coord if isinstance(coord, int) else chart.index(coord)
-        return cls(chart, tuple(Rat(1 if j == i else 0)
+        return cls(chart, tuple(p_const(1 if j == i else 0)
                                 for j in range(chart.dim)))
 
     def __add__(self, other):
         _require_same_chart(self, other)
         return VectorField(self.chart,
-                           tuple(a + b for a, b in
-                                 zip(self.comps, other.comps)))
+                           tuple(p_add_inplace(dict(a), b) for a, b in
+                                 zip(self.polys, other.polys)))
 
     def __sub__(self, other):
         _require_same_chart(self, other)
         return VectorField(self.chart,
-                           tuple(a - b for a, b in
-                                 zip(self.comps, other.comps)))
+                           tuple(p_add_inplace(dict(a), b, -1) for a, b in
+                                 zip(self.polys, other.polys)))
 
     def __neg__(self):
-        return self.scale(Rat(-1))
+        return self.scale(-1)
 
     def scale(self, factor):
-        factor = as_expr(factor)
+        factor = _as_poly(factor, self.chart)
         return VectorField(self.chart,
-                           tuple(Prod(factor, c) for c in self.comps))
-
-    def apply(self, f):
-        return vf_apply(self, f)
+                           tuple(p_mul(factor, c) for c in self.polys))
 
     def simplified(self):
-        return VectorField(self.chart, tuple(simplify(c) for c in self.comps))
+        return VectorField(self.chart, tuple(normal(p) for p in self.polys))
 
     def __str__(self):
         parts = []
-        for name, c in zip(self.chart.coords, self.comps):
-            s = simplify(c)
-            if s.kind == "rat" and s.value == 0:
-                continue
-            parts.append(f"({s})*d/d{name}")
+        for name, p in zip(self.chart.coords, self.polys):
+            q = normal(p)
+            if q:
+                parts.append(f"({from_poly(q)})*d/d{name}")
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -106,9 +122,10 @@ class VectorField:
 
 
 class KForm:
-    """Alternating k-form; coefficients keyed by increasing-index bitmask."""
+    """Alternating k-form; coefficients keyed by increasing-index bitmask,
+    each given as an expression or a polynomial and held as a polynomial."""
 
-    __slots__ = ("chart", "degree", "coeffs")
+    __slots__ = ("chart", "degree", "polys")
 
     def __init__(self, chart, degree, coeffs=None):
         if degree < 0:
@@ -120,13 +137,16 @@ class KForm:
             if mask.bit_count() != degree or mask >= (1 << chart.dim):
                 raise ValueError(
                     f"mask {mask:b} invalid for a degree-{degree} form")
-            c = as_expr(c)
-            if c.chart is not None and c.chart != chart:
-                raise ChartMismatchError("coefficient from a different chart")
-            if c.kind == "rat" and c.value == 0:
-                continue
-            store[mask] = c
-        self.coeffs = store
+            p = _as_poly(c, chart)
+            if p:
+                store[mask] = p
+        self.polys = store
+
+    @property
+    def coeffs(self):
+        """The nonzero coefficients as canonical expressions."""
+        return {mask: from_poly(q) for mask, p in self.polys.items()
+                if (q := normal(p))}
 
     @classmethod
     def zero(cls, chart, degree):
@@ -134,12 +154,12 @@ class KForm:
 
     @classmethod
     def scalar(cls, chart, value):
-        return cls(chart, 0, {0: as_expr(value)})
+        return cls(chart, 0, {0: value})
 
     @classmethod
     def covector(cls, chart, coord):
         i = coord if isinstance(coord, int) else chart.index(coord)
-        return cls(chart, 1, {1 << i: Rat(1)})
+        return cls(chart, 1, {1 << i: p_const(1)})
 
     @classmethod
     def basis(cls, chart, coords, coeff=1):
@@ -152,21 +172,21 @@ class KForm:
             mask |= 1 << i
         sign = _permutation_sign(idx)
         return cls(chart, len(idx),
-                   {mask: Prod(Rat(sign), as_expr(coeff))})
+                   {mask: p_mul(p_const(sign), _as_poly(coeff, chart))})
 
     def coeff(self, mask):
-        return self.coeffs.get(mask, Rat(0))
+        return from_poly(normal(self.polys.get(mask, {})))
 
     def terms(self):
         return sorted(self.coeffs.items())
 
     def is_structurally_zero(self):
-        return not self.coeffs
+        return not self.polys
 
     def scalar_value(self):
         if self.degree != 0:
             raise ValueError("not a degree-0 form")
-        return self.coeffs.get(0, Rat(0))
+        return self.coeff(0)
 
     def __add__(self, other):
         _require_same_chart(self, other)
@@ -176,38 +196,35 @@ class KForm:
             if other.is_structurally_zero():
                 return self
             raise ValueError("cannot add forms of different degree")
-        out = dict(self.coeffs)
-        for mask, c in other.coeffs.items():
-            out[mask] = Sum(out[mask], c) if mask in out else c
+        out = dict(self.polys)
+        for mask, p in other.polys.items():
+            out[mask] = p_add_inplace(dict(out[mask]), p) if mask in out \
+                else p
         return KForm(self.chart, self.degree, out)
 
     def __sub__(self, other):
-        return self + other.scale(Rat(-1))
+        return self + other.scale(-1)
 
     def __neg__(self):
-        return self.scale(Rat(-1))
+        return self.scale(-1)
 
     def scale(self, factor):
-        factor = as_expr(factor)
+        factor = _as_poly(factor, self.chart)
         return KForm(self.chart, self.degree,
-                     {m: Prod(factor, c) for m, c in self.coeffs.items()})
+                     {m: p_mul(factor, p) for m, p in self.polys.items()})
 
     def simplified(self):
-        out = {}
-        for mask, c in self.coeffs.items():
-            s = simplify(c)
-            if not (s.kind == "rat" and s.value == 0):
-                out[mask] = s
-        return KForm(self.chart, self.degree, out)
+        return KForm(self.chart, self.degree,
+                     {m: normal(p) for m, p in self.polys.items()})
 
     def __str__(self):
-        if not self.coeffs:
+        terms = self.terms()
+        if not terms:
             return "0"
         parts = []
-        for mask, c in self.terms():
+        for mask, cs in terms:
             basis = "^".join(f"d{self.chart.coords[i]}"
                              for i in _mask_indices(mask))
-            cs = simplify(c)
             if self.degree == 0:
                 parts.append(str(cs))
             elif cs.kind == "rat" and cs.value == 1:
@@ -253,16 +270,13 @@ def wedge(a, b):
     if degree > a.chart.dim:
         return KForm.zero(a.chart, degree)
     acc = {}
-    for m1, c1 in a.coeffs.items():
-        for m2, c2 in b.coeffs.items():
+    for m1, c1 in a.polys.items():
+        for m2, c2 in b.polys.items():
             if m1 & m2:
                 continue
-            sign = _merge_sign(m1, m2)
-            term = Prod(Rat(sign), c1, c2)
-            mask = m1 | m2
-            acc.setdefault(mask, []).append(term)
-    return KForm(a.chart, degree,
-                 {m: Sum(*parts) for m, parts in acc.items()})
+            p_add_inplace(acc.setdefault(m1 | m2, {}), p_mul(c1, c2),
+                          -1 if _merge_sign(m1, m2) < 0 else None)
+    return KForm(a.chart, degree, acc)
 
 
 def ext_d(a):
@@ -273,18 +287,17 @@ def ext_d(a):
         return KForm.zero(chart, degree)
     acc = {}
     xs = chart.vars()
-    for mask, c in a.coeffs.items():
+    for mask, c in a.polys.items():
         for i in range(chart.dim):
             bit = 1 << i
             if mask & bit:
                 continue
-            dc = diff(c, xs[i])
-            if dc.kind == "rat" and dc.value == 0:
-                continue
-            sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
-            acc.setdefault(mask | bit, []).append(
-                Prod(Rat(sign), dc) if sign < 0 else dc)
-    return KForm(chart, degree, {m: Sum(*p) for m, p in acc.items()})
+            dc = p_diff(c, xs[i])
+            if dc:
+                p_add_inplace(acc.setdefault(mask | bit, {}), dc,
+                              -1 if (mask & (bit - 1)).bit_count() & 1
+                              else None)
+    return KForm(chart, degree, acc)
 
 
 def interior(X, a):
@@ -295,15 +308,13 @@ def interior(X, a):
     if a.degree == 0:
         return KForm.zero(a.chart, 0)
     acc = {}
-    for mask, c in a.coeffs.items():
+    for mask, c in a.polys.items():
         for pos, i in enumerate(_mask_indices(mask)):
-            comp = X.comps[i]
-            if comp.kind == "rat" and comp.value == 0:
-                continue
-            sign = -1 if pos & 1 else 1
-            term = Prod(Rat(sign), comp, c)
-            acc.setdefault(mask & ~(1 << i), []).append(term)
-    return KForm(a.chart, a.degree - 1, {m: Sum(*p) for m, p in acc.items()})
+            comp = X.polys[i]
+            if comp:
+                p_add_inplace(acc.setdefault(mask & ~(1 << i), {}),
+                              p_mul(comp, c), -1 if pos & 1 else None)
+    return KForm(a.chart, a.degree - 1, acc)
 
 
 def lie_derivative(X, a):
@@ -313,26 +324,29 @@ def lie_derivative(X, a):
 
 
 def vf_apply(X, f):
-    """Directional derivative X(f)."""
+    """Directional derivative X(f), as a canonical expression."""
     f = as_expr(f)
     if f.chart is not None and f.chart != X.chart:
         raise ChartMismatchError("function lives on a different chart")
-    terms = []
-    for comp, v in zip(X.comps, X.chart.vars()):
-        if comp.kind == "rat" and comp.value == 0:
-            continue
-        df = diff(f, v)
-        if df.kind == "rat" and df.value == 0:
-            continue
-        terms.append(Prod(comp, df))
-    return Sum(*terms) if terms else Rat(0)
+    return from_poly(normal(apply_poly(X, to_poly(f))))
+
+
+def apply_poly(X, p):
+    """Directional derivative X(p) of a polynomial, as a polynomial."""
+    out = {}
+    for comp, v in zip(X.polys, X.chart.vars()):
+        if comp:
+            dp = p_diff(p, v)
+            if dp:
+                p_add_inplace(out, p_mul(comp, dp))
+    return out
 
 
 def vf_bracket(X, Y):
     """Lie bracket of vector fields: [X, Y]_i = X(Y_i) - Y(X_i)."""
     _require_same_chart(X, Y)
-    comps = tuple(Sum(vf_apply(X, yc), Prod(Rat(-1), vf_apply(Y, xc)))
-                  for xc, yc in zip(X.comps, Y.comps))
+    comps = tuple(p_add_inplace(apply_poly(X, yc), apply_poly(Y, xc), -1)
+                  for xc, yc in zip(X.polys, Y.polys))
     return VectorField(X.chart, comps)
 
 
@@ -363,8 +377,8 @@ def form_is_zero(a, cfg=OracleConfig()):
     """Zero-test every stored coefficient of a form."""
     exact = True
     failures = []
-    for mask, c in a.terms():
-        verdict = is_zero(c, cfg)
+    for mask, p in sorted(a.polys.items()):
+        verdict = is_zero(p, cfg)
         exact = exact and verdict.exact
         if not verdict.zero:
             basis = "^".join(f"d{a.chart.coords[i]}"
@@ -376,8 +390,8 @@ def form_is_zero(a, cfg=OracleConfig()):
 def vf_is_zero(X, cfg=OracleConfig()):
     exact = True
     failures = []
-    for name, c in zip(X.chart.coords, X.comps):
-        verdict = is_zero(c, cfg)
+    for name, p in zip(X.chart.coords, X.polys):
+        verdict = is_zero(p, cfg)
         exact = exact and verdict.exact
         if not verdict.zero:
             failures.append((f"d/d{name}", verdict))

@@ -99,7 +99,7 @@ class LieAlgebraData:
             for j in range(d):
                 if g[i][j] != g[j][i]:
                     raise LieAlgebraError("bilinear form is not symmetric")
-        if _det([list(row) for row in g]) == 0:
+        if _rref_nullspace(g, d):
             raise LieAlgebraError("bilinear form is degenerate")
         for i in range(d):
             for j in range(d):
@@ -111,30 +111,6 @@ class LieAlgebraData:
                         raise LieAlgebraError(
                             f"bilinear form is not ad-invariant at "
                             f"({i + 1},{j + 1},{k + 1})")
-
-
-def _det(M):
-    n = len(M)
-    M = [row[:] for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if M[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col]:
-                factor = M[r][col] * inv
-                M[r] = [a - factor * b for a, b in zip(M[r], M[col])]
-    return det
 
 
 def _rref_nullspace(rows, n):

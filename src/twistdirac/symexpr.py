@@ -6,18 +6,21 @@ derivative towers), exact differentiation, numeric evaluation, a
 normalizing ``simplify``, a seeded randomized zero-test oracle, and the
 text grammar used by scenario files.
 
-Expressions are immutable; every operation is a pure function.
+Expressions are immutable; every operation is a pure function.  Trees
+are the parse and print form: ``simplify``, ``diff`` and ``is_zero`` work
+on the normal-form polynomials of ``_normal``.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import _normal
-from ._normal import canon_expr, combined_fraction, recompose, to_poly
+from ._normal import (canon_expr, combined_fraction, from_poly, p_diff,
+                      recompose, to_poly)
 
 
 class SymExprError(Exception):
@@ -276,11 +279,6 @@ class Func(Expr):
         object.__setattr__(self, "_hash", hash(key))
 
 
-_normal._NormCtx.register(Rat, Var, Sum, Prod, Pow, Func)
-
-ZERO = Rat(0)
-ONE = Rat(1)
-
 
 # ---------------------------------------------------------------------------
 # differentiation
@@ -294,38 +292,7 @@ def diff(e, v):
         raise ChartMismatchError(
             f"cannot differentiate expression on chart "
             f"{e.chart.name!r} by coordinate of {v.chart.name!r}")
-    return _diff(e, v)
-
-
-def _diff(e, v):
-    kind = e.kind
-    if kind == "rat":
-        return ZERO
-    if kind == "var":
-        return ONE if e.index == v.index else ZERO
-    if kind == "sum":
-        return Sum(*[_diff(a, v) for a in e.args])
-    if kind == "prod":
-        terms = []
-        for i, a in enumerate(e.args):
-            da = _diff(a, v)
-            if da is ZERO or (da.kind == "rat" and da.value == 0):
-                continue
-            terms.append(Prod(*e.args[:i], da, *e.args[i + 1:]))
-        return Sum(*terms) if terms else ZERO
-    if kind == "pow":
-        db = _diff(e.base, v)
-        if db.kind == "rat" and db.value == 0:
-            return ZERO
-        if e.exp == 1:
-            return db
-        return Prod(Rat(e.exp), Pow(e.base, e.exp - 1), db)
-    if kind == "func":
-        da = _diff(e.arg, v)
-        if da.kind == "rat" and da.value == 0:
-            return ZERO
-        return Prod(Func(e.name, e.order + 1, e.arg), da)
-    raise TypeError(f"unknown node kind {kind!r}")
+    return from_poly(p_diff(to_poly(e), v))
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +504,14 @@ def oracle_function_env(cfg, names):
 
 
 def sampled_sums(e, cfg, coords, func_env):
-    """Float evaluations of e at the seeded sample points.
+    """Evaluations of e at the seeded sample points.
 
     Yields (point, total, tol) for each of cfg.samples points: the sum of
-    e's additive terms at the point, and the zero tolerance there (abs_tol
-    plus rel_tol times the largest term).  A point where evaluation hits a
-    singularity is redrawn up to cfg.max_resample times;
+    e's additive terms at the point, and the zero tolerance there.  When
+    every term is an exact Fraction at the point, so is the sum, and the
+    tolerance is 0; otherwise the sum is a float and the tolerance is
+    abs_tol plus rel_tol times the largest term.  A point where evaluation
+    hits a singularity is redrawn up to cfg.max_resample times;
     OracleInconclusiveError when every attempt fails.
     """
     terms = e.args if e.kind == "sum" else (e,)
@@ -550,8 +519,7 @@ def sampled_sums(e, cfg, coords, func_env):
         for attempt in range(cfg.max_resample):
             point = sample_point(cfg, coords, i, attempt)
             try:
-                values = [float(eval_expr(t, point, func_env))
-                          for t in terms]
+                values = [eval_expr(t, point, func_env) for t in terms]
             except EvaluationSingularityError:
                 continue
             break
@@ -559,6 +527,10 @@ def sampled_sums(e, cfg, coords, func_env):
             raise OracleInconclusiveError(
                 f"sample point {i} hit singularities in all "
                 f"{cfg.max_resample} resampling attempts")
+        if all(isinstance(v, Fraction) for v in values):
+            yield point, sum(values), 0
+            continue
+        values = [float(v) for v in values]
         scale = max((abs(v) for v in values), default=0.0)
         yield point, sum(values), cfg.abs_tol + cfg.rel_tol * scale
 
@@ -578,48 +550,41 @@ def _is_rational_subclass(num, dens):
 
 
 def is_zero(e, cfg=OracleConfig()):
-    """Decide whether e is identically zero.
+    """Decide whether e, an expression or a polynomial, is identically
+    zero.
 
-    Exact normalization decides the polynomial/rational subclass; other
-    expressions are evaluated at seeded sample points with function symbols
-    instantiated as seeded random polynomials.  Identical seed and config
-    give identical verdicts.
+    Exact normalization decides the polynomial/rational subclass, where a
+    nonzero normal form gets an exact witness from the seeded points;
+    other expressions are evaluated at seeded sample points with function
+    symbols instantiated as seeded random polynomials.  Identical seed and
+    config give identical verdicts.
     """
-    e = as_expr(e)
-    num, dens = combined_fraction(to_poly(e))
+    num, dens = combined_fraction(e if isinstance(e, dict)
+                                  else to_poly(as_expr(e)))
     if not num:
         return ZeroVerdict(zero=True, exact=True)
-    simplified = _normal.from_poly(recompose(num, dens))
+    simplified = from_poly(recompose(num, dens))
     chart = simplified.chart
     coords = chart.coords if chart is not None else ()
-    if _is_rational_subclass(num, dens):
+    rational = _is_rational_subclass(num, dens)
+    if rational:
         # exactly nonzero as a rational function; exhibit a witness by
-        # exact evaluation at seeded rational points
-        for i in range(max(cfg.samples, 8)):
-            for attempt in range(cfg.max_resample):
-                point = sample_point(cfg, coords, i, attempt)
-                try:
-                    val = eval_expr(simplified, point)
-                except EvaluationSingularityError:
-                    continue
-                if val != 0:
-                    return ZeroVerdict(
-                        zero=False, exact=True,
-                        witness=tuple(sorted(point.items())),
-                        magnitude=abs(float(val)))
-                break
-        raise OracleInconclusiveError(
-            "nonzero normal form but no nonzero sample point found")
-    env = oracle_function_env(cfg, function_symbols(simplified))
+        # exact evaluation at (at least 8) seeded rational points
+        env, func_env = {}, None
+        cfg = replace(cfg, samples=max(cfg.samples, 8))
+    else:
+        env = oracle_function_env(cfg, function_symbols(simplified))
+        func_env = tuple(sorted(env.items()))
     for point, total, tol in sampled_sums(simplified, cfg, coords, env):
         if abs(total) > tol:
             return ZeroVerdict(
-                zero=False, exact=False,
+                zero=False, exact=rational,
                 witness=tuple(sorted(point.items())),
-                magnitude=abs(total),
-                func_env=tuple(sorted(env.items())))
-    return ZeroVerdict(zero=True, exact=False,
-                       func_env=tuple(sorted(env.items())))
+                magnitude=float(abs(total)), func_env=func_env)
+    if rational:
+        raise OracleInconclusiveError(
+            "nonzero normal form but no nonzero sample point found")
+    return ZeroVerdict(zero=True, exact=False, func_env=func_env)
 
 
 def exprs_equal(a, b, cfg=OracleConfig()):

@@ -203,6 +203,41 @@ class TestIsZero:
         value = eval_expr(e, v.witness_point, dict(v.func_env))
         assert abs(float(value)) == pytest.approx(v.magnitude, rel=1e-12)
 
+    def test_terms_exact_at_the_point_sum_exactly(self):
+        # every term is a Fraction at the sample points, so the sum is
+        # exact and needs no tolerance; summed in float it left a residue
+        # of about 3e-05 that rel_tol=0 reported as NonZero
+        chart = Chart("line", ["x"])
+        e = parse_expr("F(x)^12*(x^2+2*x+1)^(1/2) - F(x)^12*x - F(x)^12",
+                       chart)
+        v = is_zero(e, OracleConfig(rel_tol=0))
+        assert v.zero and not v.exact
+
+    def test_even_power_under_a_root_keeps_its_sign(self):
+        # on x in [-2,-1], (x^2)^(1/2) = |x| = -x, not x
+        chart = Chart("line", ["x"])
+        cfg = OracleConfig(box={"x": (-2, -1)})
+        v = is_zero(parse_expr("(x^2)^(1/2) - x", chart), cfg)
+        assert not v.zero
+        assert eval_expr(parse_expr("(x^2)^(1/2) - x", chart),
+                         v.witness_point) > 0
+        assert is_zero(parse_expr("(x^2)^(1/2) + x", chart), cfg).zero
+        # the same with an even negative power of a sum, alone and as a
+        # denominator cleared before the root is taken: x - 1 < 0 here
+        for lhs, rhs in [("((x-1)^-2)^(1/2)", "1/(x-1)"),
+                         ("(x^2 + (x-1)^-2)^(1/2)",
+                          "(x^2*(x-1)^2 + 1)^(1/2)/(x-1)")]:
+            assert not is_zero(parse_expr(f"{lhs} - {rhs}", chart),
+                               cfg).zero
+            assert is_zero(parse_expr(f"{lhs} + {rhs}", chart), cfg).zero
+
+    def test_derivative_of_an_even_power_under_a_root(self):
+        # d/dx |x| = -1 on x in [-2,-1]
+        chart = Chart("line", ["x"])
+        cfg = OracleConfig(box={"x": (-2, -1)})
+        d = diff(parse_expr("(x^2)^(1/2)", chart), chart["x"])
+        assert is_zero(d + 1, cfg).zero
+
 
 class TestSimplify:
     def test_collect(self, phase):
