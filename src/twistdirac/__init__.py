@@ -13,15 +13,14 @@ from .symexpr import (Chart, ChartMismatchError, EvaluationSingularityError,
                       ParseError, PolyFunc, Pow, Prod, Rat, Sum, SymExprError,
                       Var, ZeroVerdict, diff, eval_expr, exprs_equal, is_zero,
                       parse_expr, simplify)
-from .exterior import (FormVerdict, KForm, VectorField, ext_d, form_is_zero,
-                       interior, lie_derivative, parse_form,
-                       parse_vector_field, vf_apply, vf_bracket, vf_is_zero,
-                       wedge)
+from .exterior import (KForm, VectorField, ext_d, form_is_zero, interior,
+                       lie_derivative, parse_form, parse_vector_field,
+                       vf_apply, vf_bracket, vf_is_zero, wedge)
 from .courant import (GenSection, courant_bracket, courant_tensor,
                       derived_bracket, derived_bracket_skew, dorfman_bracket,
-                      pairing, twisted_courant_bracket)
-from .dirac import (AdmissibilityReport, CheckReport, NondegeneracyError,
-                    SolveError, TwistNotClosedError, TwistedGraph,
+                      pairing, pairing_is_zero, twisted_courant_bracket)
+from .dirac import (AdmissibilityReport, NondegeneracyError, SolveError,
+                    TwistNotClosedError, TwistedGraph,
                     check_image_under_d, check_poiss_brak_adm,
                     check_symplgraph, check_theorem, graph_section,
                     hamiltonian_vf, is_H_admissible, is_admissible_pair,

@@ -24,9 +24,8 @@ from fractions import Fraction
 from . import __version__
 from .symexpr import (Chart, OracleConfig, ParseError, SymExprError,
                       is_zero, parse_expr, simplify)
-from .exterior import (KForm, form_is_zero, parse_form, parse_vector_field,
-                       vf_apply)
-from .courant import GenSection, pairing
+from .exterior import parse_form, parse_vector_field, vf_apply
+from .courant import GenSection, pairing_is_zero
 from . import dirac
 from . import liealg
 
@@ -321,31 +320,14 @@ class ScenarioRun:
 # check operations
 
 
-def _verdict_fields(verdict):
-    """(verdict str, witness, residual) from a Zero/Form verdict."""
+def _outcome(verdict):
+    """(PASS/FAIL, witness, residual, detail naming the failing children)
+    of a ZeroVerdict."""
     if verdict.zero:
-        return "PASS", None, None
-    witness = getattr(verdict, "witness", None)
-    if witness is not None and not isinstance(witness, dict):
-        witness = dict(witness)
-    return "FAIL", witness, getattr(verdict, "magnitude", None)
-
-
-def _from_report(report):
-    """CheckResult fields from a dirac.CheckReport."""
-    if report.passed:
         return "PASS", None, None, ""
-    failing = report.failures()
-    witness = None
-    residual = None
-    for c in failing:
-        if c.witness is not None and witness is None:
-            witness = c.witness
-        mag = getattr(c.verdict, "magnitude", None)
-        if mag is not None:
-            residual = max(residual or 0.0, mag)
-    detail = "; ".join(c.label for c in failing)
-    return "FAIL", witness, residual, f"failing: {detail}"
+    failing = "; ".join(label for label, _ in verdict.failures)
+    return ("FAIL", verdict.witness_point, verdict.magnitude,
+            failing and f"failing: {failing}")
 
 
 def _op_poisson_bracket(run, spec):
@@ -354,8 +336,7 @@ def _op_poisson_bracket(run, spec):
     g = run.expr(spec["g"], "g")
     bracket = dirac.poisson_bracket(D, f, g)
     expect = run.expr(spec.get("expect", "0"), "expect")
-    verdict = is_zero(bracket - expect, run.cfg)
-    v, w, r = _verdict_fields(verdict)
+    v, w, r, _ = _outcome(is_zero(bracket - expect, run.cfg))
     return v, w, r, f"{{f,g}} = {bracket}"
 
 
@@ -372,8 +353,12 @@ def _op_courant_admissible(run, spec):
 def _op_h_admissible(run, spec):
     D = run.structure(spec.get("structure"))
     f = run.expr(spec["f"], "f")
-    report = dirac.is_H_admissible(D, f, spec.get("f", "f"))
     expect = spec.get("expect")
+    if expect not in (None, "zero", "nonzero"):
+        raise ScenarioError(
+            f"h_admissible expect must be 'zero' or 'nonzero', "
+            f"got {expect!r}")
+    report = dirac.is_H_admissible(D, f, spec.get("f", "f"))
     if report.h_admissible is None:
         return ("INCONCLUSIVE", None, None,
                 f"verdict not determined: {report.detail}")
@@ -393,7 +378,7 @@ def _op_theorem_closure(run, spec):
     f = run.expr(spec["f"], "f")
     g = run.expr(spec["g"], "g")
     k = run.expr(spec["k"], "k") if "k" in spec else None
-    return _from_report(dirac.check_theorem(D, f, g, k))
+    return _outcome(dirac.check_theorem(D, f, g, k))
 
 
 def _op_jacobi_defect(run, spec):
@@ -402,19 +387,18 @@ def _op_jacobi_defect(run, spec):
     g = run.expr(spec["g"], "g")
     k = run.expr(spec["k"], "k")
     cyclic, contraction = dirac.jacobi_defect(D, f, g, k)
-    verdict = is_zero(cyclic - contraction, run.cfg)
-    v, w, r = _verdict_fields(verdict)
+    v, w, r, _ = _outcome(is_zero(cyclic - contraction, run.cfg))
     return v, w, r, f"cyclic sum = {cyclic}"
 
 
 def _op_symplectic_graph(run, spec):
     D = run.structure(spec.get("structure"))
     f = run.expr(spec["f"], "f")
-    report = dirac.check_symplgraph(D, f, spec.get("f", "f"))
-    v, w, r = _verdict_fields(report.identity.verdict)
-    detail = f"H-admissible (L_X h = 0): {report.h_admissible}"
+    identity, lie = dirac.check_symplgraph(D, f, spec.get("f", "f"))
+    v, w, r, _ = _outcome(identity)
+    detail = f"H-admissible (L_X h = 0): {lie.zero}"
     expect = spec.get("expect_h_admissible")
-    if expect is not None and bool(expect) != report.h_admissible:
+    if expect is not None and bool(expect) != lie.zero:
         v = "FAIL"
     return v, w, r, detail
 
@@ -423,7 +407,7 @@ def _op_poisson_pair(run, spec):
     D = run.structure(spec.get("structure"))
     f = run.expr(spec["f"], "f")
     g = run.expr(spec["g"], "g")
-    return _from_report(dirac.check_poiss_brak_adm(D, f, g))
+    return _outcome(dirac.check_poiss_brak_adm(D, f, g))
 
 
 def _op_admissible_pair(run, spec):
@@ -432,19 +416,14 @@ def _op_admissible_pair(run, spec):
         if "H" in spec else run.structure(spec.get("structure")).H
     verdict = dirac.is_admissible_pair(sec.X, sec.alpha, H, run.cfg)
     expect = bool(spec.get("expect", True))
-    v, w, r = _verdict_fields(verdict)
-    if (v == "PASS") != expect:
-        v = "FAIL" if expect else "PASS"
-    return v, w, r, ""
+    _, w, r, _ = _outcome(verdict)
+    return "PASS" if verdict.zero == expect else "FAIL", w, r, ""
 
 
 def _op_pairing_zero(run, spec):
     A = run.sections[spec["a"]]
     B = run.sections[spec["b"]]
-    p = pairing(A, B)
-    verdict = form_is_zero(p, run.cfg) if isinstance(p, KForm) \
-        else is_zero(p, run.cfg)
-    v, w, r = _verdict_fields(verdict)
+    v, w, r, _ = _outcome(pairing_is_zero(A, B, run.cfg))
     return v, w, r, ""
 
 
@@ -452,7 +431,7 @@ def _op_image_under_d(run, spec):
     secs = [run.sections[name] for name in spec["sections"]]
     H = run._parse_form_spec(spec["H"], label="H") if "H" in spec \
         else run.structure(spec.get("structure")).H
-    return _from_report(dirac.check_image_under_d(secs, H, run.cfg))
+    return _outcome(dirac.check_image_under_d(secs, H, run.cfg))
 
 
 def _op_integrable(run, spec):

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .symexpr import Rat
-from .exterior import (ext_d, interior, lie_derivative, vf_bracket,
-                       _require_same_chart)
+from .symexpr import OracleConfig, Rat, is_zero
+from .exterior import (KForm, ext_d, form_is_zero, interior, lie_derivative,
+                       vf_bracket, _require_same_chart)
 
 __all__ = [
-    "GenSection", "pairing", "courant_bracket", "dorfman_bracket",
-    "twisted_courant_bracket", "derived_bracket", "derived_bracket_skew",
-    "courant_tensor",
+    "GenSection", "pairing", "pairing_is_zero", "courant_bracket",
+    "dorfman_bracket", "twisted_courant_bracket", "derived_bracket",
+    "derived_bracket_skew", "courant_tensor",
 ]
 
 
@@ -80,6 +80,12 @@ def pairing(A, B):
     if n == 2:
         return form.scalar_value()
     return form.simplified()
+
+
+def pairing_is_zero(A, B, cfg=OracleConfig()):
+    """Zero verdict of pairing(A, B), per coefficient when it is a form."""
+    p = pairing(A, B)
+    return form_is_zero(p, cfg) if isinstance(p, KForm) else is_zero(p, cfg)
 
 
 def courant_bracket(A, B):

@@ -11,6 +11,13 @@ the inverse and a transform that turns every Hamiltonian solve, on
 degenerate structures too, into one matrix-vector product; every solve is
 then verified by a residual zero-test.
 
+Every check answers with one ``ZeroVerdict``: the proposition checks
+(check_theorem, check_image_under_d, check_poiss_brak_adm) return a
+labelled composite whose children are the residuals they test, and
+check_symplgraph returns the pair (identity, L_X h) of verdicts.
+AdmissibilityReport remains the record of one function: its Courant flag,
+its Hamiltonian field and its H verdict.
+
 The sign convention flag defaults to +1 (df = i_{X_f} h), which reproduces
 the angular-momentum bracket table verbatim; -1 gives df = -i_{X_f} h.
 Flipping the flag negates Poisson brackets and Hamiltonian fields but
@@ -19,22 +26,21 @@ preserves admissibility verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from ._normal import (ONE_M, from_poly, normal, p_add_inplace, p_const,
                       p_diff, p_mul, p_pow, to_poly)
 from .symexpr import (OracleConfig, OracleInconclusiveError, Prod, Rat, Sum,
-                      SymExprError, as_expr, function_symbols, is_zero,
-                      oracle_function_env, sampled_sums)
-from .exterior import (FormVerdict, KForm, VectorField, ext_d, form_is_zero,
-                       interior, lie_derivative, vf_apply, vf_bracket,
-                       vf_is_zero, apply_poly, _require_same_chart)
-from .courant import (GenSection, derived_bracket, pairing,
+                      SymExprError, ZeroVerdict, as_expr, function_symbols,
+                      is_zero, oracle_function_env, sampled_sums)
+from .exterior import (KForm, VectorField, ext_d, form_is_zero, interior,
+                       lie_derivative, vf_apply, vf_bracket, vf_is_zero,
+                       apply_poly, _require_same_chart)
+from .courant import (GenSection, derived_bracket, pairing_is_zero,
                       twisted_courant_bracket)
 
 __all__ = [
-    "TwistedGraph", "AdmissibilityReport", "ResidualCheck", "CheckReport",
-    "SymplGraphReport", "NondegeneracyError", "SolveError",
+    "TwistedGraph", "AdmissibilityReport", "NondegeneracyError", "SolveError",
     "TwistNotClosedError", "graph_section", "hamiltonian_vf",
     "poisson_bracket", "is_courant_admissible", "is_H_admissible",
     "is_admissible_pair", "jacobi_defect", "check_theorem",
@@ -52,51 +58,6 @@ class SolveError(SymExprError):
 
 class TwistNotClosedError(SymExprError):
     pass
-
-
-@dataclass
-class ResidualCheck:
-    """One named residual with its zero verdict."""
-
-    label: str
-    verdict: object  # ZeroVerdict or FormVerdict
-
-    @property
-    def zero(self):
-        return self.verdict.zero
-
-    @property
-    def witness(self):
-        w = getattr(self.verdict, "witness", None)
-        if w is not None and not isinstance(w, dict):
-            w = dict(w)
-        return w
-
-    def __str__(self):
-        return f"{self.label}: {self.verdict}"
-
-
-@dataclass
-class CheckReport:
-    """Bundle of residual checks; passes when every residual is zero."""
-
-    name: str
-    checks: list = field(default_factory=list)
-
-    def add(self, label, verdict):
-        self.checks.append(ResidualCheck(label, verdict))
-
-    @property
-    def passed(self):
-        return all(c.zero for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.zero]
-
-    def __str__(self):
-        lines = [f"{self.name}: {'PASS' if self.passed else 'FAIL'}"]
-        lines += [f"  {c}" for c in self.checks]
-        return "\n".join(lines)
 
 
 @dataclass
@@ -328,18 +289,30 @@ def is_courant_admissible(D, f):
 def is_H_admissible(D, f, name="f"):
     """Full admissibility report: Courant admissibility, the solved
     Hamiltonian field, and the verdict on i_{X_f} H = 0."""
-    ok, X = is_courant_admissible(D, f)
-    if not ok:
+    X, verdict = _h_verdict(D, f)
+    if X is None:
         return AdmissibilityReport(name, False,
                                    detail="not admissible (Courant)")
     if not D.nondegenerate:
         return AdmissibilityReport(
             name, True, hamiltonian_field=X,
             detail="degenerate structure: Hamiltonian field not unique")
-    verdict = form_is_zero(interior(X, D.H), D.cfg)
     return AdmissibilityReport(
         name, True, hamiltonian_field=X, h_admissible=verdict.zero,
-        witness=verdict.witness, magnitude=verdict.magnitude)
+        witness=verdict.witness_point, magnitude=verdict.magnitude)
+
+
+# fails without a witness: f is not admissible, or its field is not unique
+_NOT_DETERMINED = ZeroVerdict(zero=False, exact=True)
+
+
+def _h_verdict(D, f):
+    """(X_f or None, the verdict on i_{X_f} H = 0); _NOT_DETERMINED when
+    f is not admissible or the structure is degenerate."""
+    ok, X = is_courant_admissible(D, f)
+    if not ok or not D.nondegenerate:
+        return X, _NOT_DETERMINED
+    return X, form_is_zero(interior(X, D.H), D.cfg)
 
 
 def is_admissible_pair(X, alpha, H, cfg=OracleConfig()):
@@ -380,125 +353,79 @@ def check_theorem(D, f, g, k=None):
     and the Leibniz rule against a third function k (f*g when omitted)."""
     if k is None:
         k = Prod(as_expr(f), as_expr(g))
-    report = CheckReport("poisson_algebra_closure")
-    adm_f = is_H_admissible(D, f, "f")
-    adm_g = is_H_admissible(D, g, "g")
-    report.add("f is H-admissible", _bool_verdict(adm_f))
-    report.add("g is H-admissible", _bool_verdict(adm_g))
-    if not (adm_f.h_admissible and adm_g.h_admissible):
-        return report
-    Xf, Xg = adm_f.hamiltonian_field, adm_g.hamiltonian_field
+    Xf, adm_f = _h_verdict(D, f)
+    Xg, adm_g = _h_verdict(D, g)
+    checks = [("f is H-admissible", adm_f), ("g is H-admissible", adm_g)]
+    if not (adm_f.zero and adm_g.zero):
+        return ZeroVerdict.combine(checks, "poisson_algebra_closure")
     f, g, k = as_expr(f), as_expr(g), as_expr(k)
     cfg = D.cfg
 
     X_prod = hamiltonian_vf(D, Prod(f, g))
     expected = (Xf.scale(g) + Xg.scale(f)).simplified()
-    report.add("X_{fg} = g*X_f + f*X_g",
-               vf_is_zero(X_prod - expected, cfg))
-    report.add("fg is H-admissible",
-               form_is_zero(interior(X_prod, D.H), cfg))
+    checks.append(("X_{fg} = g*X_f + f*X_g",
+                   vf_is_zero(X_prod - expected, cfg)))
+    checks.append(("fg is H-admissible",
+                   form_is_zero(interior(X_prod, D.H), cfg)))
 
     fg_bracket = vf_apply(Xf, g)
     X_bracket = hamiltonian_vf(D, fg_bracket)
     commutator = vf_bracket(Xf, Xg)
-    report.add("X_{{f,g}} = [X_f, X_g]",
-               vf_is_zero(X_bracket - commutator, cfg))
-    report.add("{f,g} is H-admissible",
-               form_is_zero(interior(commutator, D.H), cfg))
+    checks.append(("X_{{f,g}} = [X_f, X_g]",
+                   vf_is_zero(X_bracket - commutator, cfg)))
+    checks.append(("{f,g} is H-admissible",
+                   form_is_zero(interior(commutator, D.H), cfg)))
 
     gf_bracket = vf_apply(Xg, f)
-    report.add("antisymmetry {f,g} + {g,f} = 0",
-               is_zero(Sum(fg_bracket, gf_bracket), cfg))
+    checks.append(("antisymmetry {f,g} + {g,f} = 0",
+                   is_zero(Sum(fg_bracket, gf_bracket), cfg)))
 
     lhs = vf_apply(X_prod, k)
     rhs = Sum(Prod(g, vf_apply(Xf, k)), Prod(f, vf_apply(Xg, k)))
-    report.add("Leibniz {fg,k} = g{f,k} + f{g,k}",
-               is_zero(Sum(lhs, Prod(Rat(-1), rhs)), cfg))
-    return report
-
-
-@dataclass(frozen=True)
-class _BoolVerdict:
-    zero: bool
-    exact: bool = True
-    witness: dict = None
-    magnitude: float = None
-
-    def __str__(self):
-        return "holds" if self.zero else "fails"
-
-
-def _bool_verdict(adm_report):
-    return _BoolVerdict(bool(adm_report.h_admissible),
-                        witness=adm_report.witness,
-                        magnitude=adm_report.magnitude)
-
-
-@dataclass
-class SymplGraphReport:
-    """Identity residual plus the Lie-derivative admissibility verdict."""
-
-    identity: ResidualCheck
-    h_admissible: bool
-    lie_verdict: FormVerdict
-
-    @property
-    def passed(self):
-        return self.identity.zero
-
-    def __str__(self):
-        return (f"{self.identity}\n"
-                f"  H-admissible (L_X h = 0): {self.h_admissible}")
+    checks.append(("Leibniz {fg,k} = g{f,k} + f{g,k}",
+                   is_zero(Sum(lhs, Prod(Rat(-1), rhs)), cfg)))
+    return ZeroVerdict.combine(checks, "poisson_algebra_closure")
 
 
 def check_symplgraph(D, f, name="f"):
     """The graph characterization: L_{X_f} h - i_{X_f} H vanishes on
     integrable structures, and H-admissibility of f is equivalent to
-    L_{X_f} h = 0."""
+    L_{X_f} h = 0.  Returns the pair (identity, L_X h) of verdicts."""
     X = hamiltonian_vf(D, f)
     lxh = lie_derivative(X, D.h)
-    identity = ResidualCheck(
-        f"L_X h - i_X H = 0 for {name}",
-        form_is_zero(lxh - interior(X, D.H), D.cfg))
-    lx_verdict = form_is_zero(lxh, D.cfg)
-    return SymplGraphReport(identity, lx_verdict.zero, lx_verdict)
+    identity = form_is_zero(lxh - interior(X, D.H), D.cfg)
+    return (replace(identity, label=f"L_X h - i_X H = 0 for {name}"),
+            replace(form_is_zero(lxh, D.cfg), label=f"L_X h = 0 for {name}"))
 
 
 def check_image_under_d(pairs, H, cfg=OracleConfig()):
     """Push admissible pairs through the de Rham differential and verify
     the image is isotropic with the expected untwisted brackets
     ([X, Y], -i_{[X,Y]} H)."""
-    report = CheckReport("image_under_d")
-    for idx, sec in enumerate(pairs):
-        verdict = is_admissible_pair(sec.X, sec.alpha, H, cfg)
-        report.add(f"pair {idx} admissible", verdict)
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            A, B = pairs[i], pairs[j]
-            p = pairing(A, B)
-            v = form_is_zero(p, cfg) if isinstance(p, KForm) \
-                else is_zero(p, cfg)
-            report.add(f"pairing({i},{j}) = 0", v)
-    if not report.passed:
-        return report
+    checks = [(f"pair {idx} admissible",
+               is_admissible_pair(sec.X, sec.alpha, H, cfg))
+              for idx, sec in enumerate(pairs)]
+    checks += [(f"pairing({i},{j}) = 0", pairing_is_zero(A, B, cfg))
+               for i, A in enumerate(pairs) for j, B in enumerate(pairs)
+               if i < j]
+    if not all(v.zero for _, v in checks):
+        return ZeroVerdict.combine(checks, "image_under_d")
     chart = pairs[0].chart
     images = [GenSection(s.X, ext_d(s.alpha).simplified()) for s in pairs]
     zero_twist = KForm.zero(chart, images[0].level + 1)
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
             A, B = images[i], images[j]
-            p = pairing(A, B)
-            v = is_zero(p, cfg) if not isinstance(p, KForm) \
-                else form_is_zero(p, cfg)
-            report.add(f"image pairing({i},{j}) = 0", v)
+            checks.append((f"image pairing({i},{j}) = 0",
+                           pairing_is_zero(A, B, cfg)))
             br = derived_bracket(A, B, zero_twist)
             expected_vf = vf_bracket(A.X, B.X)
             expected_form = interior(expected_vf, H).scale(Rat(-1))
-            report.add(f"image bracket({i},{j}) vector part",
-                       vf_is_zero(br.X - expected_vf, cfg))
-            report.add(f"image bracket({i},{j}) form part",
-                       form_is_zero(br.alpha - expected_form, cfg))
-    return report
+            checks.append((f"image bracket({i},{j}) vector part",
+                           vf_is_zero(br.X - expected_vf, cfg)))
+            checks.append((f"image bracket({i},{j}) form part",
+                           form_is_zero(br.alpha - expected_form, cfg)))
+    return ZeroVerdict.combine(checks, "image_under_d")
 
 
 def check_poiss_brak_adm(D, f, g):
@@ -513,7 +440,7 @@ def check_poiss_brak_adm(D, f, g):
     fg = vf_apply(Xf, g)
     expected_vf = vf_bracket(Xf, Xg)
     expected_form = ext_d(KForm.scalar(chart, fg))
-    report = CheckReport("bracket_of_admissible_pairs")
-    report.add("vector part", vf_is_zero(lhs.X - expected_vf, D.cfg))
-    report.add("form part", form_is_zero(lhs.alpha - expected_form, D.cfg))
-    return report
+    return ZeroVerdict.combine(
+        [("vector part", vf_is_zero(lhs.X - expected_vf, D.cfg)),
+         ("form part", form_is_zero(lhs.alpha - expected_form, D.cfg))],
+        "bracket_of_admissible_pairs")

@@ -10,6 +10,10 @@ Coefficients and components are normal-form ``_normal`` polynomials.
 Constructors convert expression trees once; every operation acts on the
 polynomials; ``coeffs``, ``coeff()``, ``terms()``, ``scalar_value()`` and
 ``comps`` rebuild canonical trees for printing and evaluation.
+
+``form_is_zero`` and ``vf_is_zero`` answer with one composite
+``ZeroVerdict`` whose children are the per-coefficient verdicts, labelled
+by basis element.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from ._normal import (from_poly, normal, p_add_inplace, p_const, p_diff,
                       p_mul, to_poly)
 from .symexpr import (Chart, ChartMismatchError, Expr, ExprParser,
                       OracleConfig, ParseError, Pow, Prod, Rat,
-                      SymExprError, TokenStream, as_expr, is_zero, tokenize)
+                      SymExprError, TokenStream, ZeroVerdict, as_expr,
+                      is_zero, tokenize)
 
 __all__ = [
-    "Chart", "VectorField", "KForm", "FormVerdict", "wedge", "ext_d",
+    "Chart", "VectorField", "KForm", "wedge", "ext_d",
     "interior", "lie_derivative", "vf_bracket", "vf_apply", "parse_form",
     "parse_vector_field", "form_is_zero", "vf_is_zero",
 ]
@@ -350,52 +355,20 @@ def vf_bracket(X, Y):
     return VectorField(X.chart, comps)
 
 
-class FormVerdict:
-    """Per-coefficient zero verdict for a form (or a vector field)."""
-
-    def __init__(self, zero, exact, failures):
-        self.zero = zero
-        self.exact = exact
-        self.failures = failures  # list of (label, ZeroVerdict)
-
-    @property
-    def witness(self):
-        return self.failures[0][1].witness_point if self.failures else None
-
-    @property
-    def magnitude(self):
-        return max((v.magnitude for _, v in self.failures), default=None)
-
-    def __str__(self):
-        if self.zero:
-            return "Zero(exact)" if self.exact else "Zero(sampled)"
-        label, v = self.failures[0]
-        return f"NonZero at {label}: {v}"
-
-
 def form_is_zero(a, cfg=OracleConfig()):
-    """Zero-test every stored coefficient of a form."""
-    exact = True
-    failures = []
-    for mask, p in sorted(a.polys.items()):
-        verdict = is_zero(p, cfg)
-        exact = exact and verdict.exact
-        if not verdict.zero:
-            basis = "^".join(f"d{a.chart.coords[i]}"
-                             for i in _mask_indices(mask)) or "1"
-            failures.append((basis, verdict))
-    return FormVerdict(not failures, exact, failures)
+    """Zero-test every stored coefficient of a form: a composite
+    ZeroVerdict with one child per coefficient, labelled by its basis
+    element ("dq1^dp1", "1" for a function)."""
+    return ZeroVerdict.combine(
+        ("^".join(f"d{a.chart.coords[i]}" for i in _mask_indices(mask))
+         or "1", is_zero(p, cfg)) for mask, p in sorted(a.polys.items()))
 
 
 def vf_is_zero(X, cfg=OracleConfig()):
-    exact = True
-    failures = []
-    for name, p in zip(X.chart.coords, X.polys):
-        verdict = is_zero(p, cfg)
-        exact = exact and verdict.exact
-        if not verdict.zero:
-            failures.append((f"d/d{name}", verdict))
-    return FormVerdict(not failures, exact, failures)
+    """Zero-test every component of a vector field: one child per
+    component, labelled "d/dq1"."""
+    return ZeroVerdict.combine((f"d/d{name}", is_zero(p, cfg))
+                               for name, p in zip(X.chart.coords, X.polys))
 
 
 # ---------------------------------------------------------------------------

@@ -465,13 +465,41 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class ZeroVerdict:
-    """Outcome of a zero test: Zero, or NonZero with a witness point."""
+    """Outcome of a zero test: Zero, or NonZero with a witness point.
+
+    A composite verdict (see combine) holds labelled children, one per
+    residual it tested: a form's coefficients, a check's identities.
+    """
 
     zero: bool
     exact: bool
     witness: tuple = None          # ((coord, Fraction), ...) or None
     magnitude: float = None
     func_env: tuple = None         # ((name, PolyFunc), ...) or None
+    label: str = ""
+    children: tuple = ()
+
+    @classmethod
+    def combine(cls, labelled, label=""):
+        """Composite of (label, verdict) pairs.  Zero (exact) when every
+        child is; the witness and func_env are those of the first failing
+        child that carries a witness, the magnitude the largest among the
+        failing children."""
+        children = tuple(replace(v, label=name) for name, v in labelled)
+        failing = [c for c in children if not c.zero]
+        first = next((c for c in failing if c.witness is not None), None)
+        return cls(
+            zero=not failing, exact=all(c.exact for c in children),
+            witness=first.witness if first else None,
+            magnitude=max((c.magnitude for c in failing
+                           if c.magnitude is not None), default=None),
+            func_env=first.func_env if first else None,
+            label=label, children=children)
+
+    @property
+    def failures(self):
+        """[(label, child)] for the children that are not zero."""
+        return [(c.label, c) for c in self.children if not c.zero]
 
     @property
     def witness_point(self):
@@ -480,6 +508,11 @@ class ZeroVerdict:
     def __str__(self):
         if self.zero:
             return "Zero(exact)" if self.exact else "Zero(sampled)"
+        if self.children:
+            label, child = self.failures[0]
+            return f"NonZero at {label}: {child}"
+        if self.magnitude is None:
+            return "NonZero"
         pt = ", ".join(f"{n}={v}" for n, v in (self.witness or ()))
         return f"NonZero(|value|={self.magnitude:.3g} at {pt})"
 

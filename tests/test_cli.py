@@ -164,6 +164,32 @@ class TestScenarioFiles:
         assert report.checks[0].verdict == "INCONCLUSIVE"
         assert report.exit_code == 2
 
+    @pytest.mark.parametrize("section, expect, verdict", [
+        ("A", True, "PASS"), ("A", False, "FAIL"),
+        ("C", True, "FAIL"), ("C", False, "PASS")])
+    def test_admissible_pair_follows_expect(self, tmp_path, section, expect,
+                                            verdict):
+        # A = (p2 d/dp1, dq2) is admissible for H = 0, C = (q2 d/dp1,
+        # q1 dq2) is not: d(q1 dq2) = dq1^dq2
+        data = load_scenario_data("darboux")
+        data["definitions"]["sections"]["C"] = {"X": {"p1": "q2"},
+                                                "alpha": "q1*dq2"}
+        data["checks"] = [{"name": "pair", "op": "admissible_pair",
+                           "section": section, "expect": expect}]
+        check = run_scenario(write_scenario(tmp_path, data)).checks[0]
+        assert check.verdict == verdict
+        assert (check.residual_max is not None) == (section == "C")
+
+    def test_h_admissible_rejects_an_unknown_expect(self, tmp_path):
+        data = json.loads(json.dumps(MINIMAL))
+        data["checks"] = [{"name": "typo", "op": "h_admissible", "f": "q1",
+                           "expect": "Zero"}]
+        report = run_scenario(write_scenario(tmp_path, data))
+        check = report.checks[0]
+        assert check.verdict == "ERROR"
+        assert "'zero'" in check.detail and "'nonzero'" in check.detail
+        assert report.exit_code == 2
+
 
 class TestCommands:
     def test_check_exit_codes(self, capsys):

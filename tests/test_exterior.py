@@ -3,7 +3,7 @@
 import pytest
 
 from twistdirac.symexpr import (Chart, ChartMismatchError, OracleConfig,
-                                Rat, is_zero, simplify)
+                                Rat, eval_expr, is_zero, simplify)
 from twistdirac.exterior import (FormSyntaxError, KForm, VectorField, ext_d,
                                  form_is_zero, interior, lie_derivative,
                                  parse_form, parse_vector_field, vf_apply,
@@ -271,3 +271,29 @@ class TestFormLiterals:
         assert simplify(X.comps[phase.index("q2")]) == phase["q3"]
         assert simplify(X.comps[phase.index("p3")]) == \
             simplify(Rat(-1) * phase["p2"])
+
+
+class TestZeroVerdicts:
+    def test_composite_takes_witness_and_magnitude_from_failing_children(
+            self, phase, cfg):
+        # two failing coefficients: a sampled one (function symbol, so it
+        # carries a func_env) first, then a larger exact one
+        a = parse_form("(F(q1) + q2)*dq1 + 1000*p2*dp1", phase)
+        verdict = form_is_zero(a, cfg)
+        assert not verdict.zero and not verdict.exact
+        assert [label for label, _ in verdict.failures] == ["dq1", "dp1"]
+        (_, first), (_, second) = verdict.failures
+        assert verdict.witness == first.witness
+        assert verdict.func_env == first.func_env is not None
+        assert verdict.magnitude == second.magnitude > first.magnitude
+        coefficient = dict(a.terms())[1]
+        value = eval_expr(coefficient, verdict.witness_point,
+                          dict(verdict.func_env))
+        assert value != 0
+        assert abs(float(value)) == pytest.approx(first.magnitude, rel=1e-9)
+
+    def test_zero_composite_has_no_witness(self, phase, cfg):
+        verdict = vf_is_zero(VectorField.basis(phase, "q1")
+                             - VectorField.basis(phase, "q1"), cfg)
+        assert verdict.zero and verdict.exact and verdict.failures == []
+        assert verdict.witness is None and verdict.magnitude is None
