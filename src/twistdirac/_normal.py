@@ -22,7 +22,7 @@ are shared, so no operation mutates an argument.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 # a cycle: symexpr imports this module first, and its node classes are
 # looked up when a polynomial is built, after both modules are loaded
@@ -58,6 +58,9 @@ def _iroot(n, k):
     """Exact integer k-th root of n >= 0, or None."""
     if n in (0, 1):
         return n
+    if k == 2:
+        r = isqrt(n)
+        return r if r * r == n else None
     lo, hi = 1, 1 << ((n.bit_length() + k - 1) // k + 1)
     while lo < hi:
         mid = (lo + hi) // 2

@@ -429,6 +429,8 @@ def _op_pairing_zero(run, spec):
 
 def _op_image_under_d(run, spec):
     secs = [run.sections[name] for name in spec["sections"]]
+    if not secs:
+        raise ScenarioError("image_under_d needs at least one section")
     H = run._parse_form_spec(spec["H"], label="H") if "H" in spec \
         else run.structure(spec.get("structure")).H
     return _outcome(dirac.check_image_under_d(secs, H, run.cfg))

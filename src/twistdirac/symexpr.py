@@ -17,6 +17,7 @@ import random
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import _normal
 from ._normal import (canon_expr, combined_fraction, from_poly, p_diff,
@@ -303,11 +304,13 @@ class PolyFunc:
     """Polynomial instantiation of a function symbol.
 
     Supplies derivatives of every order, so a symbol and its formal
-    derivative tower evaluate consistently.
+    derivative tower evaluate consistently.  Each derivative's
+    coefficients are computed once per instance, on first use.
     """
 
     def __init__(self, coeffs):
         self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self._tower = (_horner_forms(self.coeffs),)
 
     @classmethod
     def random(cls, rng, degree):
@@ -317,16 +320,39 @@ class PolyFunc:
                     for _ in range(degree + 1)])
 
     def derivative(self):
-        return PolyFunc([(i + 1) * c for i, c in enumerate(self.coeffs[1:])]
-                        or [Fraction(0)])
+        return PolyFunc(_derivative_coeffs(self.coeffs))
+
+    def _derivative_at(self, order):
+        """_horner_forms of the order-th derivative.  The tower grows up to
+        the zero polynomial, which every higher derivative equals; it is
+        replaced in one assignment."""
+        tower = self._tower
+        if order >= len(tower) and tower[-1][0] != (0,):
+            grown = list(tower)
+            while order >= len(grown) and grown[-1][0] != (0,):
+                grown.append(_horner_forms(
+                    _derivative_coeffs(grown[-1][0][::-1])))
+            self._tower = tower = tuple(grown)
+        return tower[min(order, len(tower) - 1)]
 
     def eval_deriv(self, order, x):
-        f = self
-        for _ in range(order):
-            f = f.derivative()
-        acc = 0 if isinstance(x, float) else Fraction(0)
-        for c in reversed(f.coeffs):
-            acc = acc * x + (float(c) if isinstance(x, float) else c)
+        exact, floats, ints, den = self._derivative_at(order)
+        if type(x) is Fraction:
+            # Horner in integers: x = p/q, the value is num / (den * q^k)
+            p, q = x.numerator, x.denominator
+            num, qk = 0, 1
+            for a in ints:
+                qk *= q
+                num = num * p + a * qk
+            return Fraction(num, den * qk)
+        if isinstance(x, float):
+            acc = 0
+            for c in floats:
+                acc = acc * x + c
+            return acc
+        acc = Fraction(0)
+        for c in exact:
+            acc = acc * x + c
         return acc
 
     def __call__(self, x):
@@ -336,6 +362,20 @@ class PolyFunc:
         return f"PolyFunc({[str(c) for c in self.coeffs]})"
 
 
+def _derivative_coeffs(coeffs):
+    return tuple((i + 1) * c for i, c in enumerate(coeffs[1:])) or \
+        (Fraction(0),)
+
+
+def _horner_forms(coeffs):
+    """Coefficients highest degree first: exact, as floats, and as integers
+    over their common denominator, with that denominator."""
+    exact = coeffs[::-1]
+    den = lcm(*(c.denominator for c in exact))
+    return (exact, tuple(float(c) for c in exact),
+            tuple(c.numerator * (den // c.denominator) for c in exact), den)
+
+
 def _num_pow(base, exp):
     if exp.denominator == 1:
         n = int(exp)
@@ -343,7 +383,7 @@ def _num_pow(base, exp):
             raise EvaluationSingularityError("0 raised to a negative power")
         if isinstance(base, float):
             return base ** n
-        return Fraction(base) ** n
+        return (base if type(base) is Fraction else Fraction(base)) ** n
     if base == 0:
         if exp > 0:
             return 0.0
@@ -358,49 +398,99 @@ def _num_pow(base, exp):
     return float(base) ** float(exp)
 
 
-def eval_expr(e, point, func_env=None):
-    """Evaluate e at a point (mapping coordinate name -> number).
+def _floats(a, b):
+    """True when a op b computes on float(a) and float(b): one is a float,
+    the other a float or a Fraction.  Converting directly skips Fraction's
+    numbers.Real fallback, which does the same."""
+    ta, tb = type(a), type(b)
+    return (ta is float or tb is float) and \
+        ta in _FLOAT_OR_FRACTION and tb in _FLOAT_OR_FRACTION
 
-    Arithmetic stays exact on Fractions where possible and falls back to
-    floats for irrational powers.  Function symbols are looked up in
-    func_env; order-k applications evaluate the k-th derivative.
-    """
-    func_env = func_env or {}
+
+_FLOAT_OR_FRACTION = (float, Fraction)
+
+
+def _eval(e, point, func_env, memo):
+    """Value of e at point.  memo maps nodes to their values at this
+    point; a subexpression found there, from this expression or from
+    another one evaluated with the same memo, is not evaluated again."""
     kind = e.kind
     if kind == "rat":
         return e.value
+    v = memo.get(e)
+    if v is not None:
+        return v
     if kind == "var":
         try:
             v = point[e.name]
         except KeyError:
             raise ChartMismatchError(f"point has no value for {e.name!r}")
-        return v if isinstance(v, float) else Fraction(v)
-    if kind == "sum":
-        acc = Fraction(0)
+        if type(v) is not Fraction and not isinstance(v, float):
+            v = Fraction(v)
+    elif kind == "sum":
+        # exact terms are added as integers over a common denominator;
+        # from the first other term on, left to right as numbers
+        num, den, v = 0, 1, None
         for a in e.args:
-            acc = acc + eval_expr(a, point, func_env)
-        return acc
-    if kind == "prod":
-        acc = Fraction(1)
+            x = _eval(a, point, func_env, memo)
+            if v is None:
+                if type(x) is Fraction:
+                    n, d = x.numerator, x.denominator
+                    if d == den:
+                        num += n
+                    else:
+                        g = gcd(den, d)
+                        num = num * (d // g) + n * (den // g)
+                        den = den // g * d
+                    continue
+                v = Fraction(num, den)
+            v = float(v) + float(x) if _floats(v, x) else v + x
+        if v is None:
+            v = Fraction(num, den)
+    elif kind == "prod":
+        num, den, v = 1, 1, None
         for a in e.args:
-            acc = acc * eval_expr(a, point, func_env)
-        return acc
-    if kind == "pow":
-        return _num_pow(eval_expr(e.base, point, func_env), e.exp)
-    if kind == "func":
+            x = _eval(a, point, func_env, memo)
+            if v is None:
+                if type(x) is Fraction:
+                    num *= x.numerator
+                    den *= x.denominator
+                    continue
+                v = Fraction(num, den)
+            v = float(v) * float(x) if _floats(v, x) else v * x
+        if v is None:
+            v = Fraction(num, den)
+    elif kind == "pow":
+        v = _num_pow(_eval(e.base, point, func_env, memo), e.exp)
+    elif kind == "func":
         try:
             f = func_env[e.name]
         except KeyError:
             raise MissingFunctionError(
                 f"no instantiation for function symbol {e.name!r}")
-        x = eval_expr(e.arg, point, func_env)
+        x = _eval(e.arg, point, func_env, memo)
         if e.order and not hasattr(f, "eval_deriv"):
             raise MissingFunctionError(
                 f"instantiation of {e.name!r} cannot supply derivatives")
         if hasattr(f, "eval_deriv"):
-            return f.eval_deriv(e.order, x)
-        return f(x)
-    raise TypeError(f"unknown node kind {kind!r}")
+            v = f.eval_deriv(e.order, x)
+        else:
+            v = f(x)
+    else:
+        raise TypeError(f"unknown node kind {kind!r}")
+    memo[e] = v
+    return v
+
+
+def eval_expr(e, point, func_env=None):
+    """Evaluate e at a point (mapping coordinate name -> number).
+
+    Arithmetic stays exact on Fractions where possible and falls back to
+    floats for irrational powers.  Function symbols are looked up in
+    func_env; order-k applications evaluate the k-th derivative.  A
+    subexpression that occurs several times in e is evaluated once.
+    """
+    return _eval(e, point, func_env or {}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +523,9 @@ def function_symbols(e):
 # the randomized zero-test oracle
 
 
+_DEFAULT_INTERVAL = (Fraction(1, 4), Fraction(2))
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Deterministic sampling configuration for the zero-test oracle.
@@ -460,7 +553,7 @@ class OracleConfig:
         for n, iv in self.box:
             if n == name:
                 return iv
-        return (Fraction(1, 4), Fraction(2))
+        return _DEFAULT_INTERVAL
 
 
 @dataclass(frozen=True)
@@ -526,7 +619,12 @@ def sample_point(cfg, coords, index, attempt=0):
     point = {}
     for name in coords:
         lo, hi = cfg.interval(name)
-        point[name] = lo + (hi - lo) * Fraction(rng.randrange(4097), 4096)
+        # lo + (hi - lo) * r/4096 over one denominator, reduced once
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, \
+            hi.denominator
+        point[name] = Fraction(
+            4096 * ln * hd + (hn * ld - ln * hd) * rng.randrange(4097),
+            4096 * ld * hd)
     return point
 
 
@@ -543,16 +641,19 @@ def sampled_sums(e, cfg, coords, func_env):
     e's additive terms at the point, and the zero tolerance there.  When
     every term is an exact Fraction at the point, so is the sum, and the
     tolerance is 0; otherwise the sum is a float and the tolerance is
-    abs_tol plus rel_tol times the largest term.  A point where evaluation
-    hits a singularity is redrawn up to cfg.max_resample times;
-    OracleInconclusiveError when every attempt fails.
+    abs_tol plus rel_tol times the largest term.  The terms share one
+    memo per point, so a subexpression that occurs in several terms
+    (a function value, a radical) is evaluated once per point.  A point
+    where evaluation hits a singularity is redrawn up to cfg.max_resample
+    times; OracleInconclusiveError when every attempt fails.
     """
     terms = e.args if e.kind == "sum" else (e,)
     for i in range(cfg.samples):
         for attempt in range(cfg.max_resample):
             point = sample_point(cfg, coords, i, attempt)
+            memo = {}
             try:
-                values = [eval_expr(t, point, func_env) for t in terms]
+                values = [_eval(t, point, func_env, memo) for t in terms]
             except EvaluationSingularityError:
                 continue
             break

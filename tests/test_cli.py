@@ -190,6 +190,17 @@ class TestScenarioFiles:
         assert "'zero'" in check.detail and "'nonzero'" in check.detail
         assert report.exit_code == 2
 
+    def test_image_under_d_without_sections_is_an_error(self, tmp_path):
+        data = load_scenario_data("darboux")
+        data["checks"] = [
+            {"name": "empty image", "op": "image_under_d", "sections": []},
+            {"name": "image under d", "op": "image_under_d",
+             "sections": ["A", "B"]}]
+        report = run_scenario(write_scenario(tmp_path, data))
+        assert [c.verdict for c in report.checks] == ["ERROR", "PASS"]
+        assert "at least one section" in report.checks[0].detail
+        assert report.exit_code == 2
+
 
 class TestCommands:
     def test_check_exit_codes(self, capsys):

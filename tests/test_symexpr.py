@@ -8,9 +8,9 @@ import pytest
 from twistdirac.symexpr import (Chart, ChartMismatchError,
                                 EvaluationSingularityError, Func,
                                 MissingFunctionError, OracleConfig,
-                                ParseError, PolyFunc, Pow, Rat, diff,
-                                eval_expr, is_zero, parse_expr, sample_point,
-                                simplify)
+                                ParseError, PolyFunc, Pow, Prod, Rat, Sum,
+                                diff, eval_expr, is_zero, parse_expr,
+                                sample_point, sampled_sums, simplify)
 from twistdirac.randgen import rand_expr, rand_poly, rng_for
 
 
@@ -140,6 +140,16 @@ class TestEval:
         assert f.eval_deriv(3, Fraction(5)) == 24
         assert f.eval_deriv(4, Fraction(5)) == 0
 
+    @pytest.mark.parametrize("x", [Fraction(-7, 3), 1.375])
+    def test_eval_deriv_matches_repeated_derivative(self, x):
+        f = PolyFunc([Fraction(1, 3), -2, Fraction(5, 4), Fraction(-1, 6)])
+        g = f
+        for k in range(6):          # past the degree: the zero polynomial
+            assert f.eval_deriv(k, x) == g(x)
+            assert type(f.eval_deriv(k, x)) is type(x)
+            g = g.derivative()
+        assert g.coeffs == (0,)
+
 
 class TestIsZero:
     def test_commutator_is_exactly_zero(self, phase):
@@ -212,6 +222,24 @@ class TestIsZero:
                        chart)
         v = is_zero(e, OracleConfig(rel_tol=0))
         assert v.zero and not v.exact
+
+    def test_a_shared_function_atom_is_evaluated_once_per_point(self):
+        # F(x*y + 1) occurs in three terms; one memo per point serves all
+        class CountingF:
+            calls = 0
+
+            def eval_deriv(self, order, x):
+                CountingF.calls += 1
+                return x + order
+
+        chart = Chart("plane", ["x", "y"])
+        x, y = chart.vars()
+        F = Func("F", 0, Prod(x, y) + 1)
+        e = Sum(Prod(x, F), Prod(y, F), Prod(Rat(3), x, y, F))
+        cfg = OracleConfig(samples=16)
+        sums = list(sampled_sums(e, cfg, chart.coords, {"F": CountingF()}))
+        assert len(sums) == 16
+        assert CountingF.calls == 16
 
     def test_even_power_under_a_root_keeps_its_sign(self):
         # on x in [-2,-1], (x^2)^(1/2) = |x| = -x, not x
