@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .symexpr import (Chart, ChartMismatchError, EvaluationSingularityError,
                       Expr, Func, OracleConfig, OracleInconclusiveError,
                       ParseError, PolyFunc, Pow, Prod, Rat, Sum, SymExprError,
-                      Var, ZeroVerdict, diff, eval_expr, exprs_equal, is_zero,
-                      parse_expr, simplify)
+                      Var, ZeroVerdict, diff, eval_expr, is_zero, parse_expr,
+                      simplify)
 from .exterior import (KForm, VectorField, ext_d, form_is_zero, interior,
                        lie_derivative, parse_form, parse_vector_field,
                        vf_apply, vf_bracket, vf_is_zero, wedge)

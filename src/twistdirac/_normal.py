@@ -17,6 +17,10 @@ key; exponents are nonzero ints or Fractions (coordinates carry ints; an
 integral Fraction compares and hashes equal to its int).  A polynomial is
 a dict mapping monomials to nonzero Fraction coefficients; polynomials
 are shared, so no operation mutates an argument.
+
+An atom keeps its own expansion: ``_atom_poly`` stores ``to_poly(atom)``
+on the node the first time it is asked for, so the expansion lives as
+long as the node does.  The module itself holds no state.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ from . import symexpr
 
 ONE_M = ()
 _ONE = Fraction(1)
-
-_atom_poly_cache = {}
 
 
 def p_const(c):
@@ -54,7 +56,7 @@ def p_add_inplace(acc, p, scale=None):
     return acc
 
 
-def _iroot(n, k):
+def iroot(n, k):
     """Exact integer k-th root of n >= 0, or None."""
     if n in (0, 1):
         return n
@@ -73,67 +75,32 @@ def _iroot(n, k):
 
 
 def rational_pow(c, e):
-    """c**e for Fraction c and e.  Returns (value, None) when exact,
-    (1, leftover) with leftover = (c', e') to keep as an atom otherwise."""
+    """c**e for Fraction c and e, as a polynomial: a constant when exact,
+    otherwise the atom c^e (0**negative is kept, singular at eval)."""
     c = Fraction(c)
-    if e.denominator == 1:
-        n = int(e)
-        if c == 0:
-            if n > 0:
-                return Fraction(0), None
-            return Fraction(1), (c, e)  # 0**negative: kept, singular at eval
-        return c ** n, None
+    if c and e.denominator == 1:
+        return p_const(c ** int(e))
     if c == 0:
-        return (Fraction(0), None) if e > 0 else (Fraction(1), (c, e))
-    if c < 0:
-        return Fraction(1), (c, e)
-    if c == 1:
-        return Fraction(1), None
-    b = e.denominator
-    rn = _iroot(c.numerator, b)
-    rd = _iroot(c.denominator, b)
-    if rn is None or rd is None:
-        return Fraction(1), (c, e)
-    return Fraction(rn, rd) ** e.numerator, None
+        return {} if e > 0 else {((symexpr.Rat(c), e),): _ONE}
+    if c > 0:
+        rn = iroot(c.numerator, e.denominator)
+        rd = iroot(c.denominator, e.denominator)
+        if rn is not None and rd is not None:
+            return p_const(Fraction(rn, rd) ** e.numerator)
+    return {((symexpr.Rat(c), e),): _ONE}
 
 
 def _mono_key(m):
     return tuple((a.sort_key(), e) for a, e in m)
 
 
-_CACHE_LIMIT = 20000
-
-
 def _atom_poly(atom):
-    """Expansion of an atom as a polynomial (used for sum atoms)."""
-    p = _atom_poly_cache.get(atom)
-    if p is None:
-        if len(_atom_poly_cache) > _CACHE_LIMIT:
-            _atom_poly_cache.clear()
-        p = to_poly(atom)
-        _atom_poly_cache[atom] = p
-    return p
-
-
-_atom_pow_cache = {}
-
-
-def atom_poly_pow(atom, n):
-    """Memoized positive integer power of an atom's expansion."""
-    key = (atom, n)
-    p = _atom_pow_cache.get(key)
-    if p is None:
-        if len(_atom_pow_cache) > _CACHE_LIMIT:
-            _atom_pow_cache.clear()
-        if n % 2 == 0 and n > 2:
-            half = atom_poly_pow(atom, n // 2)
-            p = p_mul(half, half)
-        elif n > 1:
-            p = p_mul(atom_poly_pow(atom, n - 1), _atom_poly(atom))
-        else:
-            p = _atom_poly(atom)
-        _atom_pow_cache[key] = p
-    return p
+    """Expansion of an atom as a polynomial, stored on the atom."""
+    try:
+        return atom._poly
+    except AttributeError:
+        atom._poly = p = to_poly(atom)
+        return p
 
 
 def term_mul(m1, c1, m2, c2):
@@ -177,13 +144,9 @@ def term_mul(m1, c1, m2, c2):
     base = {tuple(out): coeff}
     for a, n in folds:
         if a.kind == "rat":
-            v, leftover = rational_pow(a.value, Fraction(n))
-            base = {m: c * v for m, c in base.items()}
-            if leftover is not None:
-                la = symexpr.Rat(leftover[0])
-                base = p_mul(base, {((la, leftover[1]),): _ONE})
+            base = p_mul(base, rational_pow(a.value, n))
         else:
-            base = p_mul(base, atom_poly_pow(a, n))
+            base = p_mul(base, p_pow_int(_atom_poly(a), n))
     return base
 
 
@@ -262,8 +225,6 @@ def _atom_pow(a, k, e):
     if k % 2 == 0 and ne % 2 != 0 and not (a.kind == "rat" and a.value > 0):
         return {((symexpr.Pow(a, k), e),): _ONE}
     if ne.denominator == 1 and a.kind in ("sum", "rat"):
-        if a.kind == "sum" and ne > 0:
-            return atom_poly_pow(a, int(ne))
         return p_pow(_atom_poly(a), ne)
     return {((a, ne),): _ONE}
 
@@ -285,10 +246,7 @@ def p_pow(p, e):
         return {((Pow(Rat(0), e), 1),): _ONE}
     if len(p) == 1:
         (m, c), = p.items()
-        val, leftover = rational_pow(c, e)
-        out = p_const(val)
-        if leftover is not None:
-            out = p_mul(out, {((Rat(leftover[0]), leftover[1]),): _ONE})
+        out = rational_pow(c, e)
         for a, ae in m:
             out = p_mul(out, _atom_pow(a, ae, e))
         return out
@@ -305,12 +263,7 @@ def p_pow(p, e):
         return out
     if e.denominator == 1:
         unit, norm = normalize_sum(p)
-        atom = from_poly(norm)
-        val, leftover = rational_pow(unit, e)
-        out = {((atom, e),): val}
-        if leftover is not None:
-            out = p_mul(out, {((Rat(leftover[0]), leftover[1]),): _ONE})
-        return out
+        return {((from_poly(norm), e),): unit ** e}
     # fractional power: opaque atom, base kept as written
     atom = from_poly(p)
     return {((atom, e),): _ONE}
@@ -479,14 +432,14 @@ def combined_fraction(p):
                 seen.add(a)
                 ne = e + k
                 if ne > 0:
-                    term = p_mul(term, atom_poly_pow(a, int(ne)))
+                    term = p_mul(term, p_pow_int(_atom_poly(a), int(ne)))
                 elif ne < 0:
                     rest.append((a, ne))
             else:
                 rest.append((a, e))
         for a, k in dens.items():
             if a not in seen:
-                term = p_mul(term, atom_poly_pow(a, k))
+                term = p_mul(term, p_pow_int(_atom_poly(a), k))
         if rest:
             term = p_mul(term, {tuple(rest): _ONE})
         p_add_inplace(num, term)
@@ -516,6 +469,21 @@ def combined_fraction(p):
                 atom = from_poly(norm)
                 return p_const(1 / unit), {atom: 1}
     return num, dens
+
+
+def _poly_over_vars(p):
+    for m in p:
+        for a, e in m:
+            if a.kind != "var" or e.denominator != 1:
+                return False
+    return True
+
+
+def is_rational_function(num, dens):
+    """True when the fraction (num, dens) of combined_fraction is a
+    rational function of the coordinates alone."""
+    return _poly_over_vars(num) and \
+        all(_poly_over_vars(_atom_poly(a)) for a in dens)
 
 
 def recompose(num, dens):

@@ -149,10 +149,34 @@ def load_scenario_data(source):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"invalid JSON in {source!r}: {exc}")
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{source!r} must hold a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ScenarioError(
             f"unsupported schema_version {data.get('schema_version')!r}")
     return data
+
+
+def _oracle_config(oracle, seed, samples, tol):
+    """OracleConfig from a scenario's oracle block and the overrides;
+    TypeError or ValueError for a malformed block or setting."""
+    oracle = dict(oracle)
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        seed = int(env) if env is not None else oracle.get("seed", 0)
+    if tol is None:
+        abs_tol = oracle.get("abs_tol", 1e-9)
+        rel_tol = oracle.get("rel_tol", 1e-9)
+    else:
+        abs_tol = rel_tol = tol
+    return OracleConfig(
+        seed=int(seed),
+        samples=int(samples if samples is not None
+                    else oracle.get("samples", 128)),
+        func_degree=int(oracle.get("func_degree", 3)),
+        abs_tol=float(abs_tol), rel_tol=float(rel_tol),
+        box=tuple((name, (Fraction(lo), Fraction(hi)))
+                  for name, (lo, hi) in dict(oracle.get("box", {})).items()))
 
 
 class ScenarioRun:
@@ -164,27 +188,13 @@ class ScenarioRun:
             self.chart = Chart(self.name, data["chart"])
         except KeyError:
             raise ScenarioError("scenario must declare a chart")
-        oracle = dict(data.get("oracle", {}))
-        if seed is None:
-            env = os.environ.get(SEED_ENV_VAR)
-            seed = int(env) if env is not None else oracle.get("seed", 0)
-        cfg_kwargs = {
-            "seed": int(seed),
-            "samples": int(samples if samples is not None
-                           else oracle.get("samples", 128)),
-            "func_degree": int(oracle.get("func_degree", 3)),
-        }
-        if tol is not None:
-            cfg_kwargs["abs_tol"] = float(tol)
-            cfg_kwargs["rel_tol"] = float(tol)
-        else:
-            cfg_kwargs["abs_tol"] = float(oracle.get("abs_tol", 1e-9))
-            cfg_kwargs["rel_tol"] = float(oracle.get("rel_tol", 1e-9))
-        box = oracle.get("box", {})
-        cfg_kwargs["box"] = tuple(
-            (name, (Fraction(lo), Fraction(hi)))
-            for name, (lo, hi) in box.items())
-        self.cfg = OracleConfig(**cfg_kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"invalid chart: {exc}")
+        try:
+            self.cfg = _oracle_config(data.get("oracle", {}), seed, samples,
+                                      tol)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"invalid oracle settings: {exc}")
         self.sign_override = sign
         self.exprs = {}
         self.forms = {}
@@ -257,9 +267,6 @@ class ScenarioRun:
             specs = {}
         return specs
 
-    def structure_names(self):
-        return tuple(self._structure_specs)
-
     def structure(self, name=None):
         if name is None:
             if len(self._structure_specs) == 1:
@@ -277,6 +284,9 @@ class ScenarioRun:
         return built
 
     def _build_structure(self, spec):
+        if not isinstance(spec, dict):
+            raise ScenarioError(
+                f"a structure must be a JSON object, got {spec!r}")
         kind = spec.get("type")
         if kind == "graph":
             h = self._parse_form_spec(spec["h"], degree=2, label="h")

@@ -17,11 +17,10 @@ import random
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 
-from . import _normal
-from ._normal import (canon_expr, combined_fraction, from_poly, p_diff,
-                      recompose, to_poly)
+from ._normal import (canon_expr, combined_fraction, from_poly, iroot,
+                      is_rational_function, p_diff, recompose, to_poly)
 
 
 class SymExprError(Exception):
@@ -58,19 +57,17 @@ class Chart:
     name: str
     coords: tuple
 
-    MAX_DIM = 16          # default cap; raise per chart when needed
-    HARD_DIM_LIMIT = 62   # multi-indices are coordinate bitmasks
+    MAX_DIM = 16          # the largest chart the engine accepts
 
-    def __init__(self, name, coords, max_dim=MAX_DIM):
+    def __init__(self, name, coords):
         coords = tuple(coords)
         if len(coords) < 1:
             raise ValueError("chart needs at least one coordinate")
         if len(set(coords)) != len(coords):
             raise ValueError("chart coordinates must be distinct")
-        if len(coords) > min(max_dim, self.HARD_DIM_LIMIT):
+        if len(coords) > self.MAX_DIM:
             raise ValueError(
-                f"chart dimension {len(coords)} exceeds limit "
-                f"{min(max_dim, self.HARD_DIM_LIMIT)}")
+                f"chart dimension {len(coords)} exceeds limit {self.MAX_DIM}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "coords", coords)
         # identity of the chart in coordinate keys: charts that share a
@@ -125,7 +122,9 @@ def as_expr(x):
 class Expr:
     """Immutable expression node; arithmetic operators build raw trees."""
 
-    __slots__ = ("chart", "_key", "_hash")
+    # _poly: the node's expansion as a polynomial, set on first use by
+    # _normal._atom_poly
+    __slots__ = ("chart", "_key", "_hash", "_poly")
 
     kind = None
 
@@ -392,9 +391,11 @@ def _num_pow(base, exp):
         raise EvaluationSingularityError(
             "negative radicand for a fractional power")
     if isinstance(base, Fraction):
-        val, leftover = _normal.rational_pow(base, exp)
-        if leftover is None:
-            return val
+        rn = iroot(base.numerator, exp.denominator)
+        if rn is not None:
+            rd = iroot(base.denominator, exp.denominator)
+            if rd is not None:
+                return Fraction(rn, rd) ** exp.numerator
     return float(base) ** float(exp)
 
 
@@ -524,6 +525,7 @@ def function_symbols(e):
 
 
 _DEFAULT_INTERVAL = (Fraction(1, 4), Fraction(2))
+MAX_RESAMPLE = 10       # draws per sample point before the oracle gives up
 
 
 @dataclass(frozen=True)
@@ -532,7 +534,10 @@ class OracleConfig:
 
     The box maps coordinate names to closed rational intervals; unlisted
     coordinates use the default interval [1/4, 2] which keeps the built-in
-    scenarios away from their singular loci.
+    scenarios away from their singular loci.  Settings under which a
+    Zero verdict would hold vacuously (no samples, a negative function
+    degree, a tolerance that is negative, infinite or nan) are rejected
+    with ValueError.
     """
 
     seed: int = 0
@@ -541,9 +546,18 @@ class OracleConfig:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
     func_degree: int = 3
-    max_resample: int = 10
 
     def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.func_degree < 0:
+            raise ValueError(
+                f"func_degree must be >= 0, got {self.func_degree}")
+        for name in ("abs_tol", "rel_tol"):
+            tol = getattr(self, name)
+            if not (isfinite(tol) and tol >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {tol!r}")
         norm = tuple(sorted(
             (name, (Fraction(lo), Fraction(hi)))
             for name, (lo, hi) in dict(self.box).items()))
@@ -644,12 +658,12 @@ def sampled_sums(e, cfg, coords, func_env):
     abs_tol plus rel_tol times the largest term.  The terms share one
     memo per point, so a subexpression that occurs in several terms
     (a function value, a radical) is evaluated once per point.  A point
-    where evaluation hits a singularity is redrawn up to cfg.max_resample
+    where evaluation hits a singularity is redrawn up to MAX_RESAMPLE
     times; OracleInconclusiveError when every attempt fails.
     """
     terms = e.args if e.kind == "sum" else (e,)
     for i in range(cfg.samples):
-        for attempt in range(cfg.max_resample):
+        for attempt in range(MAX_RESAMPLE):
             point = sample_point(cfg, coords, i, attempt)
             memo = {}
             try:
@@ -660,27 +674,13 @@ def sampled_sums(e, cfg, coords, func_env):
         else:
             raise OracleInconclusiveError(
                 f"sample point {i} hit singularities in all "
-                f"{cfg.max_resample} resampling attempts")
+                f"{MAX_RESAMPLE} resampling attempts")
         if all(isinstance(v, Fraction) for v in values):
             yield point, sum(values), 0
             continue
         values = [float(v) for v in values]
         scale = max((abs(v) for v in values), default=0.0)
         yield point, sum(values), cfg.abs_tol + cfg.rel_tol * scale
-
-
-def _poly_over_vars(p):
-    for m in p:
-        for a, e in m:
-            if a.kind != "var" or e.denominator != 1:
-                return False
-    return True
-
-
-def _is_rational_subclass(num, dens):
-    if not _poly_over_vars(num):
-        return False
-    return all(_poly_over_vars(_normal._atom_poly(a)) for a in dens)
 
 
 def is_zero(e, cfg=OracleConfig()):
@@ -700,7 +700,7 @@ def is_zero(e, cfg=OracleConfig()):
     simplified = from_poly(recompose(num, dens))
     chart = simplified.chart
     coords = chart.coords if chart is not None else ()
-    rational = _is_rational_subclass(num, dens)
+    rational = is_rational_function(num, dens)
     if rational:
         # exactly nonzero as a rational function; exhibit a witness by
         # exact evaluation at (at least 8) seeded rational points
@@ -719,10 +719,6 @@ def is_zero(e, cfg=OracleConfig()):
         raise OracleInconclusiveError(
             "nonzero normal form but no nonzero sample point found")
     return ZeroVerdict(zero=True, exact=False, func_env=func_env)
-
-
-def exprs_equal(a, b, cfg=OracleConfig()):
-    return is_zero(as_expr(a) - as_expr(b), cfg)
 
 
 # ---------------------------------------------------------------------------

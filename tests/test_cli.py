@@ -202,6 +202,73 @@ class TestScenarioFiles:
         assert report.exit_code == 2
 
 
+    def test_malformed_structure_is_an_error_row(self, tmp_path):
+        data = json.loads(json.dumps(MINIMAL))
+        data["structure"] = "oops"
+        report = run_scenario(write_scenario(tmp_path, data))
+        assert [c.verdict for c in report.checks] == ["ERROR"]
+        assert "JSON object" in report.checks[0].detail
+        assert report.exit_code == 2
+
+
+# {F(q), p} = -F'(q) on dp^dq: FAIL, unless the oracle settings make a
+# Zero verdict vacuous
+FUNCTION_BRACKET = {
+    "schema_version": 1,
+    "name": "function-bracket",
+    "chart": ["q", "p"],
+    "oracle": {"seed": 5, "samples": 32},
+    "structure": {"type": "graph", "h": "dp^dq", "H": "0"},
+    "checks": [{"name": "{F(q), p} = 0", "op": "poisson_bracket",
+                "f": "F(q)", "g": "p", "expect": "0"}],
+}
+
+
+def _with(data, key, value):
+    data = json.loads(json.dumps(data))
+    data[key] = value
+    return data
+
+
+class TestRejectedInput:
+    def test_function_bracket_fails_by_default(self, tmp_path, capsys):
+        assert main(["check", write_scenario(tmp_path, FUNCTION_BRACKET)]) \
+            == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [["--samples", "0"],
+                                       ["--samples", "-5"],
+                                       ["--tol", "nan"], ["--tol", "inf"]])
+    def test_vacuous_oracle_flags_are_errors(self, tmp_path, capsys, flags):
+        path = write_scenario(tmp_path, FUNCTION_BRACKET)
+        assert main(["check", path] + flags) == 2
+        assert capsys.readouterr().err.startswith("error: invalid oracle")
+
+    @pytest.mark.parametrize("oracle", [{"func_degree": -1},
+                                        {"samples": 0},
+                                        {"abs_tol": "nan"}])
+    def test_vacuous_oracle_settings_are_errors(self, tmp_path, capsys,
+                                                oracle):
+        data = _with(FUNCTION_BRACKET, "oracle", oracle)
+        assert main(["check", write_scenario(tmp_path, data)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid oracle")
+
+    @pytest.mark.parametrize("data", [
+        _with(MINIMAL, "chart", ["q1", "q1"]),
+        _with(MINIMAL, "chart", [f"x{i}" for i in range(17)]),
+        [MINIMAL],
+        _with(MINIMAL, "oracle", {"samples": "many"}),
+        _with(MINIMAL, "oracle", {"box": {"q1": [1]}}),
+    ], ids=["repeated-coordinates", "17-coordinates", "top-level-array",
+            "non-numeric-samples", "one-ended-box"])
+    def test_malformed_scenario_file_is_an_error(self, tmp_path, capsys,
+                                                  data):
+        with pytest.raises(ScenarioError):
+            run_scenario(write_scenario(tmp_path, data))
+        assert main(["check", write_scenario(tmp_path, data)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestCommands:
     def test_check_exit_codes(self, capsys):
         assert main(["check", "darboux"]) == 0

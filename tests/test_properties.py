@@ -13,7 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from twistdirac.exterior import KForm, ext_d, form_is_zero  # noqa: E402
 from twistdirac.symexpr import (  # noqa: E402
-    Chart, EvaluationSingularityError, Func, OracleConfig,
+    MAX_RESAMPLE, Chart, EvaluationSingularityError, Func, OracleConfig,
     OracleInconclusiveError, PolyFunc, Pow, Prod, Rat, Sum, diff, eval_expr,
     is_zero, sample_point, sampled_sums, simplify)
 
@@ -148,7 +148,7 @@ def _plain_eval(e, point):
 def _reference_sums(terms, cfg, evaluate):
     """sampled_sums' rule, with each term evaluated on its own."""
     for i in range(cfg.samples):
-        for attempt in range(cfg.max_resample):
+        for attempt in range(MAX_RESAMPLE):
             point = sample_point(cfg, CHART.coords, i, attempt)
             try:
                 values = [evaluate(t, point) for t in terms]

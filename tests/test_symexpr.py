@@ -408,7 +408,17 @@ class TestOracleConfig:
     def test_chart_dimension_cap(self):
         with pytest.raises(ValueError):
             Chart("big", [f"x{i}" for i in range(17)])
-        Chart("big", [f"x{i}" for i in range(17)], max_dim=32)
+
+    @pytest.mark.parametrize("setting", [
+        {"samples": 0}, {"samples": -5}, {"func_degree": -1},
+        {"abs_tol": float("nan")}, {"abs_tol": float("inf")},
+        {"rel_tol": float("nan")}, {"rel_tol": float("inf")},
+        {"abs_tol": -1e-9}, {"rel_tol": -1e-9}])
+    def test_settings_that_make_zero_vacuous_are_rejected(self, setting):
+        # no samples, function symbols that vanish identically, or a
+        # tolerance every total passes would each give a Zero for free
+        with pytest.raises(ValueError):
+            OracleConfig(**setting)
 
     def test_box_controls_sampling(self, phase):
         cfg = OracleConfig(seed=1, box={"q1": (Fraction(3), Fraction(4))})
