@@ -30,6 +30,13 @@ MINIMAL = {
 }
 
 
+def _with(data, key, value):
+    """A copy of data with data[key] = value."""
+    data = json.loads(json.dumps(data))
+    data[key] = value
+    return data
+
+
 def write_scenario(tmp_path, data, name="scen.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -201,10 +208,8 @@ class TestScenarioFiles:
         assert "at least one section" in report.checks[0].detail
         assert report.exit_code == 2
 
-
     def test_malformed_structure_is_an_error_row(self, tmp_path):
-        data = json.loads(json.dumps(MINIMAL))
-        data["structure"] = "oops"
+        data = _with(MINIMAL, "structure", "oops")
         report = run_scenario(write_scenario(tmp_path, data))
         assert [c.verdict for c in report.checks] == ["ERROR"]
         assert "JSON object" in report.checks[0].detail
@@ -222,12 +227,6 @@ FUNCTION_BRACKET = {
     "checks": [{"name": "{F(q), p} = 0", "op": "poisson_bracket",
                 "f": "F(q)", "g": "p", "expect": "0"}],
 }
-
-
-def _with(data, key, value):
-    data = json.loads(json.dumps(data))
-    data[key] = value
-    return data
 
 
 class TestRejectedInput:
