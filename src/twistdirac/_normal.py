@@ -12,9 +12,9 @@ The polynomial/Laurent subclass over coordinates gets an exact canonical
 form (``normal``): sum denominators are recombined into a single fraction
 and cancelled by exact multivariate division when the division is exact.
 
-A monomial is a tuple of (atom, exponent) pairs sorted by the atom's sort
-key; exponents are nonzero ints or Fractions (coordinates carry ints; an
-integral Fraction compares and hashes equal to its int).  A polynomial is
+A monomial is a tuple of (atom, exponent) pairs sorted by the atom's
+``_key``; exponents are nonzero ints or Fractions (coordinates carry ints;
+an integral Fraction compares and hashes equal to its int).  A polynomial is
 a dict mapping monomials to nonzero Fraction coefficients; polynomials
 are shared, so no operation mutates an argument.
 
@@ -91,7 +91,7 @@ def rational_pow(c, e):
 
 
 def _mono_key(m):
-    return tuple((a.sort_key(), e) for a, e in m)
+    return tuple((a._key, e) for a, e in m)
 
 
 def _atom_poly(atom):
@@ -126,7 +126,7 @@ def term_mul(m1, c1, m2, c2):
                 merged.append((a1, e))
             i += 1
             j += 1
-        elif a1.sort_key() <= a2.sort_key():
+        elif a1._key <= a2._key:
             merged.append((a1, e1))
             i += 1
         else:
@@ -178,7 +178,7 @@ def _atom_universe(*polys):
         for m in p:
             for a, _ in m:
                 atoms.add(a)
-    return sorted(atoms, key=lambda a: a.sort_key())
+    return sorted(atoms, key=lambda a: a._key)
 
 
 def _vectorizer(*polys):
@@ -291,7 +291,7 @@ def to_poly(e):
             else:
                 break
         else:
-            m = tuple(sorted(exps.items(), key=lambda t: t[0].sort_key()))
+            m = tuple(sorted(exps.items(), key=lambda t: t[0]._key))
             return {m: c} if c else {}
         out = p_const(1)
         for a in e.args:
@@ -346,7 +346,7 @@ def mono_div(m, d):
             got[a] = ne
         else:
             del got[a]
-    return tuple(sorted(got.items(), key=lambda t: t[0].sort_key()))
+    return tuple(sorted(got.items(), key=lambda t: t[0]._key))
 
 
 def _pure_nonneg(p):
@@ -362,7 +362,7 @@ def try_divide(num, den):
 
     Both operands must have nonnegative exponents (rational exponents are
     fine: they live on a well-ordered lattice); the monomial order is
-    graded lexicographic over atom sort keys.
+    graded lexicographic over atom keys.
     """
     if not den:
         return None
@@ -445,7 +445,7 @@ def combined_fraction(p):
         p_add_inplace(num, term)
     if not num:
         return {}, {}
-    for a in sorted(dens, key=lambda x: x.sort_key()):
+    for a in sorted(dens, key=lambda x: x._key):
         dp = _atom_poly(a)
         while dens[a] > 0:
             q = try_divide(num, dp)

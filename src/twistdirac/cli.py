@@ -19,7 +19,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import __version__
 from .symexpr import (Chart, OracleConfig, ParseError, SymExprError,
@@ -71,13 +70,13 @@ class CheckResult:
 @dataclass
 class Report:
     scenario: str
-    seed: int
-    samples: int
+    cfg: OracleConfig
     sign: str
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-    func_degree: int = 3
     checks: list = field(default_factory=list)
+
+    @property
+    def seed(self):
+        return self.cfg.seed
 
     @property
     def exit_code(self):
@@ -93,12 +92,12 @@ class Report:
             "version": __version__,
             "schema": SCHEMA_VERSION,
             "scenario": self.scenario,
-            "seed": self.seed,
-            "samples": self.samples,
+            "seed": self.cfg.seed,
+            "samples": self.cfg.samples,
             "sign": self.sign,
-            "abs_tol": self.abs_tol,
-            "rel_tol": self.rel_tol,
-            "func_degree": self.func_degree,
+            "abs_tol": self.cfg.abs_tol,
+            "rel_tol": self.cfg.rel_tol,
+            "func_degree": self.cfg.func_degree,
             "checks": [c.to_dict(include_timing) for c in self.checks],
         }
 
@@ -108,7 +107,7 @@ class Report:
 
     def render_text(self):
         lines = [f"scenario: {self.scenario}   "
-                 f"(seed={self.seed}, samples={self.samples}, "
+                 f"(seed={self.cfg.seed}, samples={self.cfg.samples}, "
                  f"sign={self.sign})"]
         for c in self.checks:
             line = f"  [{c.verdict:<12}] {c.name}"
@@ -158,25 +157,24 @@ def load_scenario_data(source):
 
 
 def _oracle_config(oracle, seed, samples, tol):
-    """OracleConfig from a scenario's oracle block and the overrides;
-    TypeError or ValueError for a malformed block or setting."""
+    """OracleConfig from a scenario's oracle block and the overrides; a
+    setting that neither gives keeps OracleConfig's default.  TypeError or
+    ValueError for a malformed block or setting."""
     oracle = dict(oracle)
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        seed = int(env) if env is not None else oracle.get("seed", 0)
+    given = {"seed": int, "samples": int, "func_degree": int, "box": dict}
     if tol is None:
-        abs_tol = oracle.get("abs_tol", 1e-9)
-        rel_tol = oracle.get("rel_tol", 1e-9)
-    else:
-        abs_tol = rel_tol = tol
-    return OracleConfig(
-        seed=int(seed),
-        samples=int(samples if samples is not None
-                    else oracle.get("samples", 128)),
-        func_degree=int(oracle.get("func_degree", 3)),
-        abs_tol=float(abs_tol), rel_tol=float(rel_tol),
-        box=tuple((name, (Fraction(lo), Fraction(hi)))
-                  for name, (lo, hi) in dict(oracle.get("box", {})).items()))
+        given.update(abs_tol=float, rel_tol=float)
+    settings = {name: convert(oracle[name])
+                for name, convert in given.items() if name in oracle}
+    if seed is None:
+        seed = os.environ.get(SEED_ENV_VAR)
+    if seed is not None:
+        settings["seed"] = int(seed)
+    if samples is not None:
+        settings["samples"] = int(samples)
+    if tol is not None:
+        settings["abs_tol"] = settings["rel_tol"] = float(tol)
+    return OracleConfig(**settings)
 
 
 class ScenarioRun:
@@ -522,10 +520,7 @@ def run_scenario(source, seed=None, samples=None, tol=None, sign=None):
     run, definition and structure errors do."""
     data = load_scenario_data(source)
     run = ScenarioRun(data, seed=seed, samples=samples, tol=tol, sign=sign)
-    report = Report(
-        scenario=run.name, seed=run.cfg.seed, samples=run.cfg.samples,
-        sign=sign or "+", abs_tol=run.cfg.abs_tol, rel_tol=run.cfg.rel_tol,
-        func_degree=run.cfg.func_degree, checks=[])
+    report = Report(scenario=run.name, cfg=run.cfg, sign=sign or "+")
     for spec in run.checks:
         name = spec.get("name") or _default_check_name(spec)
         op = spec.get("op")

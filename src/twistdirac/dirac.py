@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 from ._normal import (ONE_M, from_poly, normal, p_add_inplace, p_const,
                       p_diff, p_mul, p_pow, to_poly)
 from .symexpr import (OracleConfig, OracleInconclusiveError, Prod, Rat, Sum,
-                      SymExprError, ZeroVerdict, as_expr, function_symbols,
-                      is_zero, oracle_function_env, sampled_sums)
+                      SymExprError, ZeroVerdict, as_expr, is_zero,
+                      oracle_function_env, sampled_sums)
 from .exterior import (KForm, VectorField, ext_d, form_is_zero, interior,
                        lie_derivative, vf_apply, vf_bracket, vf_is_zero,
                        apply_poly, _require_same_chart)
@@ -189,7 +189,7 @@ class TwistedGraph:
 
     def _det_nonvanishing(self):
         """True when |det| clears the tolerance at every sample point."""
-        env = oracle_function_env(self.cfg, function_symbols(self.det))
+        env = oracle_function_env(self.cfg, self.det)
         try:
             return all(abs(total) > tol for _, total, tol in sampled_sums(
                 self.det, self.cfg, self.chart.coords, env))

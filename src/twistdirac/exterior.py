@@ -23,9 +23,8 @@ from fractions import Fraction
 from ._normal import (from_poly, normal, p_add_inplace, p_const, p_diff,
                       p_mul, to_poly)
 from .symexpr import (Chart, ChartMismatchError, Expr, ExprParser,
-                      OracleConfig, ParseError, Pow, Prod, Rat,
-                      SymExprError, TokenStream, ZeroVerdict, as_expr,
-                      is_zero, tokenize)
+                      OracleConfig, Pow, Rat, SymExprError, TokenStream,
+                      ZeroVerdict, as_expr, is_zero, parse_expr, tokenize)
 
 __all__ = [
     "Chart", "VectorField", "KForm", "wedge", "ext_d",
@@ -379,126 +378,95 @@ class FormSyntaxError(SymExprError):
     pass
 
 
-def _covector_token(chart, name):
-    if len(name) > 1 and name.startswith("d") and name[1:] in chart.coords:
-        return name[1:]
-    return None
+class _FormParser(ExprParser):
+    """The expression grammar over forms: ``d<coord>`` and the names in
+    form_names are forms, ``*`` scales a form by a scalar, ``/`` divides
+    it by one, and ``^`` after a form wedges.  Scalars stay expressions;
+    a purely scalar literal is one expression."""
+
+    def __init__(self, stream, chart, names, form_names):
+        super().__init__(stream, chart, names)
+        self.form_names = form_names or {}
+
+    def resolve_ident(self, name, line, col):
+        if name[:1] == "d" and name[1:] in self.chart.coords:
+            return KForm.covector(self.chart, name[1:])
+        if name in self.form_names:
+            return self.form_names[name]
+        return super().resolve_ident(name, line, col)
+
+    def add(self, left, right):
+        if not isinstance(left, KForm) and not isinstance(right, KForm):
+            return super().add(left, right)
+        left, right = self._as_form(left), self._as_form(right)
+        if left.degree != right.degree:
+            if left.is_structurally_zero():
+                return right
+            if right.is_structurally_zero():
+                return left
+            raise FormSyntaxError(f"cannot mix degrees {left.degree} and "
+                                  f"{right.degree} in one literal")
+        return left + right
+
+    def neg(self, value):
+        if isinstance(value, KForm):
+            return value.scale(Rat(-1))
+        return super().neg(value)
+
+    def mul(self, left, right):
+        if isinstance(left, KForm):
+            if isinstance(right, KForm):
+                self.ts.error("use '^' to wedge basis covectors")
+            return left.scale(right)
+        if isinstance(right, KForm):
+            return right.scale(left)
+        return super().mul(left, right)
+
+    def div(self, left, right):
+        if isinstance(right, KForm):
+            self.ts.error("cannot divide by a form")
+        if isinstance(left, KForm):
+            return left.scale(Pow(right, Fraction(-1)))
+        return super().div(left, right)
+
+    def power(self, base):
+        if not isinstance(base, KForm):
+            return super().power(base)
+        right = self.parse_factor()
+        if not isinstance(right, KForm):
+            self.ts.error("'^' in a form literal must join basis covectors")
+        return wedge(base, right)
+
+    def apply(self, name, order, arg):
+        if isinstance(arg, KForm):
+            self.ts.error(f"the argument of {name!r} must be a scalar")
+        return super().apply(name, order, arg)
+
+    def _as_form(self, value):
+        return value if isinstance(value, KForm) \
+            else KForm.scalar(self.chart, value)
 
 
 def parse_form(text, chart, degree=None, names=None, form_names=None):
-    """Parse a form literal: sums of ``coeff * dx ^ dy ^ ...`` terms.
+    """Parse a form literal in the expression grammar (see _FormParser).
 
-    Scalar factors use the expression grammar; ``d<coord>`` factors are
-    basis covectors joined by ``^``; idents in ``form_names`` stand for
-    previously defined forms.  A literal that is purely scalar is a
-    degree-0 form; ``degree`` disambiguates the all-zero literal.
+    A literal that is purely scalar is a degree-0 form; ``degree``
+    disambiguates the all-zero literal.
     """
-    ts = TokenStream(tokenize(text))
-    expr_parser = ExprParser(ts, chart, names)
-    form_names = form_names or {}
-    result = None
-    sign = 1
-    kind, value, _, _ = ts.peek()
-    if kind == "OP" and value == "-":
-        ts.next()
-        sign = -1
-    while True:
-        term = _parse_form_term(ts, expr_parser, chart, form_names)
-        if sign < 0:
-            term = term.scale(Rat(-1))
-        if result is None:
-            result = term
-        else:
-            result = _add_mixed(result, term)
-        kind, value, line, col = ts.peek()
-        if kind == "END":
-            break
-        if kind == "OP" and value in "+-":
-            ts.next()
-            sign = 1 if value == "+" else -1
-            continue
-        raise ParseError("expected '+', '-' or end of form", line, col)
+    result = _FormParser(TokenStream(tokenize(text)), chart, names,
+                         form_names).parse_all()
+    if not isinstance(result, KForm):
+        result = KForm.scalar(chart, result)
     if result.is_structurally_zero() and degree is not None:
         return KForm.zero(chart, degree)
-    if degree is not None and result.degree != degree \
-            and not result.is_structurally_zero():
+    if degree is not None and result.degree != degree:
         raise FormSyntaxError(
             f"form literal has degree {result.degree}, expected {degree}")
     return result
 
 
-def _add_mixed(a, b):
-    if a.is_structurally_zero() and a.degree != b.degree:
-        return b
-    if b.is_structurally_zero() and a.degree != b.degree:
-        return a
-    if a.degree != b.degree:
-        raise FormSyntaxError(
-            f"cannot mix degrees {a.degree} and {b.degree} in one literal")
-    return a + b
-
-
-def _parse_form_term(ts, expr_parser, chart, form_names):
-    value = None  # (kind, payload): ("scalar", Expr) or ("form", KForm)
-    op = "*"
-    while True:
-        atom = _parse_form_atom(ts, expr_parser, chart, form_names)
-        if value is None:
-            value = atom
-        else:
-            value = _combine(value, op, atom, ts)
-        kind, v, _, _ = ts.peek()
-        if kind == "OP" and v in "*/^":
-            ts.next()
-            op = v
-            continue
-        break
-    if value[0] == "scalar":
-        return KForm.scalar(chart, value[1])
-    return value[1]
-
-
-def _parse_form_atom(ts, expr_parser, chart, form_names):
-    kind, value, _, _ = ts.peek()
-    if kind == "IDENT" and value[1] == 0:
-        nxt = ts.tokens[ts.pos + 1]
-        applied = nxt[0] == "OP" and nxt[1] == "("
-        coord = _covector_token(chart, value[0])
-        if coord is not None and not applied:
-            ts.next()
-            return ("form", KForm.covector(chart, coord))
-        if value[0] in form_names and not applied:
-            ts.next()
-            return ("form", form_names[value[0]])
-    return ("scalar", expr_parser.parse_factor())
-
-
-def _combine(left, op, right, ts):
-    lk, lv = left
-    rk, rv = right
-    if op == "*":
-        if lk == "scalar" and rk == "scalar":
-            return ("scalar", Prod(lv, rv))
-        if lk == "scalar":
-            return ("form", rv.scale(lv))
-        if rk == "scalar":
-            return ("form", lv.scale(rv))
-        ts.error("use '^' to wedge basis covectors")
-    if op == "/":
-        if rk != "scalar":
-            ts.error("cannot divide by a form")
-        inverse = Pow(rv, Fraction(-1))
-        if lk == "scalar":
-            return ("scalar", Prod(lv, inverse))
-        return ("form", lv.scale(inverse))
-    if lk == "form" and rk == "form":
-        return ("form", wedge(lv, rv))
-    ts.error("'^' in a form literal must join basis covectors")
-
-
 def parse_vector_field(components, chart, names=None):
     """Vector field from a mapping coordinate name -> expression text."""
-    from .symexpr import parse_expr
     comps = [Rat(0)] * chart.dim
     for coord, text in components.items():
         i = chart.index(coord)

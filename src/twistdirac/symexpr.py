@@ -74,6 +74,8 @@ class Chart:
         # name but not their coordinates must not share atoms; one interned
         # string keeps those keys cheap to hash and compare
         object.__setattr__(self, "ident", sys.intern(repr((name, coords))))
+        object.__setattr__(self, "_vars",
+                           tuple(Var(self, i) for i in range(len(coords))))
 
     @property
     def dim(self):
@@ -87,12 +89,13 @@ class Chart:
                 f"{coord!r} is not a coordinate of chart {self.name!r}")
 
     def var(self, coord):
-        if isinstance(coord, int):
-            return Var(self, coord)
-        return Var(self, self.index(coord))
+        """The chart's coordinate atom, by name or by index."""
+        if isinstance(coord, int) and 0 <= coord < self.dim:
+            return self._vars[coord]
+        return self._vars[self.index(coord)]
 
     def vars(self):
-        return tuple(Var(self, i) for i in range(self.dim))
+        return self._vars
 
     def __getitem__(self, coord):
         return self.var(coord)
@@ -128,9 +131,6 @@ class Expr:
 
     kind = None
 
-    def sort_key(self):
-        return self._key
-
     def __add__(self, other):
         return Sum(self, as_expr(other))
 
@@ -160,7 +160,7 @@ class Expr:
         return Pow(self, Fraction(e))
 
     def __eq__(self, other):
-        return isinstance(other, Expr) and self.sort_key() == other.sort_key()
+        return isinstance(other, Expr) and self._key == other._key
 
     def __hash__(self):
         return self._hash
@@ -204,44 +204,36 @@ class Var(Expr):
         return self.chart.coords[self.index]
 
 
-class Sum(Expr):
+class _NAry(Expr):
+    """A sum or a product; nested nodes of the same kind are flattened."""
+
     __slots__ = ("args",)
+
+    def __init__(self, *args):
+        kind = self.kind
+        flat = []
+        for a in args:
+            a = as_expr(a)
+            if a.kind == kind:
+                flat.extend(a.args)
+            else:
+                flat.append(a)
+        chart = _merge_charts(*(a.chart for a in flat))
+        object.__setattr__(self, "args", tuple(flat))
+        object.__setattr__(self, "chart", chart)
+        key = (kind, len(flat)) + tuple(a._key for a in flat)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+
+class Sum(_NAry):
+    __slots__ = ()
     kind = "sum"
 
-    def __init__(self, *args):
-        flat = []
-        for a in args:
-            a = as_expr(a)
-            if a.kind == "sum":
-                flat.extend(a.args)
-            else:
-                flat.append(a)
-        chart = _merge_charts(*(a.chart for a in flat))
-        object.__setattr__(self, "args", tuple(flat))
-        object.__setattr__(self, "chart", chart)
-        key = ("sum", len(flat)) + tuple(a.sort_key() for a in flat)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
 
-
-class Prod(Expr):
-    __slots__ = ("args",)
+class Prod(_NAry):
+    __slots__ = ()
     kind = "prod"
-
-    def __init__(self, *args):
-        flat = []
-        for a in args:
-            a = as_expr(a)
-            if a.kind == "prod":
-                flat.extend(a.args)
-            else:
-                flat.append(a)
-        chart = _merge_charts(*(a.chart for a in flat))
-        object.__setattr__(self, "args", tuple(flat))
-        object.__setattr__(self, "chart", chart)
-        key = ("prod", len(flat)) + tuple(a.sort_key() for a in flat)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
 
 
 class Pow(Expr):
@@ -254,7 +246,7 @@ class Pow(Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exp", exp)
         object.__setattr__(self, "chart", base.chart)
-        key = ("pow", base.sort_key(), exp.numerator, exp.denominator)
+        key = ("pow", base._key, exp.numerator, exp.denominator)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -274,7 +266,7 @@ class Func(Expr):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "arg", arg)
         object.__setattr__(self, "chart", arg.chart)
-        key = ("func", name, order, arg.sort_key())
+        key = ("func", name, order, arg._key)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -303,13 +295,20 @@ class PolyFunc:
     """Polynomial instantiation of a function symbol.
 
     Supplies derivatives of every order, so a symbol and its formal
-    derivative tower evaluate consistently.  Each derivative's
-    coefficients are computed once per instance, on first use.
+    derivative tower evaluate consistently.  The whole tower, down to the
+    zero polynomial that every higher derivative equals, is built when
+    the instance is made and never changes after, so one instance can
+    serve several threads.  A float argument is evaluated in floats; any
+    other argument is converted to a Fraction and evaluated exactly.
     """
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        self._tower = (_horner_forms(self.coeffs),)
+        self.coeffs = coeffs = tuple(Fraction(c) for c in coeffs)
+        tower = [_horner_forms(coeffs)]
+        while coeffs != (0,):
+            coeffs = _derivative_coeffs(coeffs)
+            tower.append(_horner_forms(coeffs))
+        self._tower = tuple(tower)
 
     @classmethod
     def random(cls, rng, degree):
@@ -321,38 +320,23 @@ class PolyFunc:
     def derivative(self):
         return PolyFunc(_derivative_coeffs(self.coeffs))
 
-    def _derivative_at(self, order):
-        """_horner_forms of the order-th derivative.  The tower grows up to
-        the zero polynomial, which every higher derivative equals; it is
-        replaced in one assignment."""
-        tower = self._tower
-        if order >= len(tower) and tower[-1][0] != (0,):
-            grown = list(tower)
-            while order >= len(grown) and grown[-1][0] != (0,):
-                grown.append(_horner_forms(
-                    _derivative_coeffs(grown[-1][0][::-1])))
-            self._tower = tower = tuple(grown)
-        return tower[min(order, len(tower) - 1)]
-
     def eval_deriv(self, order, x):
-        exact, floats, ints, den = self._derivative_at(order)
-        if type(x) is Fraction:
-            # Horner in integers: x = p/q, the value is num / (den * q^k)
-            p, q = x.numerator, x.denominator
-            num, qk = 0, 1
-            for a in ints:
-                qk *= q
-                num = num * p + a * qk
-            return Fraction(num, den * qk)
-        if isinstance(x, float):
-            acc = 0
-            for c in floats:
-                acc = acc * x + c
-            return acc
-        acc = Fraction(0)
-        for c in exact:
-            acc = acc * x + c
-        return acc
+        tower = self._tower
+        floats, ints, den = tower[min(order, len(tower) - 1)]
+        if type(x) is not Fraction:
+            if isinstance(x, float):
+                acc = 0
+                for c in floats:
+                    acc = acc * x + c
+                return acc
+            x = Fraction(x)
+        # Horner in integers: x = p/q, the value is num / (den * q^k)
+        p, q = x.numerator, x.denominator
+        num, qk = 0, 1
+        for a in ints:
+            qk *= q
+            num = num * p + a * qk
+        return Fraction(num, den * qk)
 
     def __call__(self, x):
         return self.eval_deriv(0, x)
@@ -367,11 +351,11 @@ def _derivative_coeffs(coeffs):
 
 
 def _horner_forms(coeffs):
-    """Coefficients highest degree first: exact, as floats, and as integers
-    over their common denominator, with that denominator."""
+    """Coefficients highest degree first, as floats and as integers over
+    their common denominator, with that denominator."""
     exact = coeffs[::-1]
     den = lcm(*(c.denominator for c in exact))
-    return (exact, tuple(float(c) for c in exact),
+    return (tuple(float(c) for c in exact),
             tuple(c.numerator * (den // c.denominator) for c in exact), den)
 
 
@@ -469,14 +453,12 @@ def _eval(e, point, func_env, memo):
         except KeyError:
             raise MissingFunctionError(
                 f"no instantiation for function symbol {e.name!r}")
-        x = _eval(e.arg, point, func_env, memo)
-        if e.order and not hasattr(f, "eval_deriv"):
+        try:
+            eval_deriv = f.eval_deriv
+        except AttributeError:
             raise MissingFunctionError(
-                f"instantiation of {e.name!r} cannot supply derivatives")
-        if hasattr(f, "eval_deriv"):
-            v = f.eval_deriv(e.order, x)
-        else:
-            v = f(x)
+                f"instantiation of {e.name!r} has no eval_deriv")
+        v = eval_deriv(e.order, _eval(e.arg, point, func_env, memo))
     else:
         raise TypeError(f"unknown node kind {kind!r}")
     memo[e] = v
@@ -488,7 +470,8 @@ def eval_expr(e, point, func_env=None):
 
     Arithmetic stays exact on Fractions where possible and falls back to
     floats for irrational powers.  Function symbols are looked up in
-    func_env; order-k applications evaluate the k-th derivative.  A
+    func_env, whose values supply eval_deriv(order, x) (as PolyFunc
+    does); order-k applications evaluate the k-th derivative.  A
     subexpression that occurs several times in e is evaluated once.
     """
     return _eval(e, point, func_env or {}, {})
@@ -502,22 +485,6 @@ def simplify(e):
     """Idempotent normal form: expanded, collected, sorted monomials for
     the polynomial/rational subclass, best-effort normalization elsewhere."""
     return canon_expr(as_expr(e))
-
-
-def function_symbols(e):
-    out = set()
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        kind = x.kind
-        if kind == "func":
-            out.add(x.name)
-            stack.append(x.arg)
-        elif kind in ("sum", "prod"):
-            stack.extend(x.args)
-        elif kind == "pow":
-            stack.append(x.base)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +609,22 @@ def sample_point(cfg, coords, index, attempt=0):
     return point
 
 
-def oracle_function_env(cfg, names):
+def oracle_function_env(cfg, e):
+    """The seeded instantiation of every function symbol in e, as a dict
+    name -> PolyFunc of degree cfg.func_degree, drawn from the symbol's
+    own seeded stream.  Empty when e has no function symbols."""
+    names = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        kind = x.kind
+        if kind == "func":
+            names.add(x.name)
+            stack.append(x.arg)
+        elif kind in ("sum", "prod"):
+            stack.extend(x.args)
+        elif kind == "pow":
+            stack.append(x.base)
     return {name: PolyFunc.random(_sample_rng(cfg, f"fn:{name}"),
                                   cfg.func_degree)
             for name in sorted(names)}
@@ -704,11 +686,9 @@ def is_zero(e, cfg=OracleConfig()):
     if rational:
         # exactly nonzero as a rational function; exhibit a witness by
         # exact evaluation at (at least 8) seeded rational points
-        env, func_env = {}, None
         cfg = replace(cfg, samples=max(cfg.samples, 8))
-    else:
-        env = oracle_function_env(cfg, function_symbols(simplified))
-        func_env = tuple(sorted(env.items()))
+    env = oracle_function_env(cfg, simplified)
+    func_env = None if rational else tuple(sorted(env.items()))
     for point, total, tol in sampled_sums(simplified, cfg, coords, env):
         if abs(total) > tol:
             return ZeroVerdict(
@@ -810,12 +790,24 @@ class TokenStream:
 
 
 class ExprParser:
-    """Recursive-descent parser for the scalar expression grammar."""
+    """Recursive-descent parser for the scalar expression grammar.
+
+    Nodes are built through add, neg, mul, div, power and apply, so a
+    subclass can parse the same grammar into other values (form
+    literals, in exterior)."""
 
     def __init__(self, stream, chart, names=None):
         self.ts = stream
         self.chart = chart
         self.names = names or {}
+
+    def parse_all(self):
+        """The whole token stream as one expression."""
+        e = self.parse_expr()
+        kind, _, line, col = self.ts.peek()
+        if kind != "END":
+            raise ParseError("unexpected trailing input", line, col)
+        return e
 
     def parse_expr(self):
         left = self.parse_term()
@@ -824,10 +816,8 @@ class ExprParser:
             if kind == "OP" and value in "+-":
                 self.ts.next()
                 right = self.parse_term()
-                if value == "+":
-                    left = Sum(left, right)
-                else:
-                    left = Sum(left, Prod(Rat(-1), right))
+                left = self.add(left, right if value == "+"
+                                else self.neg(right))
             else:
                 return left
 
@@ -838,10 +828,8 @@ class ExprParser:
             if kind == "OP" and value in "*/":
                 self.ts.next()
                 right = self.parse_factor()
-                if value == "*":
-                    left = Prod(left, right)
-                else:
-                    left = Prod(left, Pow(right, Fraction(-1)))
+                left = self.mul(left, right) if value == "*" \
+                    else self.div(left, right)
             else:
                 return left
 
@@ -850,7 +838,7 @@ class ExprParser:
         kind, value, _, _ = self.ts.peek()
         if kind == "OP" and value == "^":
             self.ts.next()
-            return Pow(base, self.parse_exponent())
+            return self.power(base)
         return base
 
     def parse_exponent(self):
@@ -889,7 +877,7 @@ class ExprParser:
                 self.ts.next()
                 arg = self.parse_expr()
                 self.ts.expect_op(")")
-                return Func(name, primes, arg)
+                return self.apply(name, primes, arg)
             if primes:
                 raise ParseError(
                     f"derivative marks on {name!r} need a function "
@@ -902,7 +890,7 @@ class ExprParser:
             return inner
         if kind == "OP" and value == "-":
             self.ts.next()
-            return Prod(Rat(-1), self.parse_factor())
+            return self.neg(self.parse_factor())
         self.ts.error("expected a number, identifier or parenthesis")
 
     def resolve_ident(self, name, line, col):
@@ -912,18 +900,33 @@ class ExprParser:
             return self.names[name]
         raise ParseError(f"unknown identifier {name!r}", line, col)
 
+    # node construction --------------------------------------------------
+
+    def add(self, left, right):
+        return Sum(left, right)
+
+    def neg(self, value):
+        return Prod(Rat(-1), value)
+
+    def mul(self, left, right):
+        return Prod(left, right)
+
+    def div(self, left, right):
+        return Prod(left, Pow(right, Fraction(-1)))
+
+    def power(self, base):
+        """base raised to the exponent that follows '^'."""
+        return Pow(base, self.parse_exponent())
+
+    def apply(self, name, order, arg):
+        return Func(name, order, arg)
+
 
 def parse_expr(text, chart, names=None):
     """Parse the expression grammar; idents resolve to chart coordinates
     or previously defined names, and an ident before '(' is a function
     symbol (primes mark derivative order)."""
-    ts = TokenStream(tokenize(text))
-    parser = ExprParser(ts, chart, names)
-    e = parser.parse_expr()
-    kind, _, line, col = ts.peek()
-    if kind != "END":
-        raise ParseError("unexpected trailing input", line, col)
-    return e
+    return ExprParser(TokenStream(tokenize(text)), chart, names).parse_all()
 
 
 # printer ------------------------------------------------------------------

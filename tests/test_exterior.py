@@ -259,6 +259,30 @@ class TestFormLiterals:
         with pytest.raises(ParseError):
             parse_form("dq1*dq2", phase)
 
+    @pytest.mark.parametrize("text", ["dq1^q1", "q1/dq1", "F(dq1)*dq2"])
+    def test_a_form_where_a_scalar_belongs_is_a_parse_error(self, phase,
+                                                            text):
+        from twistdirac.symexpr import ParseError
+        with pytest.raises(ParseError):
+            parse_form(text, phase)
+
+    @pytest.mark.parametrize("text, build", [
+        ("dp1^dq1 + dp2^dq2 + dp3^dq3", standard_omega),
+        ("(1 + q1)*omega",
+         lambda c: standard_omega(c).scale(1 + c["q1"])),
+        ("-dq1^dq2",
+         lambda c: wedge(KForm.basis(c, ["q1"]),
+                         KForm.basis(c, ["q2"])).scale(-1)),
+        ("q1/q2*dq1", lambda c: KForm.basis(c, ["q1"], c["q1"] / c["q2"])),
+        ("dq1^dq2^dq3", lambda c: KForm.basis(c, ["q1", "q2", "q3"])),
+        ("2*q3*dq2^dq3 - dq1^dq2",
+         lambda c: KForm.basis(c, ["q2", "q3"], 2 * c["q3"])
+         - KForm.basis(c, ["q1", "q2"]))])
+    def test_literal_is_the_form_built_by_hand(self, phase, text, build):
+        got = parse_form(text, phase,
+                         form_names={"omega": standard_omega(phase)})
+        assert got.polys == build(phase).polys
+
     def test_string_roundtrip(self, phase, cfg):
         for i in range(10):
             rng = rng_for(420 + i, "formrt")

@@ -76,6 +76,14 @@ class TestDiff:
         with pytest.raises(ChartMismatchError):
             diff(phase["q1"] ** 2, other["u"])
 
+    def test_a_chart_owns_its_coordinates(self, phase):
+        assert phase.vars() is phase.vars()
+        assert phase["q1"] is phase.vars()[0]
+        assert phase.var(5) is phase["p3"]
+        for index in (-1, 6):
+            with pytest.raises(ChartMismatchError):
+                phase.var(index)
+
     def test_mixing_charts_rejected_at_construction(self, phase):
         other = Chart("other", ["u", "v"])
         with pytest.raises(ChartMismatchError):
@@ -133,12 +141,20 @@ class TestEval:
     def test_missing_function(self, phase):
         with pytest.raises(MissingFunctionError):
             eval_expr(Func("W", 0, phase["q1"]), {"q1": 1})
+        # an instantiation must supply eval_deriv, even at order 0
+        with pytest.raises(MissingFunctionError):
+            eval_expr(Func("W", 0, phase["q1"]), {"q1": 1},
+                      {"W": lambda t: t})
 
     def test_derivative_tower_consistency(self):
         f = PolyFunc([1, 2, 3, 4])           # 1 + 2t + 3t^2 + 4t^3
         assert f.eval_deriv(1, Fraction(2)) == 2 + 6 * 2 + 12 * 4
         assert f.eval_deriv(3, Fraction(5)) == 24
         assert f.eval_deriv(4, Fraction(5)) == 0
+        for k in range(5):       # an int argument is evaluated exactly
+            got = f.eval_deriv(k, 3)
+            assert type(got) is Fraction and got == f.eval_deriv(
+                k, Fraction(3))
 
     @pytest.mark.parametrize("x", [Fraction(-7, 3), 1.375])
     def test_eval_deriv_matches_repeated_derivative(self, x):
