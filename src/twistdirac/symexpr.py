@@ -611,23 +611,37 @@ def sample_point(cfg, coords, index, attempt=0):
 
 def oracle_function_env(cfg, e):
     """The seeded instantiation of every function symbol in e, as a dict
-    name -> PolyFunc of degree cfg.func_degree, drawn from the symbol's
-    own seeded stream.  Empty when e has no function symbols."""
-    names = set()
+    name -> PolyFunc drawn from the symbol's own seeded stream; empty
+    when e has no function symbols.
+
+    A symbol applied at m distinct arguments, with derivatives up to
+    order K, is drawn at degree max(cfg.func_degree, m(K+1) - 1).  At a
+    point, e depends on the symbol only through its K-jets at those m
+    arguments, and Hermite interpolation matches any such jets with a
+    polynomial of degree m(K+1) - 1.  So an e that is nonzero for some
+    smooth function is nonzero for some polynomial of that degree, and
+    the sampled test can see it (Schwartz-Zippel); a fixed degree would
+    pass every identity that holds for the polynomials of that degree.
+    Coefficients are drawn in order, so the first func_degree + 1 do not
+    depend on the degree.
+    """
+    args, order = {}, {}
     stack = [e]
     while stack:
         x = stack.pop()
         kind = x.kind
         if kind == "func":
-            names.add(x.name)
+            args.setdefault(x.name, set()).add(x.arg)
+            order[x.name] = max(order.get(x.name, 0), x.order)
             stack.append(x.arg)
         elif kind in ("sum", "prod"):
             stack.extend(x.args)
         elif kind == "pow":
             stack.append(x.base)
-    return {name: PolyFunc.random(_sample_rng(cfg, f"fn:{name}"),
-                                  cfg.func_degree)
-            for name in sorted(names)}
+    return {name: PolyFunc.random(
+                _sample_rng(cfg, f"fn:{name}"),
+                max(cfg.func_degree, len(args[name]) * (order[name] + 1) - 1))
+            for name in sorted(args)}
 
 
 def sampled_sums(e, cfg, coords, func_env):

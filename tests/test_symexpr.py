@@ -222,6 +222,20 @@ class TestIsZero:
         assert is_zero(V * V - V ** 2, cfg).zero
         assert not is_zero(V - Func("W", 0, phase["q1"]), cfg).zero
 
+    @pytest.mark.parametrize("text", [
+        "V''''(x)",
+        "V'''(x) - V'''(y)",
+        "V(x+4) - 4*V(x+3) + 6*V(x+2) - 4*V(x+1) + V(x)",
+        "V''(x) + V''(y) - V''(x+y) - V''(0)"])
+    def test_identities_of_cubics_are_not_identities(self, text):
+        # each holds for every cubic, the default instantiation degree,
+        # and not for smooth V in general
+        chart = Chart("plane", ["x", "y"])
+        e = parse_expr(text, chart)
+        v = is_zero(e)
+        assert not v.zero and not v.exact
+        assert eval_expr(e, v.witness_point, dict(v.func_env)) != 0
+
     def test_witness_reevaluates(self, phase, cfg):
         e = Func("V", 0, phase["q1"]) - phase["q2"]
         v = is_zero(e, cfg)
