@@ -369,7 +369,7 @@ def _num_pow(base, exp):
         return (base if type(base) is Fraction else Fraction(base)) ** n
     if base == 0:
         if exp > 0:
-            return 0.0
+            return base         # exact 0 stays exact, 0.0 stays a float
         raise EvaluationSingularityError("0 raised to a negative power")
     if base < 0:
         raise EvaluationSingularityError(

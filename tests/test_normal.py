@@ -45,8 +45,9 @@ def test_rational_pow_is_a_constant_or_an_atom(c, e, root):
         assert got == p_const(root)
 
 
-# the rows with a positive radicand
-@pytest.mark.parametrize("c, e, root", RADICALS[:4], ids=IDS[:4])
+# the rows with a nonnegative radicand
+@pytest.mark.parametrize("c, e, root", RADICALS[:4] + RADICALS[5:],
+                         ids=IDS[:4] + IDS[5:])
 def test_eval_of_a_radical_is_exact_when_the_root_is_rational(c, e, root):
     got = eval_expr(Pow(Rat(c), e), {})
     if root is None:

@@ -128,7 +128,7 @@ def _plain_eval(e, point):
             return base ** int(exp) if isinstance(base, float) \
                 else Fraction(base) ** int(exp)
         if base == 0:
-            return 0.0
+            return base
         assert exp.denominator == 2, exp
         if isinstance(base, Fraction):
             rn, rd = math.isqrt(base.numerator), math.isqrt(base.denominator)
