@@ -399,14 +399,11 @@ class _FormParser(ExprParser):
         if not isinstance(left, KForm) and not isinstance(right, KForm):
             return super().add(left, right)
         left, right = self._as_form(left), self._as_form(right)
-        if left.degree != right.degree:
-            if left.is_structurally_zero():
-                return right
-            if right.is_structurally_zero():
-                return left
+        try:
+            return left + right
+        except ValueError:      # degrees differ, neither form is zero
             raise FormSyntaxError(f"cannot mix degrees {left.degree} and "
-                                  f"{right.degree} in one literal")
-        return left + right
+                                  f"{right.degree} in one literal") from None
 
     def neg(self, value):
         if isinstance(value, KForm):
