@@ -44,6 +44,15 @@ class ScenarioError(SymExprError):
     pass
 
 
+def _json(value, kind, what):
+    """value, when it has the JSON type kind (list or dict); ScenarioError
+    otherwise."""
+    if not isinstance(value, kind):
+        name = "an array" if kind is list else "an object"
+        raise ScenarioError(f"{what} must be a JSON {name}, got {value!r}")
+    return value
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -183,7 +192,8 @@ class ScenarioRun:
     def __init__(self, data, seed=None, samples=None, tol=None, sign=None):
         self.name = data.get("name", "unnamed")
         try:
-            self.chart = Chart(self.name, data["chart"])
+            self.chart = Chart(self.name,
+                               _json(data["chart"], list, "chart"))
         except KeyError:
             raise ScenarioError("scenario must declare a chart")
         except (TypeError, ValueError) as exc:
@@ -197,27 +207,34 @@ class ScenarioRun:
         self.exprs = {}
         self.forms = {}
         self.sections = {}
-        self._load_definitions(data.get("definitions", {}))
+        self._load_definitions(
+            _json(data.get("definitions", {}), dict, "definitions"))
         self._structure_specs = self._collect_structures(data)
         self._structures = {}
-        self.checks = data.get("checks", [])
+        self.checks = _json(data.get("checks", []), list, "checks")
 
     # -- definitions -------------------------------------------------------
 
     def _load_definitions(self, defs):
-        for name, text in defs.get("exprs", {}).items():
+        exprs, forms, sections = (
+            _json(defs.get(key, {}), dict, f"definitions.{key}")
+            for key in ("exprs", "forms", "sections"))
+        for name, text in exprs.items():
             self._check_name(name)
             try:
                 self.exprs[name] = parse_expr(text, self.chart, self.exprs)
             except ParseError as exc:
                 raise ScenarioError(f"in expression {name!r}: {exc}")
-        for name, spec in defs.get("forms", {}).items():
+        for name, spec in forms.items():
             self._check_name(name)
             self.forms[name] = self._parse_form_spec(spec, label=name)
-        for name, spec in defs.get("sections", {}).items():
+        for name, spec in sections.items():
             self._check_name(name)
+            spec = _json(spec, dict, f"section {name!r}")
             try:
-                X = parse_vector_field(spec["X"], self.chart, self.exprs)
+                X = parse_vector_field(
+                    _json(spec["X"], dict, f"section {name!r} X"),
+                    self.chart, self.exprs)
                 alpha = self._parse_form_spec(spec["alpha"],
                                               label=f"{name}.alpha")
             except KeyError as exc:
@@ -235,7 +252,9 @@ class ScenarioRun:
     def _parse_form_spec(self, spec, degree=None, label="form"):
         if isinstance(spec, dict):
             degree = spec.get("degree", degree)
-            spec = spec["text"]
+            spec = spec.get("text")
+        if not isinstance(spec, str):
+            raise ScenarioError(f"{label} must be a string, got {spec!r}")
         if spec in self.forms:
             return self.forms[spec]
         try:
@@ -247,6 +266,9 @@ class ScenarioRun:
     def expr(self, spec, label="expression"):
         if isinstance(spec, (int, float)):
             return parse_expr(str(spec), self.chart)
+        if not isinstance(spec, str):
+            raise ScenarioError(
+                f"{label} must be a string or a number, got {spec!r}")
         if spec in self.exprs:
             return self.exprs[spec]
         try:
@@ -258,27 +280,30 @@ class ScenarioRun:
 
     def _collect_structures(self, data):
         if "structures" in data:
-            specs = dict(data["structures"])
+            specs = dict(_json(data["structures"], dict, "structures"))
         elif "structure" in data:
             specs = {"main": data["structure"]}
         else:
             specs = {}
         return specs
 
-    def structure(self, name=None):
+    def structure(self, name=None, kind="graph"):
+        """The named structure (the only one, else "main", when unnamed);
+        ScenarioError unless its type is kind ("graph" or "lie_algebra")."""
         if name is None:
             if len(self._structure_specs) == 1:
                 name = next(iter(self._structure_specs))
             else:
                 name = "main"
-        if name in self._structures:
-            return self._structures[name]
-        try:
-            spec = self._structure_specs[name]
-        except KeyError:
-            raise ScenarioError(f"no structure named {name!r}")
-        built = self._build_structure(spec)
-        self._structures[name] = built
+        if name not in self._structures:
+            try:
+                spec = self._structure_specs[name]
+            except KeyError:
+                raise ScenarioError(f"no structure named {name!r}")
+            self._structures[name] = self._build_structure(spec)
+        built = self._structures[name]
+        if isinstance(built, dirac.TwistedGraph) != (kind == "graph"):
+            raise ScenarioError(f"structure {name!r} is not a {kind}")
         return built
 
     def _build_structure(self, spec):
@@ -310,17 +335,19 @@ class ScenarioRun:
         raise ScenarioError(f"unknown structure type {kind!r}")
 
     def _build_algebra(self, spec):
+        if isinstance(spec, str):
+            if spec == "so3":
+                return liealg.so3()
+            if spec.startswith("abelian(") and spec.endswith(")") \
+                    and spec[8:-1].isdecimal():
+                return liealg.abelian(int(spec[8:-1]))
+            raise ScenarioError(f"unknown builtin algebra {spec!r}")
+        spec = _json(spec, dict, "algebra")
         try:
-            if isinstance(spec, str):
-                if spec == "so3":
-                    return liealg.so3()
-                if spec.startswith("abelian(") and spec.endswith(")"):
-                    return liealg.abelian(int(spec[8:-1]))
-                raise ScenarioError(f"unknown builtin algebra {spec!r}")
             return liealg.LieAlgebraData.from_brackets(
                 spec["dim"], [tuple(b[:2]) + (b[2],)
                               for b in spec["brackets"]], spec["metric"])
-        except liealg.LieAlgebraError as exc:
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad Lie algebra: {exc}")
 
 
@@ -461,9 +488,12 @@ def _op_nondegenerate(run, spec):
 
 
 def _op_cartan_kernel(run, spec):
-    L = run.structure(spec.get("structure"))
+    L = run.structure(spec.get("structure"), "lie_algebra")
+    expect = spec["expect_dimension"]
+    if type(expect) is not int:
+        raise ScenarioError(
+            f"expect_dimension must be an integer, got {expect!r}")
     kernel = liealg.contraction_kernel(L)
-    expect = int(spec["expect_dimension"])
     ok = len(kernel) == expect
     detail = f"kernel dimension = {len(kernel)}"
     if kernel:
@@ -473,7 +503,7 @@ def _op_cartan_kernel(run, spec):
 
 
 def _op_cartan_table(run, spec):
-    L = run.structure(spec.get("structure"))
+    L = run.structure(spec.get("structure"), "lie_algebra")
     try:
         T = liealg.cartan_3form(L)
     except liealg.LieAlgebraError as exc:
@@ -482,6 +512,10 @@ def _op_cartan_table(run, spec):
     detail = "; ".join(rows) if rows else "no triples"
     nonzero = spec.get("nonzero")
     if nonzero is not None:
+        if not (isinstance(nonzero, list) and len(nonzero) == 3
+                and all(type(i) is int for i in nonzero)):
+            raise ScenarioError(
+                f"nonzero must be three basis indices, got {nonzero!r}")
         l, m, n = nonzero
         value = liealg.triple_contraction(L, l, m, n)
         detail += f"; contraction({l},{m},{n}) = {value}"
@@ -522,25 +556,31 @@ def run_scenario(source, seed=None, samples=None, tol=None, sign=None):
     run = ScenarioRun(data, seed=seed, samples=samples, tol=tol, sign=sign)
     report = Report(scenario=run.name, cfg=run.cfg, sign=sign or "+")
     for spec in run.checks:
-        name = spec.get("name") or _default_check_name(spec)
-        op = spec.get("op")
-        handler = CHECK_OPS.get(op)
         start = time.perf_counter()
-        if handler is None:
-            result = CheckResult(name, "ERROR",
-                                 detail=f"unknown check op {op!r}")
+        if isinstance(spec, dict):
+            result = _run_check(run, spec)
         else:
-            try:
-                verdict, witness, residual, detail = handler(run, spec)
-                result = CheckResult(name, verdict, witness, residual,
-                                     detail=detail)
-            except (dirac.SolveError, dirac.NondegeneracyError,
-                    ScenarioError, SymExprError, KeyError) as exc:
-                result = CheckResult(name, "ERROR",
-                                     detail=f"{type(exc).__name__}: {exc}")
+            result = CheckResult(json.dumps(spec), "ERROR",
+                                 detail="a check must be a JSON object")
         result.ms = (time.perf_counter() - start) * 1000.0
         report.checks.append(result)
     return report
+
+
+def _run_check(run, spec):
+    """The CheckResult of one check object; an error it raises from the
+    package, or a missing field, makes an ERROR row."""
+    name = spec.get("name") or _default_check_name(spec)
+    op = spec.get("op")
+    handler = CHECK_OPS.get(op)
+    if handler is None:
+        return CheckResult(name, "ERROR", detail=f"unknown check op {op!r}")
+    try:
+        verdict, witness, residual, detail = handler(run, spec)
+    except (SymExprError, KeyError) as exc:
+        return CheckResult(name, "ERROR",
+                           detail=f"{type(exc).__name__}: {exc}")
+    return CheckResult(name, verdict, witness, residual, detail=detail)
 
 
 def cmd_bracket(source, f_name, g_name, structure=None, seed=None,
@@ -671,7 +711,7 @@ def main(argv=None):
                            samples=args.samples, tol=args.tol,
                            sign=args.sign)
             return 0
-    except (ScenarioError, SymExprError) as exc:
+    except SymExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

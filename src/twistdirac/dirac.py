@@ -6,8 +6,9 @@ when df = sign * i_{X_f} h is solvable for a vector field X_f, and
 H-admissible when additionally i_{X_f} H vanishes identically.
 
 Each TwistedGraph runs one exact Gauss-Jordan elimination of the
-coefficient matrix when it is built.  It yields the rank, the determinant,
-the inverse and a transform that turns every Hamiltonian solve, on
+coefficient matrix when it is built.  It yields the rank, the determinant
+(the signed product of the pivots, unexpanded; simplify(D.det) expands
+it), the inverse and a transform that turns every Hamiltonian solve, on
 degenerate structures too, into one matrix-vector product; every solve is
 then verified by a residual zero-test.
 
@@ -27,9 +28,10 @@ preserves admissibility verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import prod
 
 from ._normal import (ONE_M, from_poly, normal, p_add_inplace, p_const,
-                      p_diff, p_mul, p_pow, to_poly)
+                      p_mul, p_pow, to_poly)
 from .symexpr import (OracleConfig, OracleInconclusiveError, Prod, Rat, Sum,
                       SymExprError, ZeroVerdict, as_expr, is_zero,
                       oracle_function_env, sampled_sums)
@@ -133,10 +135,12 @@ class TwistedGraph:
 
         Pivots are taken column by column, rational entries first, then
         the first entry the zero-test oracle finds nonzero.  Records the
-        pivot columns (their count is the rank), the determinant (the
-        product of the pivots, signed by the row permutation) and the
-        transform E with E M^T in reduced row echelon form: pivot rows
-        first, in column order.
+        pivot columns (their count is the rank), the transform E with
+        E M^T in reduced row echelon form (pivot rows first, in column
+        order) and the determinant: the signed product of the pivots,
+        unexpanded, as a Prod of one Rat (the sign times the constant
+        pivots) and the non-constant pivots, a bare Rat when every pivot
+        is constant, Rat(0) below full rank; simplify(D.det) expands it.
         """
         dim = self.chart.dim
         rows = [[{}] * dim + [p_const(1 if k == i else 0) for k in range(dim)]
@@ -148,7 +152,7 @@ class TwistedGraph:
             rows[hi][lo] = c
             rows[lo][hi] = {m: -v for m, v in c.items()}
         pivot_rows = {}
-        det = p_const(1)
+        pivots = []
         for col in range(dim):
             candidates = sorted(
                 (not _is_constant(rows[r][col]), r) for r in range(dim)
@@ -160,11 +164,7 @@ class TwistedGraph:
             if chosen is None:
                 continue
             pivot = rows[chosen][col]
-            # one pivot at a time: the running product is, up to sign, the
-            # minor on the pivot rows and columns so far, so each product
-            # cancels back to a polynomial (for polynomial h) instead of
-            # one large cancellation at the end
-            det = normal(p_mul(det, pivot))
+            pivots.append(pivot)
             pivot_rows[col] = chosen
             inv_p = p_pow(pivot, -1)
             rows[chosen] = [normal(p_mul(e, inv_p)) if e else e
@@ -182,7 +182,10 @@ class TwistedGraph:
         else:
             swaps = sum(a > b for i, a in enumerate(order)
                         for b in order[i + 1:])
-            self.det = from_poly(p_mul(p_const(-1 if swaps & 1 else 1), det))
+            lead = prod((p[ONE_M] for p in pivots if _is_constant(p)),
+                        start=-1 if swaps & 1 else 1)
+            trees = [from_poly(p) for p in pivots if not _is_constant(p)]
+            self.det = Prod(Rat(lead), *trees) if trees else Rat(lead)
         order += [r for r in range(dim) if r not in order]
         self._pivot_cols = list(pivot_rows)
         self._transform = [rows[r][dim:] for r in order]
@@ -236,23 +239,14 @@ def hamiltonian_vf(D, f):
 
 def _solve_verified(D, f):
     """(X_f, verdict on df - sign * i_{X_f} h), or (None, None) when the
-    system is inconsistent."""
+    system is inconsistent.  X_f is the elimination transform applied to
+    sign * grad f: rows past the rank must vanish, pivot rows give the
+    pivot components, and free components are zero."""
     f = as_expr(f)
-    X = _try_hamiltonian_vf(D, f)
-    if X is None:
-        return None, None
-    residual = ext_d(KForm.scalar(D.chart, f)) - graph_section(D, X).alpha
-    return X, form_is_zero(residual, D.cfg)
-
-
-def _try_hamiltonian_vf(D, f):
-    """Apply the elimination transform to sign * grad f: rows past the
-    rank must vanish, pivot rows give the pivot components, and free
-    components are zero.  None when the system is inconsistent."""
     if f.chart is not None and f.chart != D.chart:
         raise SymExprError("function lives on a different chart")
-    fp = to_poly(f)
-    grad = [normal(p_diff(fp, v)) for v in D.chart.vars()]
+    df = ext_d(KForm.scalar(D.chart, f))
+    grad = [normal(df.polys.get(1 << i, {})) for i in range(D.chart.dim)]
     sign = -1 if D.sign < 0 else None
     b = []
     for row in D._transform:
@@ -263,11 +257,12 @@ def _try_hamiltonian_vf(D, f):
         b.append(normal(acc))
     rank = len(D._pivot_cols)
     if any(not is_zero(x, D.cfg).zero for x in b[rank:]):
-        return None
+        return None, None
     comps = [{}] * D.chart.dim
     for col, x in zip(D._pivot_cols, b):
         comps[col] = x
-    return VectorField(D.chart, comps)
+    X = VectorField(D.chart, comps)
+    return X, form_is_zero(df - graph_section(D, X).alpha, D.cfg)
 
 
 def poisson_bracket(D, f, g):

@@ -14,13 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .symexpr import SymExprError
+
 __all__ = [
     "LieAlgebraError", "LieAlgebraData", "CartanThreeForm", "cartan_3form",
     "triple_contraction", "contraction_kernel", "center", "so3", "abelian",
 ]
 
 
-class LieAlgebraError(Exception):
+class LieAlgebraError(SymExprError):
     pass
 
 

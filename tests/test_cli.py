@@ -215,6 +215,88 @@ class TestScenarioFiles:
         assert "JSON object" in report.checks[0].detail
         assert report.exit_code == 2
 
+    def test_lie_algebra_from_brackets(self, tmp_path):
+        so3 = {"dim": 3, "metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+               "brackets": [[1, 2, [0, 0, 1]], [2, 3, [1, 0, 0]],
+                            [3, 1, [0, 1, 0]]]}
+        data = _with(MINIMAL, "structure",
+                     {"type": "lie_algebra", "algebra": so3})
+        data["checks"] = [
+            {"op": "cartan_kernel", "expect_dimension": 0},
+            {"op": "cartan_table", "nonzero": [1, 2, 3]}]
+        report = run_scenario(write_scenario(tmp_path, data))
+        assert [c.verdict for c in report.checks] == ["PASS", "PASS"]
+        assert "T(1,2,3) = 1/2" in report.checks[1].detail
+
+    def test_form_spec_with_text_and_degree(self, tmp_path):
+        data = _with(MINIMAL, "definitions", {
+            "forms": {"omega": {"text": "dp1^dq1", "degree": 2}}})
+        assert run_scenario(write_scenario(tmp_path, data)).exit_code == 0
+
+    @pytest.mark.parametrize("f, g, expect", [
+        ("q1", "p1", 1), (3, "p1", 0), ("1.5*q1", "p1", "3/2"),
+        (0.5, "q1", 0)])
+    def test_numeric_and_decimal_expressions(self, tmp_path, f, g, expect):
+        data = json.loads(json.dumps(MINIMAL))
+        data["checks"][0].update(f=f, g=g, expect=expect)
+        check = run_scenario(write_scenario(tmp_path, data)).checks[0]
+        assert check.verdict == "PASS", check.detail
+
+    @pytest.mark.parametrize("check", [
+        {"op": "symplectic_graph", "f": "q1", "expect_h_admissible": False},
+        {"op": "cartan_table", "structure": "abelian", "nonzero": [1, 2, 3]},
+    ], ids=["h-admissibility-contradicted", "vanishing-contraction"])
+    def test_contradicted_expectation_fails(self, tmp_path, check):
+        data = _with(MINIMAL, "structures", {
+            "main": MINIMAL["structure"],
+            "abelian": {"type": "lie_algebra", "algebra": "abelian(3)"}})
+        data["checks"] = [check]
+        report = run_scenario(write_scenario(tmp_path, data))
+        assert [c.verdict for c in report.checks] == ["FAIL"]
+        assert report.exit_code == 1
+
+    @pytest.mark.parametrize("check, algebra", [
+        ("poisson_bracket", None),
+        ({"op": "poisson_bracket", "f": ["q1"], "g": "p1"}, None),
+        ({"op": "nondegenerate", "structure": "L"}, "so3"),
+        ({"op": "cartan_kernel", "structure": "main",
+          "expect_dimension": 0}, None),
+        ({"op": "cartan_table", "structure": "main"}, None),
+        ({"op": "cartan_kernel", "structure": "L",
+          "expect_dimension": 0}, {}),
+        ({"op": "cartan_kernel", "structure": "L",
+          "expect_dimension": 0}, {"algebra": "abelian(x)"}),
+        ({"op": "cartan_kernel", "structure": "L",
+          "expect_dimension": "two"}, "so3"),
+        ({"op": "cartan_kernel", "structure": "L",
+          "expect_dimension": 0.5}, "so3"),
+        ({"op": "cartan_table", "structure": "L", "nonzero": [1, 2, 4]},
+         "so3"),
+        ({"op": "cartan_table", "structure": "L", "nonzero": [1, 2]},
+         "so3"),
+        ({"op": "nondegenerate", "structure": "L"},
+         {"type": "graph", "h": ["dp1^dq1"]}),
+    ], ids=["check-not-an-object", "expression-is-a-list",
+            "graph-op-on-an-algebra", "cartan-kernel-on-a-graph",
+            "cartan-table-on-a-graph", "algebra-missing",
+            "abelian-of-a-name", "expect-dimension-a-word",
+            "expect-dimension-a-fraction", "nonzero-out-of-range",
+            "nonzero-of-two-indices", "form-is-a-list"])
+    def test_malformed_check_is_an_error_row(self, tmp_path, check,
+                                             algebra):
+        # L is so3, a lie_algebra structure with the given fields, or a
+        # whole structure; the canonical check after the bad one still runs
+        structures = {"main": MINIMAL["structure"]}
+        if algebra == "so3":
+            algebra = {"algebra": "so3"}
+        if algebra is not None:
+            structures["L"] = {"type": "lie_algebra", **algebra}
+        data = _with(MINIMAL, "structures", structures)
+        data["checks"] = [check] + MINIMAL["checks"]
+        report = run_scenario(write_scenario(tmp_path, data))
+        assert [c.verdict for c in report.checks] == ["ERROR", "PASS"]
+        assert report.exit_code == 2
+
 
 # {F(q), p} = -F'(q) on dp^dq: FAIL, unless the oracle settings make a
 # Zero verdict vacuous
@@ -258,8 +340,27 @@ class TestRejectedInput:
         [MINIMAL],
         _with(MINIMAL, "oracle", {"samples": "many"}),
         _with(MINIMAL, "oracle", {"box": {"q1": [1]}}),
+        dict(MINIMAL, chart="qp", definitions={},
+             structure={"type": "graph", "h": "dp^dq"},
+             checks=[{"op": "poisson_bracket", "f": "q", "g": "p",
+                      "expect": "1"}]),
+        _with(MINIMAL, "checks", MINIMAL["checks"][0]),
+        _with(MINIMAL, "definitions", ["omega"]),
+        _with(MINIMAL, "definitions", {"forms": [["omega", "dp1^dq1"]]}),
+        _with(MINIMAL, "definitions", {"forms": MINIMAL["definitions"][
+            "forms"], "exprs": "f = q1"}),
+        _with(MINIMAL, "definitions", {"forms": {"omega": {
+            "degree": 2}}}),
+        _with(MINIMAL, "definitions", {"forms": MINIMAL["definitions"][
+            "forms"], "sections": {"A": {"X": "q1", "alpha": "dq1"}}}),
+        _with(MINIMAL, "definitions", {"forms": MINIMAL["definitions"][
+            "forms"], "sections": {"A": ["q1", "dq1"]}}),
+        _with(MINIMAL, "structures", [MINIMAL["structure"]]),
     ], ids=["repeated-coordinates", "17-coordinates", "top-level-array",
-            "non-numeric-samples", "one-ended-box"])
+            "non-numeric-samples", "one-ended-box", "chart-a-string",
+            "checks-an-object", "definitions-an-array", "forms-an-array",
+            "exprs-a-string", "form-without-text", "section-X-a-string",
+            "section-an-array", "structures-an-array"])
     def test_malformed_scenario_file_is_an_error(self, tmp_path, capsys,
                                                   data):
         with pytest.raises(ScenarioError):

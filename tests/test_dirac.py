@@ -1,6 +1,7 @@
 """Twisted graphs: solving, admissibility, and the proposition checks."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -53,7 +54,7 @@ class TestTwistedGraph:
     def test_standard_structure_flags(self, darboux):
         assert darboux.nondegenerate
         assert darboux.integrable
-        assert simplify(darboux.det) == Rat(1)
+        assert darboux.det == Rat(1)
 
     def test_conformal_structure_flags(self, conformal):
         assert conformal.nondegenerate
@@ -153,6 +154,25 @@ def dense_graph(chart):
     return h
 
 
+def leibniz_det(h):
+    """det M as the signed sum over permutations, where M[i][j] is
+    h.coeff of dx_i^dx_j for i < j, and M is antisymmetric."""
+    dim = h.chart.dim
+
+    def entry(i, j):
+        c = h.coeff((1 << i) | (1 << j))
+        return c if i < j else Prod(Rat(-1), c)
+    terms = []
+    for perm in permutations(range(dim)):
+        if any(perm[i] == i for i in range(dim)):
+            continue        # the diagonal of M is zero
+        inversions = sum(perm[i] > perm[j] for i in range(dim)
+                         for j in range(i + 1, dim))
+        terms.append(Prod(Rat((-1) ** inversions),
+                          *(entry(i, perm[i]) for i in range(dim))))
+    return Sum(*terms)
+
+
 def rank_four_graph(chart):
     """(1 + q1)(dp1^dq1 + dp2^dq2) plus a constant form on the block
     (q1, q2, p1, p2); the kernel is spanned by d/dq3 and d/dp3."""
@@ -179,6 +199,10 @@ class TestElimination:
                                         Rat((-1) ** (i + j), 16))
         D = TwistedGraph(chart, h, "dh", cfg=cfg)
         assert D.nondegenerate
+        # the determinant stays the signed product of the pivots
+        assert D.det.kind == "prod" and D.det.args[0].kind == "rat"
+        verdict = is_zero(D.det - leibniz_det(D.h), cfg)
+        assert verdict.zero and verdict.exact
         inv, M = D.inverse_matrix(), coefficient_matrix(D.h)
         dim = chart.dim
         for i in range(dim):

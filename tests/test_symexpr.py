@@ -315,6 +315,11 @@ class TestSimplify:
         assert simplify((1 / (1 + q1)) * (1 + q1)) == Rat(1)
         assert simplify(1 / (q1 - 1) + 1 / (1 - q1)) == Rat(0)
 
+    def test_numerator_dividing_the_denominator_leaves_a_monomial(self):
+        xy = Chart("c", ["x", "y"])
+        e = parse_expr("(x + x*y)/(x^2 + x^2*y)", xy)
+        assert simplify(e) == Pow(xy["x"], -1)
+
     def test_mixed_fraction_sums(self, phase, cfg):
         q1, q2 = phase["q1"], phase["q2"]
         e = q2 + q1 / (1 + q1)
