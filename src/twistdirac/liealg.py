@@ -11,7 +11,7 @@ Everything here is decided exactly; no sampling oracle is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .symexpr import SymExprError
@@ -41,11 +41,14 @@ def _as_fraction_table(dim, entries, what):
 
 @dataclass(frozen=True)
 class LieAlgebraData:
-    """Structure constants and bilinear form, validated on construction."""
+    """Structure constants and bilinear form, validated on construction,
+    with the Cartan 3-form that the validation computes."""
 
     dim: int
     structure: tuple   # structure[i][j][k] = C^k_{ij}
     metric: tuple      # metric[i][j]
+    cartan: tuple = field(init=False, repr=False, compare=False)
+    # cartan[i][j][k] = T(X_i, X_j, X_k)
 
     def __init__(self, dim, structure, metric):
         structure = tuple(
@@ -57,7 +60,7 @@ class LieAlgebraData:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "metric", metric)
-        self._validate()
+        object.__setattr__(self, "cartan", self._validate())
 
     @classmethod
     def from_brackets(cls, dim, brackets, metric):
@@ -74,6 +77,10 @@ class LieAlgebraData:
         return cls(dim, C, metric)
 
     def _validate(self):
+        """LieAlgebraError unless C is antisymmetric and satisfies Jacobi
+        and g is symmetric, nondegenerate and ad-invariant; else the Cartan
+        tensor T[i][j][k] = g([X_i, X_j], X_k) / 2.  T is alternating: in
+        i, j by antisymmetry, in j, k by ad-invariance."""
         d = self.dim
         C = self.structure
         g = self.metric
@@ -84,35 +91,43 @@ class LieAlgebraData:
                         raise LieAlgebraError(
                             f"structure constants not antisymmetric at "
                             f"({i + 1},{j + 1},{k + 1})")
+        # bracket[i][j]: the nonzero (m, C^m_{ij})
+        bracket = [[[(m, c) for m, c in enumerate(row) if c] for row in plane]
+                   for plane in C]
+        # the Jacobiator is alternating, so the first failing triple is a
+        # sorted one, and it vanishes where all three brackets do
         for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        total = Fraction(0)
-                        for m in range(d):
-                            total += (C[i][j][m] * C[m][k][l]
-                                      + C[j][k][m] * C[m][i][l]
-                                      + C[k][i][m] * C[m][j][l])
-                        if total:
-                            raise LieAlgebraError(
-                                f"Jacobi identity fails at indices "
-                                f"({i + 1},{j + 1},{k + 1})")
+            for j in range(i + 1, d):
+                for k in range(j + 1, d):
+                    if not (bracket[i][j] or bracket[j][k] or bracket[k][i]):
+                        continue
+                    total = {}
+                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, x in bracket[a][b]:
+                            for l, y in bracket[m][c]:
+                                total[l] = total.get(l, 0) + x * y
+                    if any(total.values()):
+                        raise LieAlgebraError(
+                            f"Jacobi identity fails at indices "
+                            f"({i + 1},{j + 1},{k + 1})")
         for i in range(d):
             for j in range(d):
                 if g[i][j] != g[j][i]:
                     raise LieAlgebraError("bilinear form is not symmetric")
         if _rref_nullspace(g, d):
             raise LieAlgebraError("bilinear form is degenerate")
+        zero = (Fraction(0),) * d
+        T = tuple(tuple(
+            tuple(sum(x * g[m][k] for m, x in bij) / 2 for k in range(d))
+            if bij else zero for bij in row) for row in bracket)
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    total = Fraction(0)
-                    for m in range(d):
-                        total += C[i][j][m] * g[m][k] + C[i][k][m] * g[j][m]
-                    if total:
+                    if T[i][j][k] != -T[i][k][j]:
                         raise LieAlgebraError(
                             f"bilinear form is not ad-invariant at "
                             f"({i + 1},{j + 1},{k + 1})")
+        return T
 
 
 def _rref_nullspace(rows, n):
@@ -175,45 +190,24 @@ class CartanThreeForm:
 
 
 def cartan_3form(L):
-    """T(X_i, X_j, X_k) = (1/2) sum_m C^m_{ij} g_{mk}, verified
-    alternating in all three slots."""
-    d = L.dim
-    half = Fraction(1, 2)
-    comp = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                total = Fraction(0)
-                for m in range(d):
-                    total += L.structure[i][j][m] * L.metric[m][k]
-                comp[i][j][k] = half * total
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                v = comp[i][j][k]
-                if comp[j][i][k] != -v or comp[i][k][j] != -v \
-                        or comp[k][j][i] != -v:
-                    raise LieAlgebraError(
-                        f"tensor is not alternating at "
-                        f"({i + 1},{j + 1},{k + 1})")
-    return CartanThreeForm(L, comp)
+    """T(X_i, X_j, X_k) = (1/2) sum_m C^m_{ij} g_{mk}, computed and shown
+    alternating when L was built."""
+    return CartanThreeForm(L, L.cartan)
 
 
 def triple_contraction(L, l, m, n):
     """i_{X_l} i_{X_m} i_{X_n} of the Cartan 3-form, innermost first:
     equals T(X_n, X_m, X_l).  Indices are 1-based."""
-    T = cartan_3form(L)
-    return T.value(n, m, l)
+    return cartan_3form(L).value(n, m, l)
 
 
 def contraction_kernel(L):
     """Exact basis of {v : T(v, ., .) = 0} for the Cartan 3-form."""
-    T = cartan_3form(L)
     d = L.dim
     rows = []
     for j in range(d):
         for k in range(j + 1, d):
-            rows.append([T.components[i][j][k] for i in range(d)])
+            rows.append([L.cartan[i][j][k] for i in range(d)])
     return _rref_nullspace(rows, d)
 
 

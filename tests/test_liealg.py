@@ -22,6 +22,33 @@ def so3_plus_abelian(extra):
     return LieAlgebraData(dim, C, g)
 
 
+def so_n(n):
+    """so(n) on E_ab (a < b) with the identity form: [E_ab, E_cd] =
+    d_bc E_ad - d_ac E_bd - d_bd E_ac + d_ad E_bc, E_ba = -E_ab."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    dim = len(pairs)
+
+    def basis(a, b):
+        vec = [0] * dim
+        if a != b:
+            vec[pairs.index((min(a, b), max(a, b)))] = 1 if a < b else -1
+        return vec
+
+    brackets = []
+    for x, (a, b) in enumerate(pairs):
+        for y, (c, d) in enumerate(pairs):
+            terms = [(b == c, 1, a, d), (a == c, -1, b, d),
+                     (b == d, -1, a, c), (a == d, 1, b, c)]
+            coeffs = [0] * dim
+            for hit, sign, p, q in terms:
+                if hit:
+                    coeffs = [u + sign * v
+                              for u, v in zip(coeffs, basis(p, q))]
+            brackets.append((x + 1, y + 1, coeffs))
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    return LieAlgebraData.from_brackets(dim, brackets, identity)
+
+
 class TestConstruction:
     def test_so3_is_accepted(self):
         assert so3().dim == 3
@@ -65,6 +92,22 @@ class TestConstruction:
             LieAlgebraData.from_brackets(
                 2, [], [[1, 1], [0, 1]])
 
+    @pytest.mark.parametrize("dim, brackets, message", [
+        (3, [(1, 2, [0, 0, 1]), (1, 3, [1, 0, 0])],
+         "Jacobi identity fails at indices (1,2,3)"),
+        (4, [(1, 2, [0, 0, 1, 0]), (2, 3, [0, 0, 0, 1]),
+             (3, 4, [1, 0, 0, 0])],
+         "Jacobi identity fails at indices (1,2,4)"),
+        (3, [(1, 2, [0, 0, 1])],
+         "bilinear form is not ad-invariant at (1,2,3)"),
+    ], ids=["jacobi-123", "jacobi-chain-124", "heisenberg-ad-invariance"])
+    def test_first_failing_triple_is_named(self, dim, brackets, message):
+        # identity metric
+        metric = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        with pytest.raises(LieAlgebraError) as info:
+            LieAlgebraData.from_brackets(dim, brackets, metric)
+        assert str(info.value) == message
+
     def test_scaled_metric_accepted(self):
         g = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
         L = LieAlgebraData(3, so3().structure, g)
@@ -75,6 +118,22 @@ class TestCartanForm:
     def test_abelian_is_zero(self):
         T = cartan_3form(abelian(5))
         assert all(v == 0 for _, v in T.table())
+
+    @pytest.mark.parametrize("make", [
+        so3, lambda: LieAlgebraData(3, so3().structure,
+                                    [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+        lambda: so3_plus_abelian(2), lambda: so_n(4)],
+        ids=["so3", "so3-metric-2I", "so3-plus-abelian-2", "so4"])
+    def test_components_match_the_definition(self, make):
+        L = make()
+        T = cartan_3form(L)
+        d = L.dim
+        for i in range(d):
+            for j in range(d):
+                for k in range(d):
+                    total = sum(L.structure[i][j][m] * L.metric[m][k]
+                                for m in range(d))
+                    assert T.components[i][j][k] == total / 2
 
     def test_so3_normalization(self):
         T = cartan_3form(so3())
@@ -139,6 +198,14 @@ class TestKernel:
         assert len(basis) == 2
         for vec in basis:
             assert vec[0] == vec[1] == vec[2] == 0
+
+    def test_abelian_16_is_its_own_kernel(self):
+        L = abelian(16)
+        assert len(contraction_kernel(L)) == 16
+        assert all(v == 0 for _, v in cartan_3form(L).table())
+
+    def test_so4_kernel_is_trivial(self):
+        assert contraction_kernel(so_n(4)) == center(so_n(4)) == []
 
     def test_center_of_so3_trivial(self):
         assert center(so3()) == []
