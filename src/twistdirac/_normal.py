@@ -430,11 +430,9 @@ def combined_fraction(p):
             k = dens.get(a)
             if k is not None and e.denominator == 1:
                 seen.add(a)
-                ne = e + k
+                ne = e + k   # >= 0: k is the largest -e of a
                 if ne > 0:
                     term = p_mul(term, p_pow_int(_atom_poly(a), int(ne)))
-                elif ne < 0:
-                    rest.append((a, ne))
             else:
                 rest.append((a, e))
         for a, k in dens.items():

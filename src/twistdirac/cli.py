@@ -365,6 +365,15 @@ def _outcome(verdict):
             failing and f"failing: {failing}")
 
 
+def _flag(spec, name, default=True):
+    """spec[name] when it is true or false, default when it is absent;
+    ScenarioError for any other value."""
+    value = spec.get(name, default)
+    if name in spec and not isinstance(value, bool):
+        raise ScenarioError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _op_poisson_bracket(run, spec):
     D = run.structure(spec.get("structure"))
     f = run.expr(spec["f"], "f")
@@ -378,7 +387,7 @@ def _op_poisson_bracket(run, spec):
 def _op_courant_admissible(run, spec):
     D = run.structure(spec.get("structure"))
     f = run.expr(spec["f"], "f")
-    expect = bool(spec.get("expect", True))
+    expect = _flag(spec, "expect")
     ok, X = dirac.is_courant_admissible(D, f)
     verdict = "PASS" if ok == expect else "FAIL"
     detail = f"admissible={ok}" + (f", X_f = {X}" if X is not None else "")
@@ -429,11 +438,11 @@ def _op_jacobi_defect(run, spec):
 def _op_symplectic_graph(run, spec):
     D = run.structure(spec.get("structure"))
     f = run.expr(spec["f"], "f")
+    expect = _flag(spec, "expect_h_admissible", None)
     identity, lie = dirac.check_symplgraph(D, f, spec.get("f", "f"))
     v, w, r, _ = _outcome(identity)
     detail = f"H-admissible (L_X h = 0): {lie.zero}"
-    expect = spec.get("expect_h_admissible")
-    if expect is not None and bool(expect) != lie.zero:
+    if expect is not None and expect != lie.zero:
         v = "FAIL"
     return v, w, r, detail
 
@@ -449,8 +458,8 @@ def _op_admissible_pair(run, spec):
     sec = run.sections[spec["section"]]
     H = run._parse_form_spec(spec["H"], degree=sec.level + 1, label="H") \
         if "H" in spec else run.structure(spec.get("structure")).H
+    expect = _flag(spec, "expect")
     verdict = dirac.is_admissible_pair(sec.X, sec.alpha, H, run.cfg)
-    expect = bool(spec.get("expect", True))
     _, w, r, _ = _outcome(verdict)
     return "PASS" if verdict.zero == expect else "FAIL", w, r, ""
 
@@ -473,16 +482,14 @@ def _op_image_under_d(run, spec):
 
 def _op_integrable(run, spec):
     D = run.structure(spec.get("structure"))
-    expect = bool(spec.get("expect", True))
-    ok = D.integrable == expect
+    ok = D.integrable == _flag(spec, "expect")
     return ("PASS" if ok else "FAIL", None, None,
             f"integrable={D.integrable}")
 
 
 def _op_nondegenerate(run, spec):
     D = run.structure(spec.get("structure"))
-    expect = bool(spec.get("expect", True))
-    ok = D.nondegenerate == expect
+    ok = D.nondegenerate == _flag(spec, "expect")
     return ("PASS" if ok else "FAIL", None, None,
             f"nondegenerate={D.nondegenerate}")
 

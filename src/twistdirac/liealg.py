@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .symexpr import SymExprError
+from .symexpr import Chart, SymExprError
 
 __all__ = [
     "LieAlgebraError", "LieAlgebraData", "CartanThreeForm", "cartan_3form",
@@ -44,6 +44,8 @@ class LieAlgebraData:
     """Structure constants and bilinear form, validated on construction,
     with the Cartan 3-form that the validation computes."""
 
+    MAX_DIM = Chart.MAX_DIM   # the largest algebra the engine accepts
+
     dim: int
     structure: tuple   # structure[i][j][k] = C^k_{ij}
     metric: tuple      # metric[i][j]
@@ -51,6 +53,7 @@ class LieAlgebraData:
     # cartan[i][j][k] = T(X_i, X_j, X_k)
 
     def __init__(self, dim, structure, metric):
+        _check_dim(dim)
         structure = tuple(
             _as_fraction_table(dim, plane, f"structure[{i}]")
             for i, plane in enumerate(structure))
@@ -66,6 +69,7 @@ class LieAlgebraData:
     def from_brackets(cls, dim, brackets, metric):
         """Build from sparse 1-based bracket data: entries (i, j, coeffs)
         meaning [X_i, X_j] = sum_k coeffs[k-1] X_k."""
+        _check_dim(dim)
         C = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         for i, j, coeffs in brackets:
             if not (1 <= i <= dim and 1 <= j <= dim):
@@ -128,6 +132,13 @@ class LieAlgebraData:
                             f"bilinear form is not ad-invariant at "
                             f"({i + 1},{j + 1},{k + 1})")
         return T
+
+
+def _check_dim(dim):
+    if dim > LieAlgebraData.MAX_DIM:
+        raise LieAlgebraError(
+            f"Lie algebra dimension {dim} exceeds limit "
+            f"{LieAlgebraData.MAX_DIM}")
 
 
 def _rref_nullspace(rows, n):
@@ -233,6 +244,7 @@ def so3():
 
 def abelian(dim):
     """Abelian algebra of a given dimension with the identity form."""
+    _check_dim(dim)
     C = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     g = [[Fraction(1 if i == j else 0) for j in range(dim)]
          for i in range(dim)]

@@ -276,26 +276,73 @@ class TestScenarioFiles:
          "so3"),
         ({"op": "nondegenerate", "structure": "L"},
          {"type": "graph", "h": ["dp1^dq1"]}),
+        ({"op": "courant_admissible", "f": "q1", "expect": "false"}, None),
+        ({"op": "admissible_pair", "section": "A", "expect": "false"},
+         None),
+        ({"op": "integrable", "expect": "false"}, None),
+        ({"op": "nondegenerate", "expect": "false"}, None),
+        ({"op": "symplectic_graph", "f": "q1",
+          "expect_h_admissible": "false"}, None),
+        ({"op": "integrable", "expect": 0}, None),
+        ({"op": "symplectic_graph", "f": "q1",
+          "expect_h_admissible": None}, None),
+        ({"op": "cartan_kernel", "structure": "L",
+          "expect_dimension": 17}, {"algebra": "abelian(17)"}),
+        ({"op": "cartan_kernel", "structure": "L",
+          "expect_dimension": 17}, {"algebra": {
+              "dim": 17, "brackets": [],
+              "metric": [[int(i == j) for j in range(17)]
+                         for i in range(17)]}}),
     ], ids=["check-not-an-object", "expression-is-a-list",
             "graph-op-on-an-algebra", "cartan-kernel-on-a-graph",
             "cartan-table-on-a-graph", "algebra-missing",
             "abelian-of-a-name", "expect-dimension-a-word",
             "expect-dimension-a-fraction", "nonzero-out-of-range",
-            "nonzero-of-two-indices", "form-is-a-list"])
+            "nonzero-of-two-indices", "form-is-a-list",
+            "courant-admissible-expect-a-string",
+            "admissible-pair-expect-a-string", "integrable-expect-a-string",
+            "nondegenerate-expect-a-string",
+            "symplectic-graph-expect-a-string", "integrable-expect-zero",
+            "symplectic-graph-expect-null", "abelian-over-the-bound",
+            "dim-over-the-bound"])
     def test_malformed_check_is_an_error_row(self, tmp_path, check,
                                              algebra):
         # L is so3, a lie_algebra structure with the given fields, or a
-        # whole structure; the canonical check after the bad one still runs
+        # whole structure; A is an admissible section of main; the
+        # canonical check after the bad one still runs
         structures = {"main": MINIMAL["structure"]}
         if algebra == "so3":
             algebra = {"algebra": "so3"}
         if algebra is not None:
             structures["L"] = {"type": "lie_algebra", **algebra}
         data = _with(MINIMAL, "structures", structures)
+        data["definitions"]["sections"] = {
+            "A": {"X": {"p1": "q1"}, "alpha": "dq1"}}
         data["checks"] = [check] + MINIMAL["checks"]
         report = run_scenario(write_scenario(tmp_path, data))
         assert [c.verdict for c in report.checks] == ["ERROR", "PASS"]
         assert report.exit_code == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("expect", "false"), ("expect", 0), ("expect", None),
+        ("expect_h_admissible", "false")])
+    def test_non_boolean_flag_names_the_field(self, tmp_path, field, value):
+        data = json.loads(json.dumps(MINIMAL))
+        op = "nondegenerate" if field == "expect" else "symplectic_graph"
+        data["checks"] = [{"op": op, "f": "q1", field: value}]
+        check = run_scenario(write_scenario(tmp_path, data)).checks[0]
+        assert check.verdict == "ERROR"
+        assert f"{field} must be true or false" in check.detail
+
+    @pytest.mark.parametrize("expect, verdict", [(True, "PASS"),
+                                                 (False, "FAIL")])
+    def test_boolean_expect_is_read_as_given(self, tmp_path, expect,
+                                             verdict):
+        data = json.loads(json.dumps(MINIMAL))
+        data["checks"] = [{"op": "nondegenerate", "expect": expect},
+                          {"op": "integrable"}]
+        report = run_scenario(write_scenario(tmp_path, data))
+        assert [c.verdict for c in report.checks] == [verdict, "PASS"]
 
 
 # {F(q), p} = -F'(q) on dp^dq: FAIL, unless the oracle settings make a

@@ -108,6 +108,16 @@ class TestConstruction:
             LieAlgebraData.from_brackets(dim, brackets, metric)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("make", [
+        lambda: abelian(17),
+        lambda: LieAlgebraData(17, [], []),
+        lambda: LieAlgebraData.from_brackets(17, [], [])],
+        ids=["abelian", "constructor", "from-brackets"])
+    def test_dimension_over_the_bound_is_rejected(self, make):
+        # raised before any tensor of the given size is read or built
+        with pytest.raises(LieAlgebraError, match="exceeds limit 16"):
+            make()
+
     def test_scaled_metric_accepted(self):
         g = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
         L = LieAlgebraData(3, so3().structure, g)
