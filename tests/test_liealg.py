@@ -102,7 +102,6 @@ class TestConstruction:
          "bilinear form is not ad-invariant at (1,2,3)"),
     ], ids=["jacobi-123", "jacobi-chain-124", "heisenberg-ad-invariance"])
     def test_first_failing_triple_is_named(self, dim, brackets, message):
-        # identity metric
         metric = [[int(i == j) for j in range(dim)] for i in range(dim)]
         with pytest.raises(LieAlgebraError) as info:
             LieAlgebraData.from_brackets(dim, brackets, metric)
