@@ -16,9 +16,10 @@ from .symexpr import (Chart, ChartMismatchError, EvaluationSingularityError,
 from .exterior import (KForm, VectorField, ext_d, form_is_zero, interior,
                        lie_derivative, parse_form, parse_vector_field,
                        vf_apply, vf_bracket, vf_is_zero, wedge)
-from .courant import (GenSection, courant_bracket, courant_tensor,
-                      derived_bracket, derived_bracket_skew, dorfman_bracket,
-                      pairing, pairing_is_zero, twisted_courant_bracket)
+from .courant import (GenSection, LevelError, courant_bracket,
+                      courant_tensor, derived_bracket, derived_bracket_skew,
+                      dorfman_bracket, pairing, pairing_is_zero,
+                      twisted_courant_bracket)
 from .dirac import (AdmissibilityReport, NondegeneracyError, SolveError,
                     TwistNotClosedError, TwistedGraph,
                     check_image_under_d, check_poiss_brak_adm,

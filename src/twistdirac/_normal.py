@@ -5,9 +5,11 @@ elimination are sparse sum-of-monomials polynomials over "atoms":
 coordinates, function applications, and irreducible power bases (sums
 raised to negative or fractional exponents, non-perfect rational radicals,
 and even powers under a root, which keep their sign).  Expression trees
-are converted once on the way in (``to_poly``) and rebuilt only to print or
-evaluate (``from_poly``).  Arithmetic (``p_mul``, ``p_add_inplace``,
-``p_pow``) and differentiation (``p_diff``) act on polynomials directly.
+are converted once on the way in (``to_poly``) and rebuilt (``from_poly``)
+only where a caller asks for a tree; the zero test compiles a polynomial's
+terms for evaluation directly, in ``sorted_terms`` order.  Arithmetic
+(``p_mul``, ``p_add_inplace``, ``p_pow``) and differentiation (``p_diff``)
+act on polynomials directly.
 The polynomial/Laurent subclass over coordinates gets an exact canonical
 form (``normal``): sum denominators are recombined into a single fraction
 and cancelled by exact multivariate division when the division is exact.
@@ -493,12 +495,17 @@ def recompose(num, dens):
     return p_mul(num, inv)
 
 
+def sorted_terms(p):
+    """The (monomial, coefficient) pairs of p in printing order."""
+    return sorted(p.items(), key=lambda t: _mono_key(t[0]))
+
+
 def from_poly(p):
     Rat, Prod, Pow, Sum = symexpr.Rat, symexpr.Prod, symexpr.Pow, symexpr.Sum
     if not p:
         return Rat(0)
     terms = []
-    for m, c in sorted(p.items(), key=lambda t: _mono_key(t[0])):
+    for m, c in sorted_terms(p):
         factors = []
         for a, e in m:
             factors.append(a if e == 1 else Pow(a, e))

@@ -12,15 +12,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .symexpr import OracleConfig, Rat, is_zero
+from .symexpr import OracleConfig, Rat, SymExprError, is_zero
 from .exterior import (KForm, ext_d, form_is_zero, interior, lie_derivative,
                        vf_bracket, _require_same_chart)
 
 __all__ = [
-    "GenSection", "pairing", "pairing_is_zero", "courant_bracket",
-    "dorfman_bracket", "twisted_courant_bracket", "derived_bracket",
-    "derived_bracket_skew", "courant_tensor",
+    "LevelError", "GenSection", "pairing", "pairing_is_zero",
+    "courant_bracket", "dorfman_bracket", "twisted_courant_bracket",
+    "derived_bracket", "derived_bracket_skew", "courant_tensor",
 ]
+
+
+class LevelError(SymExprError, ValueError):
+    """Sections of different levels, a twisting form of the wrong degree
+    for their level, or a level-2 operation on another level."""
 
 
 class GenSection:
@@ -54,14 +59,14 @@ class GenSection:
 def _check_levels(A, B):
     _require_same_chart(A.X, B.X)
     if A.level != B.level:
-        raise ValueError(f"section levels differ: {A.level} vs {B.level}")
+        raise LevelError(f"section levels differ: {A.level} vs {B.level}")
     return A.level
 
 
-def _check_twist(A, H, expected_extra=1):
-    if H.degree != A.level + expected_extra:
-        raise ValueError(
-            f"twisting form must have degree {A.level + expected_extra} "
+def _check_twist(A, H):
+    if H.degree != A.level + 1:
+        raise LevelError(
+            f"twisting form must have degree {A.level + 1} "
             f"for level-{A.level} sections, got {H.degree}")
     _require_same_chart(A.X, H)
 
@@ -93,7 +98,7 @@ def courant_bracket(A, B):
     ([X, Y], L_X eta - L_Y xi - d(i_X eta - i_Y xi)/2)."""
     n = _check_levels(A, B)
     if n != 2:
-        raise ValueError(f"the skew bracket is a level-2 operation, "
+        raise LevelError(f"the skew bracket is a level-2 operation, "
                          f"got level {n}")
     X, xi = A.X, A.alpha
     Y, eta = B.X, B.alpha
@@ -107,7 +112,7 @@ def dorfman_bracket(A, B):
     """Non-skew bracket at level 2: ([X, Y], L_X eta - i_Y d xi)."""
     n = _check_levels(A, B)
     if n != 2:
-        raise ValueError(f"the Dorfman bracket is a level-2 operation, "
+        raise LevelError(f"the Dorfman bracket is a level-2 operation, "
                          f"got level {n}")
     form = lie_derivative(A.X, B.alpha) - interior(B.X, ext_d(A.alpha))
     return GenSection(vf_bracket(A.X, B.X), form).simplified()
@@ -119,7 +124,7 @@ def twisted_courant_bracket(A, B, H):
     closedness where it matters)."""
     n = _check_levels(A, B)
     if n != 2:
-        raise ValueError("the twisted bracket is a level-2 operation")
+        raise LevelError("the twisted bracket is a level-2 operation")
     _check_twist(A, H)
     plain = courant_bracket(A, B)
     twist = interior(B.X, interior(A.X, H))
@@ -158,7 +163,7 @@ def courant_tensor(A, B, C, H):
     """
     n = _check_levels(A, C)
     if _check_levels(A, B) != 2 or n != 2:
-        raise ValueError("the tensor is a level-2 operation")
+        raise LevelError("the tensor is a level-2 operation")
     _check_twist(A, H)
     br = twisted_courant_bracket(A, B, H)
     return (interior(C.X, br.alpha) + interior(br.X, C.alpha)).scalar_value()

@@ -38,8 +38,8 @@ from .symexpr import (OracleConfig, OracleInconclusiveError, Prod, Rat, Sum,
 from .exterior import (KForm, VectorField, ext_d, form_is_zero, interior,
                        lie_derivative, vf_apply, vf_bracket, vf_is_zero,
                        apply_poly, _require_same_chart)
-from .courant import (GenSection, derived_bracket, pairing_is_zero,
-                      twisted_courant_bracket)
+from .courant import (GenSection, _check_twist, derived_bracket,
+                      pairing_is_zero, twisted_courant_bracket)
 
 __all__ = [
     "TwistedGraph", "AdmissibilityReport", "NondegeneracyError", "SolveError",
@@ -311,11 +311,9 @@ def _h_verdict(D, f):
 
 
 def is_admissible_pair(X, alpha, H, cfg=OracleConfig()):
-    """Zero-verdict of d alpha + i_X H for a pair at any level."""
-    if H.degree != alpha.degree + 2:
-        raise ValueError(
-            f"twist degree {H.degree} does not match pair level "
-            f"{alpha.degree + 1}")
+    """Zero-verdict of d alpha + i_X H for a pair at any level;
+    LevelError when H is not of degree level + 1."""
+    _check_twist(GenSection(X, alpha), H)
     residual = ext_d(alpha) + interior(X, H)
     return form_is_zero(residual, cfg)
 

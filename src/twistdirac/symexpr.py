@@ -18,9 +18,11 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isfinite, lcm
+from operator import add, mul
 
 from ._normal import (canon_expr, combined_fraction, from_poly, iroot,
-                      is_rational_function, p_diff, recompose, to_poly)
+                      is_rational_function, p_diff, recompose, sorted_terms,
+                      to_poly)
 
 
 class SymExprError(Exception):
@@ -360,6 +362,8 @@ def _horner_forms(coeffs):
 
 
 def _num_pow(base, exp):
+    """base^exp for a value that is not a positive exact pair: zero, a
+    negative, a float or another number."""
     if exp.denominator == 1:
         n = int(exp)
         if base == 0 and n < 0:
@@ -374,12 +378,6 @@ def _num_pow(base, exp):
     if base < 0:
         raise EvaluationSingularityError(
             "negative radicand for a fractional power")
-    if isinstance(base, Fraction):
-        rn = iroot(base.numerator, exp.denominator)
-        if rn is not None:
-            rd = iroot(base.denominator, exp.denominator)
-            if rd is not None:
-                return Fraction(rn, rd) ** exp.numerator
     return float(base) ** float(exp)
 
 
@@ -395,86 +393,241 @@ def _floats(a, b):
 _FLOAT_OR_FRACTION = (float, Fraction)
 
 
-def _eval(e, point, func_env, memo):
-    """Value of e at point.  memo maps nodes to their values at this
-    point; a subexpression found there, from this expression or from
-    another one evaluated with the same memo, is not evaluated again."""
-    kind = e.kind
-    if kind == "rat":
-        return e.value
-    v = memo.get(e)
-    if v is not None:
-        return v
-    if kind == "var":
+# A compiled expression is a straight-line program: a list of
+# instructions (op, dst, a, b), each writing one register, in the order a
+# depth-first walk of the tree first reaches each node, so a subexpression
+# that occurs several times is computed once.  Constants are preloaded
+# into the register template.  A register holds an exact value as an
+# unreduced integer pair (num, den) with den > 0, a float, or any other
+# number a function instantiation returned.
+_SUM, _PROD, _IPOW, _RPOW, _VAR, _FUNC = range(6)
+
+
+class _Program:
+    """Compiles expressions and polynomial terms into one program; run()
+    evaluates every compiled node at a point."""
+
+    def __init__(self, func_env):
+        self.func_env = func_env
+        self.code = []
+        self.template = []
+        self.memo = {}
+        self.consts = {}
+
+    def _reg(self, value=None):
+        self.template.append(value)
+        return len(self.template) - 1
+
+    def _emit(self, op, a, b=None):
+        r = self._reg()
+        self.code.append((op, r, a, b))
+        return r
+
+    def const(self, c):
+        r = self.consts.get(c)
+        if r is None:
+            r = self.consts[c] = self._reg((c.numerator, c.denominator))
+        return r
+
+    def expr(self, e):
+        """The register of e's value."""
+        kind = e.kind
+        if kind == "rat":
+            return self.const(e.value)
+        if kind == "pow":
+            return self.power(e.base, e.exp)
+        r = self.memo.get(e)
+        if r is None:
+            if kind == "var":
+                r = self._emit(_VAR, e.name)
+            elif kind == "sum" or kind == "prod":
+                args = tuple(self.expr(a) for a in e.args)
+                r = self._emit(_SUM if kind == "sum" else _PROD, args)
+            elif kind == "func":
+                arg = self.expr(e.arg)
+                r = self._emit(_FUNC, arg, (self._lookup(e.name), e.order))
+            else:
+                raise TypeError(f"unknown node kind {kind!r}")
+            self.memo[e] = r
+        return r
+
+    def power(self, base, exp):
+        """The register of base^exp, shared with every equal power."""
+        key = (base, exp.numerator, exp.denominator)
+        r = self.memo.get(key)
+        if r is None:
+            src = self.expr(base)
+            exp = Fraction(exp)
+            if exp.denominator == 1:
+                r = self._emit(_IPOW, src, (exp, int(exp)))
+            else:
+                r = self._emit(_RPOW, src, (exp, float(exp)))
+            self.memo[key] = r
+        return r
+
+    def terms(self, e):
+        """The registers of the additive terms of e, an expression or a
+        polynomial.  A polynomial's terms are its monomials, each compiled
+        as from_poly writes it and in its order, without building the
+        tree."""
+        if not isinstance(e, dict):
+            return [self.expr(t) for t in
+                    (e.args if e.kind == "sum" else (e,))]
+        outs = []
+        for m, c in sorted_terms(e):
+            factors = [self.expr(a) if k == 1 else self.power(a, k)
+                       for a, k in m]
+            if not factors:
+                outs.append(self.const(c))
+            elif c != 1:
+                outs.append(self._emit(_PROD, (self.const(c), *factors)))
+            elif len(factors) > 1:
+                outs.append(self._emit(_PROD, tuple(factors)))
+            else:
+                outs.append(factors[0])
+        return outs
+
+    def _lookup(self, name):
+        """name's eval_deriv; a missing one raises when it is called, so
+        errors come in the order a tree walk would meet them."""
         try:
-            v = point[e.name]
+            return self.func_env[name].eval_deriv
         except KeyError:
-            raise ChartMismatchError(f"point has no value for {e.name!r}")
-        if type(v) is not Fraction and not isinstance(v, float):
-            v = Fraction(v)
-    elif kind == "sum":
-        # exact terms are added as integers over a common denominator;
-        # from the first other term on, left to right as numbers
-        num, den, v = 0, 1, None
-        for a in e.args:
-            x = _eval(a, point, func_env, memo)
-            if v is None:
-                if type(x) is Fraction:
-                    n, d = x.numerator, x.denominator
-                    if d == den:
-                        num += n
-                    else:
-                        g = gcd(den, d)
-                        num = num * (d // g) + n * (den // g)
-                        den = den // g * d
-                    continue
-                v = Fraction(num, den)
-            v = float(v) + float(x) if _floats(v, x) else v + x
-        if v is None:
-            v = Fraction(num, den)
-    elif kind == "prod":
-        num, den, v = 1, 1, None
-        for a in e.args:
-            x = _eval(a, point, func_env, memo)
-            if v is None:
-                if type(x) is Fraction:
-                    num *= x.numerator
-                    den *= x.denominator
-                    continue
-                v = Fraction(num, den)
-            v = float(v) * float(x) if _floats(v, x) else v * x
-        if v is None:
-            v = Fraction(num, den)
-    elif kind == "pow":
-        v = _num_pow(_eval(e.base, point, func_env, memo), e.exp)
-    elif kind == "func":
-        try:
-            f = func_env[e.name]
-        except KeyError:
-            raise MissingFunctionError(
-                f"no instantiation for function symbol {e.name!r}")
-        try:
-            eval_deriv = f.eval_deriv
+            message = f"no instantiation for function symbol {name!r}"
         except AttributeError:
-            raise MissingFunctionError(
-                f"instantiation of {e.name!r} has no eval_deriv")
-        v = eval_deriv(e.order, _eval(e.arg, point, func_env, memo))
-    else:
-        raise TypeError(f"unknown node kind {kind!r}")
-    memo[e] = v
-    return v
+            message = f"instantiation of {name!r} has no eval_deriv"
+
+        def missing(order, x):
+            raise MissingFunctionError(message)
+        return missing
+
+    def run(self, point):
+        """The registers after running the program at point."""
+        regs = self.template[:]
+        for op, dst, a, b in self.code:
+            if op == _PROD:
+                # exact factors are multiplied as integers; from the first
+                # other one on, left to right as numbers
+                num, den, v = 1, 1, None
+                for r in a:
+                    x = regs[r]
+                    tx = type(x)
+                    if v is None:
+                        if tx is tuple:
+                            num *= x[0]
+                            den *= x[1]
+                            continue
+                        v = num / den if tx is float else Fraction(num, den)
+                    if type(v) is float and tx is float:
+                        v *= x
+                    elif type(v) is float and tx is tuple:
+                        v *= x[0] / x[1]
+                    else:
+                        v = _mixed(v, x, mul)
+                regs[dst] = (num, den) if v is None else _as_register(v)
+            elif op == _SUM:
+                # the same, with exact terms over a common denominator
+                num, den, v = 0, 1, None
+                for r in a:
+                    x = regs[r]
+                    tx = type(x)
+                    if v is None:
+                        if tx is tuple:
+                            n, d = x
+                            if d == den:
+                                num += n
+                            else:
+                                g = gcd(den, d)
+                                num = num * (d // g) + n * (den // g)
+                                den = den // g * d
+                            continue
+                        v = num / den if tx is float else Fraction(num, den)
+                    if type(v) is float and tx is float:
+                        v += x
+                    elif type(v) is float and tx is tuple:
+                        v += x[0] / x[1]
+                    else:
+                        v = _mixed(v, x, add)
+                regs[dst] = (num, den) if v is None else _as_register(v)
+            elif op == _RPOW:
+                x = regs[a]
+                if type(x) is tuple and x[0] > 0:
+                    # iroot needs reduced terms: 18/32 is the square 9/16
+                    n, d = x
+                    g = gcd(n, d)
+                    q = b[0].denominator
+                    rn = iroot(n // g, q)
+                    rd = None if rn is None else iroot(d // g, q)
+                    if rd is None:
+                        regs[dst] = (n / d) ** b[1]
+                    else:
+                        regs[dst] = _pair_pow(rn, rd, b[0].numerator)
+                elif type(x) is float and x > 0:
+                    regs[dst] = x ** b[1]
+                else:
+                    regs[dst] = _as_register(_num_pow(_value(x), b[0]))
+            elif op == _IPOW:
+                x = regs[a]
+                if type(x) is tuple and (x[0] or b[1] >= 0):
+                    regs[dst] = _pair_pow(x[0], x[1], b[1])
+                else:
+                    regs[dst] = _as_register(_num_pow(_value(x), b[0]))
+            elif op == _VAR:
+                try:
+                    x = point[a]
+                except KeyError:
+                    raise ChartMismatchError(
+                        f"point has no value for {a!r}")
+                if type(x) is Fraction:
+                    regs[dst] = (x.numerator, x.denominator)
+                elif isinstance(x, float):
+                    regs[dst] = x
+                else:
+                    regs[dst] = _as_register(Fraction(x))
+            else:               # _FUNC: b is (eval_deriv, order)
+                x = regs[a]
+                regs[dst] = _as_register(b[0](b[1], _value(x)))
+        return regs
+
+
+def _pair_pow(n, d, k):
+    """(n/d)^k as a pair; n != 0 when k < 0."""
+    if k >= 0:
+        return n ** k, d ** k
+    return (d ** -k, n ** -k) if n > 0 else ((-d) ** -k, (-n) ** -k)
+
+
+def _mixed(v, x, op):
+    """v op x as Python's operators give it, for register values that are
+    not both floats or floats and pairs."""
+    x = _value(x)
+    return op(float(v), float(x)) if _floats(v, x) else op(v, x)
+
+
+def _as_register(v):
+    return (v.numerator, v.denominator) if isinstance(v, Fraction) else v
+
+
+def _value(x):
+    """A register's value as a number: a reduced Fraction when exact."""
+    return Fraction(*x) if type(x) is tuple else x
 
 
 def eval_expr(e, point, func_env=None):
     """Evaluate e at a point (mapping coordinate name -> number).
 
-    Arithmetic stays exact on Fractions where possible and falls back to
-    floats for irrational powers.  Function symbols are looked up in
-    func_env, whose values supply eval_deriv(order, x) (as PolyFunc
-    does); order-k applications evaluate the k-th derivative.  A
-    subexpression that occurs several times in e is evaluated once.
+    e is compiled into a straight-line program, each distinct
+    subexpression once, and the program is run at the point.  Exact
+    intermediates are integer pairs, reduced to a Fraction only before a
+    root or a function call and at the end, so an exact result is a
+    reduced Fraction; irrational powers fall back to floats.  Function
+    symbols are looked up in func_env, whose values supply
+    eval_deriv(order, x) (as PolyFunc does); order-k applications evaluate
+    the k-th derivative.
     """
-    return _eval(e, point, func_env or {}, {})
+    program = _Program(func_env or {})
+    out = program.expr(e)
+    return _value(program.run(point)[out])
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +763,9 @@ def sample_point(cfg, coords, index, attempt=0):
 
 
 def oracle_function_env(cfg, e):
-    """The seeded instantiation of every function symbol in e, as a dict
-    name -> PolyFunc drawn from the symbol's own seeded stream; empty
-    when e has no function symbols.
+    """The seeded instantiation of every function symbol in e, an
+    expression or a polynomial, as a dict name -> PolyFunc drawn from the
+    symbol's own seeded stream; empty when e has no function symbols.
 
     A symbol applied at m distinct arguments, with derivatives up to
     order K, is drawn at degree max(cfg.func_degree, m(K+1) - 1).  At a
@@ -626,7 +779,7 @@ def oracle_function_env(cfg, e):
     depend on the degree.
     """
     args, order = {}, {}
-    stack = [e]
+    stack = [a for m in e for a, _ in m] if isinstance(e, dict) else [e]
     while stack:
         x = stack.pop()
         kind = x.kind
@@ -645,25 +798,27 @@ def oracle_function_env(cfg, e):
 
 
 def sampled_sums(e, cfg, coords, func_env):
-    """Evaluations of e at the seeded sample points.
+    """Evaluations of e, an expression or a polynomial, at the seeded
+    sample points.
 
     Yields (point, total, tol) for each of cfg.samples points: the sum of
     e's additive terms at the point, and the zero tolerance there.  When
-    every term is an exact Fraction at the point, so is the sum, and the
-    tolerance is 0; otherwise the sum is a float and the tolerance is
-    abs_tol plus rel_tol times the largest term.  The terms share one
-    memo per point, so a subexpression that occurs in several terms
-    (a function value, a radical) is evaluated once per point.  A point
+    every term is exact at the point, the sum is an exact Fraction and
+    the tolerance is 0; otherwise the sum is a float and the tolerance is
+    abs_tol plus rel_tol times the largest term.  The terms are compiled
+    once into one straight-line program, run at every point and every
+    redrawn point, so a subexpression that occurs in several terms (a
+    function value, a radical) is evaluated once per point.  A point
     where evaluation hits a singularity is redrawn up to MAX_RESAMPLE
     times; OracleInconclusiveError when every attempt fails.
     """
-    terms = e.args if e.kind == "sum" else (e,)
+    program = _Program(func_env)
+    outs = program.terms(e)
     for i in range(cfg.samples):
         for attempt in range(MAX_RESAMPLE):
             point = sample_point(cfg, coords, i, attempt)
-            memo = {}
             try:
-                values = [_eval(t, point, func_env, memo) for t in terms]
+                regs = program.run(point)
             except EvaluationSingularityError:
                 continue
             break
@@ -671,10 +826,17 @@ def sampled_sums(e, cfg, coords, func_env):
             raise OracleInconclusiveError(
                 f"sample point {i} hit singularities in all "
                 f"{MAX_RESAMPLE} resampling attempts")
-        if all(isinstance(v, Fraction) for v in values):
-            yield point, sum(values), 0
+        values = [regs[r] for r in outs]
+        if all(type(v) is tuple for v in values):
+            num, den = 0, 1
+            for n, d in values:
+                g = gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den = den // g * d
+            yield point, Fraction(num, den), 0
             continue
-        values = [float(v) for v in values]
+        values = [v[0] / v[1] if type(v) is tuple else float(v)
+                  for v in values]
         scale = max((abs(v) for v in values), default=0.0)
         yield point, sum(values), cfg.abs_tol + cfg.rel_tol * scale
 
@@ -686,24 +848,25 @@ def is_zero(e, cfg=OracleConfig()):
     Exact normalization decides the polynomial/rational subclass, where a
     nonzero normal form gets an exact witness from the seeded points;
     other expressions are evaluated at seeded sample points with function
-    symbols instantiated as seeded random polynomials.  Identical seed and
-    config give identical verdicts.
+    symbols instantiated as seeded random polynomials.  Either way the
+    normal form's terms are compiled once and run at every point.
+    Identical seed and config give identical verdicts.
     """
     num, dens = combined_fraction(e if isinstance(e, dict)
                                   else to_poly(as_expr(e)))
     if not num:
         return ZeroVerdict(zero=True, exact=True)
-    simplified = from_poly(recompose(num, dens))
-    chart = simplified.chart
+    p = recompose(num, dens)
+    chart = _merge_charts(*(a.chart for m in p for a, _ in m))
     coords = chart.coords if chart is not None else ()
     rational = is_rational_function(num, dens)
     if rational:
         # exactly nonzero as a rational function; exhibit a witness by
         # exact evaluation at (at least 8) seeded rational points
         cfg = replace(cfg, samples=max(cfg.samples, 8))
-    env = oracle_function_env(cfg, simplified)
+    env = oracle_function_env(cfg, p)
     func_env = None if rational else tuple(sorted(env.items()))
-    for point, total, tol in sampled_sums(simplified, cfg, coords, env):
+    for point, total, tol in sampled_sums(p, cfg, coords, env):
         if abs(total) > tol:
             return ZeroVerdict(
                 zero=False, exact=rational,

@@ -293,6 +293,9 @@ class TestScenarioFiles:
               "dim": 17, "brackets": [],
               "metric": [[int(i == j) for j in range(17)]
                          for i in range(17)]}}),
+        ({"op": "admissible_pair", "section": "A3", "expect": True}, None),
+        ({"op": "pairing_zero", "a": "A", "b": "A3"}, None),
+        ({"op": "image_under_d", "sections": ["A"], "H": "0"}, None),
     ], ids=["check-not-an-object", "expression-is-a-list",
             "graph-op-on-an-algebra", "cartan-kernel-on-a-graph",
             "cartan-table-on-a-graph", "algebra-missing",
@@ -304,12 +307,13 @@ class TestScenarioFiles:
             "nondegenerate-expect-a-string",
             "symplectic-graph-expect-a-string", "integrable-expect-zero",
             "symplectic-graph-expect-null", "abelian-over-the-bound",
-            "dim-over-the-bound"])
+            "dim-over-the-bound", "admissible-pair-level-3-on-a-3-form",
+            "pairing-zero-of-levels-2-and-3", "image-under-d-with-H-0"])
     def test_malformed_check_is_an_error_row(self, tmp_path, check,
                                              algebra):
         # L is so3, a lie_algebra structure with the given fields, or a
-        # whole structure; A is an admissible section of main; the
-        # canonical check after the bad one still runs
+        # whole structure; A is an admissible section of main and A3 a
+        # level-3 section; the canonical check after the bad one still runs
         structures = {"main": MINIMAL["structure"]}
         if algebra == "so3":
             algebra = {"algebra": "so3"}
@@ -317,7 +321,8 @@ class TestScenarioFiles:
             structures["L"] = {"type": "lie_algebra", **algebra}
         data = _with(MINIMAL, "structures", structures)
         data["definitions"]["sections"] = {
-            "A": {"X": {"p1": "q1"}, "alpha": "dq1"}}
+            "A": {"X": {"p1": "q1"}, "alpha": "dq1"},
+            "A3": {"X": {"p1": "q1"}, "alpha": "dq1^dp1"}}
         data["checks"] = [check] + MINIMAL["checks"]
         report = run_scenario(write_scenario(tmp_path, data))
         assert [c.verdict for c in report.checks] == ["ERROR", "PASS"]

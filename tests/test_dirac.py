@@ -345,6 +345,13 @@ class TestAdmissiblePairs:
                                KForm.zero(phase, 1),
                                KForm.zero(phase, 4), cfg)
 
+    def test_degree_mismatch_names_the_needed_degree(self, phase, cfg):
+        with pytest.raises(ValueError, match="twisting form must have "
+                           "degree 4 for level-3 sections, got 3"):
+            is_admissible_pair(VectorField.zero(phase),
+                               KForm.zero(phase, 2),
+                               KForm.zero(phase, 3), cfg)
+
     def test_constructed_families(self, phase, cfg):
         H3 = KForm.basis(phase, ["q1", "q2", "q3"])
         H4 = KForm.basis(phase, ["q1", "q2", "q3", "p1"])

@@ -130,6 +130,38 @@ class TestEval:
         e = phase["q1"] / 3 + Rat(1, 6)
         assert eval_expr(e, {"q1": Fraction(1, 2)}) == Fraction(1, 3)
 
+    def test_root_of_an_unreduced_square_is_exact(self, phase):
+        # 2 * x * 1/2 * x at 3/4 multiplies out to 18/32, which is not a
+        # square of integers until it is reduced to 9/16
+        q1 = phase["q1"]
+        e = Pow(Prod(Rat(2), q1, Rat(1, 2), q1), Fraction(1, 2))
+        got = eval_expr(e, {"q1": Fraction(3, 4)})
+        assert type(got) is Fraction and got == Fraction(3, 4)
+
+    @pytest.mark.parametrize("text, value", [
+        ("q1 + p1", Fraction(5, 6)), ("q1*p1*6", Fraction(1)),
+        ("q1^2*p1^-2 - 9/4", Fraction(0)),
+        ("(q1 + p1)^-3", Fraction(216, 125))])
+    def test_exact_results_are_reduced_fractions(self, phase, text, value):
+        got = eval_expr(parse_expr(text, phase),
+                        {"q1": Fraction(1, 2), "p1": Fraction(1, 3)})
+        assert type(got) is Fraction and got == value
+
+    def test_a_float_in_an_exact_sum(self, phase):
+        # the exact terms before the float are summed exactly, then
+        # converted once, as float(Fraction) does
+        e = parse_expr("q1/3 + p1/7 + q2 + q3/11", phase)
+        point = {"q1": Fraction(1, 5), "p1": Fraction(2, 9), "q2": 0.1,
+                 "q3": Fraction(3, 13)}
+        got = eval_expr(e, point)
+        exact = Fraction(1, 15) + Fraction(2, 63)
+        assert type(got) is float
+        assert got == float(exact) + 0.1 + float(Fraction(3, 143))
+
+    def test_a_coordinate_missing_from_the_point(self, phase):
+        with pytest.raises(ChartMismatchError, match="'p1'"):
+            eval_expr(phase["q1"] * phase["p1"], {"q1": 1})
+
     def test_division_by_zero(self, phase):
         with pytest.raises(EvaluationSingularityError):
             eval_expr(1 / phase["q1"], {"q1": 0})
