@@ -370,7 +370,7 @@ def _num_pow(base, exp):
             raise EvaluationSingularityError("0 raised to a negative power")
         if isinstance(base, float):
             return base ** n
-        return (base if type(base) is Fraction else Fraction(base)) ** n
+        return Fraction(base) ** n
     if base == 0:
         if exp > 0:
             return base         # exact 0 stays exact, 0.0 stays a float
