@@ -159,14 +159,15 @@ class TwistedGraph:
                 if r not in pivot_rows.values() and rows[r][col])
             chosen = next((r for symbolic, r in candidates
                            if not symbolic
-                           or not is_zero(rows[r][col], self.cfg).zero),
+                           or not is_zero(rows[r][col], self.cfg,
+                                          self.chart).zero),
                           None)
             if chosen is None:
                 continue
             pivot = rows[chosen][col]
             pivots.append(pivot)
             pivot_rows[col] = chosen
-            inv_p = p_pow(pivot, -1)
+            inv_p = p_pow(pivot, -1, self.chart)
             rows[chosen] = [normal(p_mul(e, inv_p)) if e else e
                             for e in rows[chosen]]
             for r in range(dim):
@@ -184,7 +185,8 @@ class TwistedGraph:
                         for b in order[i + 1:])
             lead = prod((p[ONE_M] for p in pivots if _is_constant(p)),
                         start=-1 if swaps & 1 else 1)
-            trees = [from_poly(p) for p in pivots if not _is_constant(p)]
+            trees = [from_poly(p, self.chart) for p in pivots
+                     if not _is_constant(p)]
             self.det = Prod(Rat(lead), *trees) if trees else Rat(lead)
         order += [r for r in range(dim) if r not in order]
         self._pivot_cols = list(pivot_rows)
@@ -205,7 +207,8 @@ class TwistedGraph:
         if not self.nondegenerate:
             raise NondegeneracyError("h is degenerate on the sampling box")
         dim = self.chart.dim
-        return [[from_poly(self._transform[j][i]) for j in range(dim)]
+        return [[from_poly(self._transform[j][i], self.chart)
+                 for j in range(dim)]
                 for i in range(dim)]
 
 
@@ -256,7 +259,7 @@ def _solve_verified(D, f):
                 p_add_inplace(acc, p_mul(e, g), sign)
         b.append(normal(acc))
     rank = len(D._pivot_cols)
-    if any(not is_zero(x, D.cfg).zero for x in b[rank:]):
+    if any(not is_zero(x, D.cfg, D.chart).zero for x in b[rank:]):
         return None, None
     comps = [{}] * D.chart.dim
     for col, x in zip(D._pivot_cols, b):
@@ -331,7 +334,7 @@ def jacobi_defect(D, f, g, k):
     cyclic = {}
     for X, Y, h in ((Xf, Xg, kp), (Xg, Xk, fp), (Xk, Xf, gp)):
         p_add_inplace(cyclic, apply_poly(X, normal(apply_poly(Y, h))))
-    cyclic = from_poly(normal(cyclic))
+    cyclic = from_poly(normal(cyclic), D.chart)
     # the contraction is pinned to the (X, +i_X h) normalization,
     # whatever the structure's sign flag
     if D.sign < 0:

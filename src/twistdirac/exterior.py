@@ -78,7 +78,7 @@ class VectorField:
     @property
     def comps(self):
         """The components as canonical expressions."""
-        return tuple(from_poly(normal(p)) for p in self.polys)
+        return tuple(from_poly(normal(p), self.chart) for p in self.polys)
 
     @classmethod
     def zero(cls, chart):
@@ -118,7 +118,7 @@ class VectorField:
         for name, p in zip(self.chart.coords, self.polys):
             q = normal(p)
             if q:
-                parts.append(f"({from_poly(q)})*d/d{name}")
+                parts.append(f"({from_poly(q, self.chart)})*d/d{name}")
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -149,7 +149,8 @@ class KForm:
     @property
     def coeffs(self):
         """The nonzero coefficients as canonical expressions."""
-        return {mask: from_poly(q) for mask, p in self.polys.items()
+        return {mask: from_poly(q, self.chart)
+                for mask, p in self.polys.items()
                 if (q := normal(p))}
 
     @classmethod
@@ -179,7 +180,7 @@ class KForm:
                    {mask: p_mul(p_const(sign), _as_poly(coeff, chart))})
 
     def coeff(self, mask):
-        return from_poly(normal(self.polys.get(mask, {})))
+        return from_poly(normal(self.polys.get(mask, {})), self.chart)
 
     def terms(self):
         return sorted(self.coeffs.items())
@@ -332,7 +333,7 @@ def vf_apply(X, f):
     f = as_expr(f)
     if f.chart is not None and f.chart != X.chart:
         raise ChartMismatchError("function lives on a different chart")
-    return from_poly(normal(apply_poly(X, to_poly(f))))
+    return from_poly(normal(apply_poly(X, to_poly(f))), X.chart)
 
 
 def apply_poly(X, p):
@@ -360,13 +361,14 @@ def form_is_zero(a, cfg=OracleConfig()):
     element ("dq1^dp1", "1" for a function)."""
     return ZeroVerdict.combine(
         ("^".join(f"d{a.chart.coords[i]}" for i in _mask_indices(mask))
-         or "1", is_zero(p, cfg)) for mask, p in sorted(a.polys.items()))
+         or "1", is_zero(p, cfg, a.chart))
+        for mask, p in sorted(a.polys.items()))
 
 
 def vf_is_zero(X, cfg=OracleConfig()):
     """Zero-test every component of a vector field: one child per
     component, labelled "d/dq1"."""
-    return ZeroVerdict.combine((f"d/d{name}", is_zero(p, cfg))
+    return ZeroVerdict.combine((f"d/d{name}", is_zero(p, cfg, X.chart))
                                for name, p in zip(X.chart.coords, X.polys))
 
 

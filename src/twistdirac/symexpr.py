@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 from operator import add, mul
 
-from ._normal import (canon_expr, combined_fraction, from_poly, iroot,
-                      is_rational_function, p_diff, recompose, sorted_terms,
-                      to_poly)
+from ._normal import (MAX_COORDS, canon_expr, combined_fraction, from_poly,
+                      has_packed, iroot, is_rational_function, p_diff,
+                      recompose, sorted_terms, tail_atoms, to_poly)
 
 
 class SymExprError(Exception):
@@ -59,7 +59,7 @@ class Chart:
     name: str
     coords: tuple
 
-    MAX_DIM = 16          # the largest chart the engine accepts
+    MAX_DIM = MAX_COORDS  # one packed exponent field per coordinate
 
     def __init__(self, name, coords):
         coords = tuple(coords)
@@ -286,7 +286,7 @@ def diff(e, v):
         raise ChartMismatchError(
             f"cannot differentiate expression on chart "
             f"{e.chart.name!r} by coordinate of {v.chart.name!r}")
-    return from_poly(p_diff(to_poly(e), v))
+    return from_poly(p_diff(to_poly(e), v), v.chart)
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +465,16 @@ class _Program:
             self.memo[key] = r
         return r
 
-    def terms(self, e):
+    def terms(self, e, chart=None):
         """The registers of the additive terms of e, an expression or a
-        polynomial.  A polynomial's terms are its monomials, each compiled
-        as from_poly writes it and in its order, without building the
-        tree."""
+        polynomial on chart.  A polynomial's terms are its monomials, each
+        compiled as from_poly writes it and in its order, without building
+        the tree."""
         if not isinstance(e, dict):
             return [self.expr(t) for t in
                     (e.args if e.kind == "sum" else (e,))]
         outs = []
-        for m, c in sorted_terms(e):
+        for m, c in sorted_terms(e, chart):
             factors = [self.expr(a) if k == 1 else self.power(a, k)
                        for a, k in m]
             if not factors:
@@ -657,7 +657,9 @@ class OracleConfig:
     scenarios away from their singular loci.  Settings under which a
     Zero verdict would hold vacuously (no samples, a negative function
     degree, a tolerance that is negative, infinite or nan) are rejected
-    with ValueError.
+    with ValueError.  Each config keeps the sample points it has drawn
+    (see sample_point); the table is not a setting, so it takes no part
+    in equality, and replace() starts a new one.
     """
 
     seed: int = 0
@@ -666,6 +668,8 @@ class OracleConfig:
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
     func_degree: int = 3
+    _points: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.samples < 1:
@@ -749,17 +753,24 @@ def _sample_rng(cfg, tag):
 
 
 def sample_point(cfg, coords, index, attempt=0):
-    rng = _sample_rng(cfg, f"pt:{index}:{attempt}")
-    point = {}
-    for name in coords:
-        lo, hi = cfg.interval(name)
-        # lo + (hi - lo) * r/4096 over one denominator, reduced once
-        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, \
-            hi.denominator
-        point[name] = Fraction(
-            4096 * ln * hd + (hn * ld - ln * hd) * rng.randrange(4097),
-            4096 * ld * hd)
-    return point
+    """The seeded point number index (redraw number attempt) over the
+    named coordinates, as a new dict.  A point depends only on cfg and
+    the arguments, so it is drawn once and kept in cfg's table."""
+    key = (tuple(coords), index, attempt)
+    point = cfg._points.get(key)
+    if point is None:
+        rng = _sample_rng(cfg, f"pt:{index}:{attempt}")
+        point = {}
+        for name in coords:
+            lo, hi = cfg.interval(name)
+            # lo + (hi - lo) * r/4096 over one denominator, reduced once
+            ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, \
+                hi.denominator
+            point[name] = Fraction(
+                4096 * ln * hd + (hn * ld - ln * hd) * rng.randrange(4097),
+                4096 * ld * hd)
+        cfg._points[key] = point
+    return dict(point)
 
 
 def oracle_function_env(cfg, e):
@@ -779,7 +790,7 @@ def oracle_function_env(cfg, e):
     depend on the degree.
     """
     args, order = {}, {}
-    stack = [a for m in e for a, _ in m] if isinstance(e, dict) else [e]
+    stack = tail_atoms(e) if isinstance(e, dict) else [e]
     while stack:
         x = stack.pop()
         kind = x.kind
@@ -797,9 +808,9 @@ def oracle_function_env(cfg, e):
             for name in sorted(args)}
 
 
-def sampled_sums(e, cfg, coords, func_env):
-    """Evaluations of e, an expression or a polynomial, at the seeded
-    sample points.
+def sampled_sums(e, cfg, coords, func_env, chart=None):
+    """Evaluations of e, an expression or a polynomial on chart, at the
+    seeded sample points.
 
     Yields (point, total, tol) for each of cfg.samples points: the sum of
     e's additive terms at the point, and the zero tolerance there.  When
@@ -813,7 +824,7 @@ def sampled_sums(e, cfg, coords, func_env):
     times; OracleInconclusiveError when every attempt fails.
     """
     program = _Program(func_env)
-    outs = program.terms(e)
+    outs = program.terms(e, chart)
     for i in range(cfg.samples):
         for attempt in range(MAX_RESAMPLE):
             point = sample_point(cfg, coords, i, attempt)
@@ -841,9 +852,9 @@ def sampled_sums(e, cfg, coords, func_env):
         yield point, sum(values), cfg.abs_tol + cfg.rel_tol * scale
 
 
-def is_zero(e, cfg=OracleConfig()):
-    """Decide whether e, an expression or a polynomial, is identically
-    zero.
+def is_zero(e, cfg=OracleConfig(), chart=None):
+    """Decide whether e, an expression or a polynomial on chart, is
+    identically zero.
 
     Exact normalization decides the polynomial/rational subclass, where a
     nonzero normal form gets an exact witness from the seeded points;
@@ -852,21 +863,27 @@ def is_zero(e, cfg=OracleConfig()):
     normal form's terms are compiled once and run at every point.
     Identical seed and config give identical verdicts.
     """
-    num, dens = combined_fraction(e if isinstance(e, dict)
-                                  else to_poly(as_expr(e)))
+    if not isinstance(e, dict):
+        e = as_expr(e)
+        chart = e.chart
+        e = to_poly(e)
+    num, dens = combined_fraction(e)
     if not num:
         return ZeroVerdict(zero=True, exact=True)
     p = recompose(num, dens)
-    chart = _merge_charts(*(a.chart for m in p for a, _ in m))
+    # the chart of the atoms p holds: the packed coordinates are on chart
+    chart = _merge_charts(chart if has_packed(p) else None,
+                          *(a.chart for a in tail_atoms(p)))
     coords = chart.coords if chart is not None else ()
     rational = is_rational_function(num, dens)
     if rational:
         # exactly nonzero as a rational function; exhibit a witness by
         # exact evaluation at (at least 8) seeded rational points
-        cfg = replace(cfg, samples=max(cfg.samples, 8))
+        if cfg.samples < 8:
+            cfg = replace(cfg, samples=8)
     env = oracle_function_env(cfg, p)
     func_env = None if rational else tuple(sorted(env.items()))
-    for point, total, tol in sampled_sums(p, cfg, coords, env):
+    for point, total, tol in sampled_sums(p, cfg, coords, env, chart):
         if abs(total) > tol:
             return ZeroVerdict(
                 zero=False, exact=rational,

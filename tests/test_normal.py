@@ -1,5 +1,6 @@
-"""The normal-form engine: it keeps no module-level state, and a rational
-power is a constant when exact and an atom otherwise."""
+"""The normal-form engine: it keeps no module-level state, a rational
+power is a constant when exact and an atom otherwise, and a monomial has
+one key however its exponents were reached."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 from twistdirac import _normal
-from twistdirac._normal import p_const, rational_pow
+from twistdirac._normal import (p_const, p_mul, rational_pow, sorted_terms,
+                                to_poly)
 from twistdirac.symexpr import (Chart, EvaluationSingularityError,
-                                OracleConfig, Pow, Rat, eval_expr, is_zero,
-                                parse_expr)
+                                OracleConfig, Pow, Rat, diff, eval_expr,
+                                is_zero, parse_expr, simplify)
 
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
@@ -40,7 +42,8 @@ IDS = [f"{c}^({e})" for c, e, _ in RADICALS]
 def test_rational_pow_is_a_constant_or_an_atom(c, e, root):
     got = rational_pow(c, e)
     if root is None:
-        assert got == {((Rat(c), e),): 1}
+        # one term, coefficient 1, whose only factor is the atom c to the e
+        assert sorted_terms(got, None) == [(((Rat(c), e),), 1)]
     else:
         assert got == p_const(root)
 
@@ -91,3 +94,70 @@ def test_threads_expanding_the_same_atoms_agree():
     finally:
         sys.setswitchinterval(interval)
     assert got == [expected] * 8
+
+
+PLANE = Chart("plane", ["x", "y"])
+
+# (input, its simplified form): exponents past a narrow packed field (at
+# most 2047 in all), and coordinate exponents that move between the
+# packed part and the tail
+MONOMIALS = [
+    ("x^70000*y - y*x^70000", "0"),
+    ("x^4096*x^4096", "x^8192"),
+    ("x^2047*x", "x^2048"),
+    ("(x^2048*y)^2", "x^4096*y^2"),
+    ("x^4096*x^4096/x^8191", "x"),
+    ("x^1024*x^1024*y/x^2048", "y"),
+    ("x^(1/2)*x^(1/2) - x", "0"),
+    ("(x*y)^-2*x^3", "x/y^2"),
+    ("x^(-3/2)*x^2", "x^(1/2)"),
+    ("(x^3000 - y^3000)/(x^1500 - y^1500)", "x^1500 + y^1500"),
+]
+
+
+@pytest.mark.parametrize("text, expected", MONOMIALS,
+                         ids=[t for t, _ in MONOMIALS])
+def test_monomials_across_the_packed_layouts(text, expected):
+    assert str(simplify(parse_expr(text, PLANE))) == expected
+
+
+def test_a_laurent_monomial_cancels_exactly():
+    assert str(is_zero(parse_expr("x^-1*x - 1", PLANE))) == "Zero(exact)"
+
+
+@pytest.mark.parametrize("left, right, product", [
+    ("x^(1/2)", "x^(1/2)", "x"), ("x^-1", "x^2", "x"),
+    ("x^(-3/2)*y", "x^2", "x^(1/2)*y"), ("x^4096", "x^4096", "x^8192"),
+    ("x^2047", "x", "x^2048"), ("x^2048", "x^-1", "x^2047")])
+def test_a_monomial_has_one_key(left, right, product):
+    got = p_mul(to_poly(parse_expr(left, PLANE)),
+                to_poly(parse_expr(right, PLANE)))
+    assert got == to_poly(parse_expr(product, PLANE))
+
+
+def test_derivatives_across_the_packed_layouts():
+    x, y = PLANE.vars()
+    assert str(simplify(diff(parse_expr("x^2048 + x^2*y", PLANE), x))) == \
+        "2*x*y + 2048*x^2047"
+    assert str(simplify(diff(parse_expr("x^(1/2)*y^3000", PLANE), y))) == \
+        "3000*x^(1/2)*y^2999"
+
+
+def test_a_monomial_over_every_coordinate_of_the_largest_chart():
+    names = [f"u{i}" for i in range(Chart.MAX_DIM)]
+    chart = Chart("largest", names)
+    u = chart.vars()
+
+    def squares(ns):
+        return "*".join(f"{n}^2" for n in ns)
+
+    prod = parse_expr("*".join(names), chart)
+    p = simplify(2 * prod * prod + prod)
+    assert str(p) == f"{'*'.join(names)} + 2*{squares(names)}"
+    assert str(simplify(diff(p, u[15]))) == \
+        f"{'*'.join(names[:15])} + 4*{squares(names[:15])}*u15"
+    assert str(simplify(diff(diff(p, u[0]), u[7]))) == \
+        f"8*u0*{squares(names[1:7])}*u7*{squares(names[8:])} + " \
+        f"{'*'.join(names[1:7] + names[8:])}"
+    assert str(is_zero(diff(p, u[3]) - (4 * prod * prod + prod) / u[3])) \
+        == "Zero(exact)"

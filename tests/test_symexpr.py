@@ -1,6 +1,7 @@
 """Expression kernel: differentiation, evaluation, simplification, the
 zero-test oracle, and the text grammar."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -499,6 +500,35 @@ class TestOracleConfig:
         assert a == b
         c = sample_point(OracleConfig(seed=6), phase.coords, 3)
         assert a != c
+
+    def test_points_follow_the_string_seeded_recipe(self, phase):
+        def recipe(cfg, coords, index, attempt):
+            rng = random.Random(f"{cfg.seed}:pt:{index}:{attempt}")
+            point = {}
+            for name in coords:
+                lo, hi = cfg.interval(name)
+                point[name] = lo + (hi - lo) * Fraction(rng.randrange(4097),
+                                                        4096)
+            return point
+
+        box = {"q2": (Fraction(-3, 2), Fraction(5, 7))}
+        cases = [(0, {}, phase.coords, 0, 0), (0, {}, phase.coords, 0, 3),
+                 (7, box, phase.coords, 5, 1), (7, box, ("q2",), 5, 1),
+                 (7, box, ("p3", "q2"), 5, 1), (-4, {}, ("x",), 127, 9)]
+        for seed, box, coords, index, attempt in cases:
+            cfg = OracleConfig(seed=seed, box=box)
+            expected = recipe(cfg, coords, index, attempt)
+            # the first draw, then the point from the config's table
+            for _ in range(2):
+                assert sample_point(cfg, coords, index, attempt) == expected
+
+    def test_mutating_a_point_leaves_later_draws_alone(self, phase):
+        cfg = OracleConfig(seed=11)
+        first = sample_point(cfg, phase.coords, 2)
+        expected = dict(first)
+        first["q1"] = Fraction(99)
+        del first["p3"]
+        assert sample_point(cfg, phase.coords, 2) == expected
 
     def test_concurrent_oracle_calls_agree(self, phase):
         # operations are pure over immutable values; concurrent verdicts
