@@ -530,6 +530,34 @@ class TestOracleConfig:
         del first["p3"]
         assert sample_point(cfg, phase.coords, 2) == expected
 
+    def test_threads_sharing_a_config_draw_the_same_points(self, phase):
+        # the threads fill one config's empty table at once, and each
+        # scribbles on the points it gets back
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        keys = [(i, a) for i in range(48) for a in (0, 1)]
+        fresh = OracleConfig(seed=21)
+        expected = [sample_point(fresh, phase.coords, i, a) for i, a in keys]
+        shared = OracleConfig(seed=21)
+
+        def draw(_):
+            got = []
+            for i, a in keys:
+                point = sample_point(shared, phase.coords, i, a)
+                got.append(dict(point))
+                point["q1"] = None
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(draw, t) for t in range(8)]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8
+
     def test_concurrent_oracle_calls_agree(self, phase):
         # operations are pure over immutable values; concurrent verdicts
         # must match the sequential ones
