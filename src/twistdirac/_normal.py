@@ -261,8 +261,8 @@ def term_mul(m1, c1, m2, c2):
     """Product of two monomial terms as a polynomial.
 
     Usually a single term; exponent merges that produce a positive integer
-    power of a sum atom (or an integer power of a rational atom) are folded
-    back into polynomial form.
+    power of a sum atom, or an integer power of a rational atom or of an
+    even power under a root, are folded back into polynomial form.
     """
     coeff = c1 * c2
     if not coeff:
@@ -305,7 +305,8 @@ def term_mul(m1, c1, m2, c2):
             elif e:
                 out.append((a, e))
         elif e.denominator == 1 and (kind == "rat"
-                                     or (kind == "sum" and e > 0)):
+                                     or (kind == "sum" and e > 0)
+                                     or _even_root(a)):
             folds.append((a, int(e)))
         else:
             out.append((a, e))
@@ -314,8 +315,16 @@ def term_mul(m1, c1, m2, c2):
         if a.kind == "rat":
             base = p_mul(base, rational_pow(a.value, n))
         else:
-            base = p_mul(base, p_pow_int(_atom_poly(a), n))
+            base = p_mul(base, p_pow(_atom_poly(a), n, a.chart))
     return base
+
+
+def _even_root(a):
+    """True for the opaque base b^k of an even power under a root (see
+    _atom_pow), which folds into the polynomial at an integer exponent.
+    The other power atom, the symbolic 0^negative, must not fold: its
+    expansion is itself, so the fold would recurse."""
+    return a.kind == "pow" and a.base.kind != "rat"
 
 
 def p_mul(a, b):
@@ -430,11 +439,12 @@ def _atom_pow(a, k, e):
     """(a^k)^e for an atom a, folded into a^(k*e) unless k is even and
     k*e is not: a^k is nonnegative where a^(k*e) may be negative, as in
     (x^2)^(1/2) = |x|, so a^k stays an opaque power atom (a positive
-    constant base is safe)."""
+    constant base is safe).  Such an atom raised back to an integer
+    exponent folds into the polynomial."""
     ne = k * e
     if k % 2 == 0 and ne % 2 != 0 and not (a.kind == "rat" and a.value > 0):
         return _atom_term(symexpr.Pow(a, k), e)
-    if ne.denominator == 1 and a.kind in ("sum", "rat"):
+    if ne.denominator == 1 and (a.kind in ("sum", "rat") or _even_root(a)):
         return p_pow(_atom_poly(a), ne, a.chart)
     return {_mono_of([(a, ne)]): _ONE}
 

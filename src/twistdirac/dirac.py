@@ -197,7 +197,7 @@ class TwistedGraph:
         env = oracle_function_env(self.cfg, self.det)
         try:
             return all(abs(total) > tol for _, total, tol in sampled_sums(
-                self.det, self.cfg, self.chart.coords, env))
+                self.det, self.cfg, env, self.chart))
         except OracleInconclusiveError:
             return False
 

@@ -17,8 +17,7 @@ import random
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd, isfinite, lcm
-from operator import add, mul
+from math import gcd, inf, isfinite, lcm
 
 from ._normal import (MAX_COORDS, canon_expr, combined_fraction, from_poly,
                       has_packed, iroot, is_rational_function, p_diff,
@@ -41,7 +40,8 @@ class ParseError(SymExprError):
 
 
 class EvaluationSingularityError(SymExprError):
-    """Division by zero or an invalid radicand at an evaluation point."""
+    """Division by zero, an invalid radicand, or a value beyond float
+    range at an evaluation point."""
 
 
 class OracleInconclusiveError(SymExprError):
@@ -361,45 +361,16 @@ def _horner_forms(coeffs):
             tuple(c.numerator * (den // c.denominator) for c in exact), den)
 
 
-def _num_pow(base, exp):
-    """base^exp for a value that is not a positive exact pair: zero, a
-    negative, a float or another number."""
-    if exp.denominator == 1:
-        n = int(exp)
-        if base == 0 and n < 0:
-            raise EvaluationSingularityError("0 raised to a negative power")
-        if isinstance(base, float):
-            return base ** n
-        return Fraction(base) ** n
-    if base == 0:
-        if exp > 0:
-            return base         # exact 0 stays exact, 0.0 stays a float
-        raise EvaluationSingularityError("0 raised to a negative power")
-    if base < 0:
-        raise EvaluationSingularityError(
-            "negative radicand for a fractional power")
-    return float(base) ** float(exp)
-
-
-def _floats(a, b):
-    """True when a op b computes on float(a) and float(b): one is a float,
-    the other a float or a Fraction.  Converting directly skips Fraction's
-    numbers.Real fallback, which does the same."""
-    ta, tb = type(a), type(b)
-    return (ta is float or tb is float) and \
-        ta in _FLOAT_OR_FRACTION and tb in _FLOAT_OR_FRACTION
-
-
-_FLOAT_OR_FRACTION = (float, Fraction)
-
-
 # A compiled expression is a straight-line program: a list of
 # instructions (op, dst, a, b), each writing one register, in the order a
 # depth-first walk of the tree first reaches each node, so a subexpression
 # that occurs several times is computed once.  Constants are preloaded
 # into the register template.  A register holds an exact value as an
-# unreduced integer pair (num, den) with den > 0, a float, or any other
-# number a function instantiation returned.
+# unreduced integer pair (num, den) with den > 0, or a float.  A number is
+# converted to one of the two where it enters the program: at a
+# coordinate and at the value of a function instantiation.  Exact values
+# meet a float by one correctly rounded num / den.  A value beyond float
+# range makes the point singular.
 _SUM, _PROD, _IPOW, _RPOW, _VAR, _FUNC = range(6)
 
 
@@ -459,7 +430,7 @@ class _Program:
             src = self.expr(base)
             exp = Fraction(exp)
             if exp.denominator == 1:
-                r = self._emit(_IPOW, src, (exp, int(exp)))
+                r = self._emit(_IPOW, src, int(exp))
             else:
                 r = self._emit(_RPOW, src, (exp, float(exp)))
             self.memo[key] = r
@@ -504,90 +475,90 @@ class _Program:
     def run(self, point):
         """The registers after running the program at point."""
         regs = self.template[:]
-        for op, dst, a, b in self.code:
-            if op == _PROD:
-                # exact factors are multiplied as integers; from the first
-                # other one on, left to right as numbers
-                num, den, v = 1, 1, None
-                for r in a:
-                    x = regs[r]
-                    tx = type(x)
-                    if v is None:
-                        if tx is tuple:
-                            num *= x[0]
-                            den *= x[1]
+        try:
+            for op, dst, a, b in self.code:
+                if op == _PROD:
+                    # exact factors are multiplied as integers; from the
+                    # first float on, left to right in floats
+                    num, den, v = 1, 1, None
+                    for r in a:
+                        x = regs[r]
+                        if v is None:
+                            if type(x) is tuple:
+                                num *= x[0]
+                                den *= x[1]
+                                continue
+                            v = num / den
+                        v *= x if type(x) is float else x[0] / x[1]
+                    regs[dst] = (num, den) if v is None else v
+                elif op == _SUM:
+                    # the same, with exact terms over a common denominator
+                    num, den, v = 0, 1, None
+                    for r in a:
+                        x = regs[r]
+                        if v is None:
+                            if type(x) is tuple:
+                                n, d = x
+                                if d == den:
+                                    num += n
+                                else:
+                                    g = gcd(den, d)
+                                    num = num * (d // g) + n * (den // g)
+                                    den = den // g * d
+                                continue
+                            v = num / den
+                        v += x if type(x) is float else x[0] / x[1]
+                    regs[dst] = (num, den) if v is None else v
+                elif op == _RPOW:
+                    x = regs[a]
+                    sign = x[0] if type(x) is tuple else x
+                    if sign > 0:
+                        if type(x) is float:
+                            regs[dst] = x ** b[1]
                             continue
-                        v = num / den if tx is float else Fraction(num, den)
-                    if type(v) is float and tx is float:
-                        v *= x
-                    elif type(v) is float and tx is tuple:
-                        v *= x[0] / x[1]
+                        # iroot needs reduced terms: 18/32 is the square 9/16
+                        n, d = x
+                        g = gcd(n, d)
+                        q = b[0].denominator
+                        rn = iroot(n // g, q)
+                        rd = None if rn is None else iroot(d // g, q)
+                        regs[dst] = (n / d) ** b[1] if rd is None else \
+                            _pair_pow(rn, rd, b[0].numerator)
+                    elif sign == 0 and b[0] > 0:
+                        regs[dst] = x   # an exact 0 stays exact, 0.0 a float
                     else:
-                        v = _mixed(v, x, mul)
-                regs[dst] = (num, den) if v is None else _as_register(v)
-            elif op == _SUM:
-                # the same, with exact terms over a common denominator
-                num, den, v = 0, 1, None
-                for r in a:
-                    x = regs[r]
-                    tx = type(x)
-                    if v is None:
-                        if tx is tuple:
-                            n, d = x
-                            if d == den:
-                                num += n
-                            else:
-                                g = gcd(den, d)
-                                num = num * (d // g) + n * (den // g)
-                                den = den // g * d
-                            continue
-                        v = num / den if tx is float else Fraction(num, den)
-                    if type(v) is float and tx is float:
-                        v += x
-                    elif type(v) is float and tx is tuple:
-                        v += x[0] / x[1]
-                    else:
-                        v = _mixed(v, x, add)
-                regs[dst] = (num, den) if v is None else _as_register(v)
-            elif op == _RPOW:
-                x = regs[a]
-                if type(x) is tuple and x[0] > 0:
-                    # iroot needs reduced terms: 18/32 is the square 9/16
-                    n, d = x
-                    g = gcd(n, d)
-                    q = b[0].denominator
-                    rn = iroot(n // g, q)
-                    rd = None if rn is None else iroot(d // g, q)
-                    if rd is None:
-                        regs[dst] = (n / d) ** b[1]
-                    else:
-                        regs[dst] = _pair_pow(rn, rd, b[0].numerator)
-                elif type(x) is float and x > 0:
-                    regs[dst] = x ** b[1]
-                else:
-                    regs[dst] = _as_register(_num_pow(_value(x), b[0]))
-            elif op == _IPOW:
-                x = regs[a]
-                if type(x) is tuple and (x[0] or b[1] >= 0):
-                    regs[dst] = _pair_pow(x[0], x[1], b[1])
-                else:
-                    regs[dst] = _as_register(_num_pow(_value(x), b[0]))
-            elif op == _VAR:
-                try:
-                    x = point[a]
-                except KeyError:
-                    raise ChartMismatchError(
-                        f"point has no value for {a!r}")
-                if type(x) is Fraction:
-                    regs[dst] = (x.numerator, x.denominator)
-                elif isinstance(x, float):
-                    regs[dst] = x
-                else:
-                    regs[dst] = _as_register(Fraction(x))
-            else:               # _FUNC: b is (eval_deriv, order)
-                x = regs[a]
-                regs[dst] = _as_register(b[0](b[1], _value(x)))
+                        raise EvaluationSingularityError(
+                            "0 raised to a negative power" if sign == 0
+                            else "negative radicand for a fractional power")
+                elif op == _IPOW:
+                    x = regs[a]
+                    exact = type(x) is tuple
+                    if b < 0 and not (x[0] if exact else x):
+                        raise EvaluationSingularityError(
+                            "0 raised to a negative power")
+                    regs[dst] = _pair_pow(x[0], x[1], b) if exact else x ** b
+                elif op == _VAR:
+                    try:
+                        regs[dst] = _enter(point[a])
+                    except KeyError:
+                        raise ChartMismatchError(
+                            f"point has no value for {a!r}")
+                else:           # _FUNC: b is (eval_deriv, order)
+                    regs[dst] = _enter(b[0](b[1], _value(regs[a])))
+        except OverflowError:
+            raise EvaluationSingularityError(
+                "a value beyond float range") from None
         return regs
+
+
+def _enter(v):
+    """A number as a register: a float stays a float, any other number
+    becomes an exact pair."""
+    if type(v) is not Fraction:
+        if isinstance(v, float):
+            return float(v)
+        v = Fraction(v)
+    return v.numerator, v.denominator
 
 
 def _pair_pow(n, d, k):
@@ -595,17 +566,6 @@ def _pair_pow(n, d, k):
     if k >= 0:
         return n ** k, d ** k
     return (d ** -k, n ** -k) if n > 0 else ((-d) ** -k, (-n) ** -k)
-
-
-def _mixed(v, x, op):
-    """v op x as Python's operators give it, for register values that are
-    not both floats or floats and pairs."""
-    x = _value(x)
-    return op(float(v), float(x)) if _floats(v, x) else op(v, x)
-
-
-def _as_register(v):
-    return (v.numerator, v.denominator) if isinstance(v, Fraction) else v
 
 
 def _value(x):
@@ -617,13 +577,17 @@ def eval_expr(e, point, func_env=None):
     """Evaluate e at a point (mapping coordinate name -> number).
 
     e is compiled into a straight-line program, each distinct
-    subexpression once, and the program is run at the point.  Exact
-    intermediates are integer pairs, reduced to a Fraction only before a
-    root or a function call and at the end, so an exact result is a
-    reduced Fraction; irrational powers fall back to floats.  Function
+    subexpression once, and the program is run at the point.  A float
+    coordinate is a float in the program, any other number an exact
+    integer pair.  Exact values are reduced to a Fraction only before a
+    root, before a function call and at the end, so an exact result is a
+    reduced Fraction; irrational powers fall back to floats.  A value
+    beyond float range raises EvaluationSingularityError.  Function
     symbols are looked up in func_env, whose values supply
     eval_deriv(order, x) (as PolyFunc does); order-k applications evaluate
-    the k-th derivative.
+    the k-th derivative.  eval_deriv gets a reduced Fraction or a float
+    and may return a float or any exact number; an exact one (an int
+    too) continues as a Fraction.
     """
     program = _Program(func_env or {})
     out = program.expr(e)
@@ -808,28 +772,32 @@ def oracle_function_env(cfg, e):
             for name in sorted(args)}
 
 
-def sampled_sums(e, cfg, coords, func_env, chart=None):
-    """Evaluations of e, an expression or a polynomial on chart, at the
-    seeded sample points.
+def sampled_sums(e, cfg, func_env, chart=None):
+    """Evaluations of e, an expression or a polynomial, at the seeded
+    sample points over the coordinates of chart (a polynomial's chart;
+    None when e has no coordinates).
 
     Yields (point, total, tol) for each of cfg.samples points: the sum of
     e's additive terms at the point, and the zero tolerance there.  When
     every term is exact at the point, the sum is an exact Fraction and
     the tolerance is 0; otherwise the sum is a float and the tolerance is
-    abs_tol plus rel_tol times the largest term.  The terms are compiled
-    once into one straight-line program, run at every point and every
-    redrawn point, so a subexpression that occurs in several terms (a
-    function value, a radical) is evaluated once per point.  A point
-    where evaluation hits a singularity is redrawn up to MAX_RESAMPLE
-    times; OracleInconclusiveError when every attempt fails.
+    abs_tol plus rel_tol times the largest term.  The terms and their sum
+    are compiled once into one straight-line program, run at every point
+    and every redrawn point, so a subexpression that occurs in several
+    terms (a function value, a radical) is evaluated once per point.  A
+    point where evaluation hits a singularity, or where a float term or
+    the float sum leaves float range, is redrawn up to MAX_RESAMPLE times;
+    OracleInconclusiveError when every attempt fails.
     """
     program = _Program(func_env)
     outs = program.terms(e, chart)
+    out = program._emit(_SUM, tuple(outs))
+    coords = chart.coords if chart is not None else ()
     for i in range(cfg.samples):
         for attempt in range(MAX_RESAMPLE):
             point = sample_point(cfg, coords, i, attempt)
             try:
-                regs = program.run(point)
+                total, tol = _total(program.run(point), outs, out, cfg)
             except EvaluationSingularityError:
                 continue
             break
@@ -837,19 +805,25 @@ def sampled_sums(e, cfg, coords, func_env, chart=None):
             raise OracleInconclusiveError(
                 f"sample point {i} hit singularities in all "
                 f"{MAX_RESAMPLE} resampling attempts")
-        values = [regs[r] for r in outs]
-        if all(type(v) is tuple for v in values):
-            num, den = 0, 1
-            for n, d in values:
-                g = gcd(den, d)
-                num = num * (d // g) + n * (den // g)
-                den = den // g * d
-            yield point, Fraction(num, den), 0
-            continue
-        values = [v[0] / v[1] if type(v) is tuple else float(v)
-                  for v in values]
-        scale = max((abs(v) for v in values), default=0.0)
-        yield point, sum(values), cfg.abs_tol + cfg.rel_tol * scale
+        yield point, total, tol
+
+
+def _total(regs, outs, out, cfg):
+    """The sum at a point and its tolerance: the exact sum register when
+    it is exact, otherwise the float sum of the terms one by one."""
+    total = regs[out]
+    if type(total) is tuple:
+        return Fraction(*total), 0
+    try:
+        values = [v[0] / v[1] if type(v) is tuple else v
+                  for v in (regs[r] for r in outs)]
+    except OverflowError:
+        raise EvaluationSingularityError(
+            "a term beyond float range") from None
+    total = sum(values)
+    if not isfinite(total):
+        raise EvaluationSingularityError("a sum beyond float range")
+    return total, cfg.abs_tol + cfg.rel_tol * max(map(abs, values))
 
 
 def is_zero(e, cfg=OracleConfig(), chart=None):
@@ -861,7 +835,8 @@ def is_zero(e, cfg=OracleConfig(), chart=None):
     other expressions are evaluated at seeded sample points with function
     symbols instantiated as seeded random polynomials.  Either way the
     normal form's terms are compiled once and run at every point.
-    Identical seed and config give identical verdicts.
+    Identical seed and config give identical verdicts.  A NonZero total
+    beyond float range has magnitude inf.
     """
     if not isinstance(e, dict):
         e = as_expr(e)
@@ -874,7 +849,6 @@ def is_zero(e, cfg=OracleConfig(), chart=None):
     # the chart of the atoms p holds: the packed coordinates are on chart
     chart = _merge_charts(chart if has_packed(p) else None,
                           *(a.chart for a in tail_atoms(p)))
-    coords = chart.coords if chart is not None else ()
     rational = is_rational_function(num, dens)
     if rational:
         # exactly nonzero as a rational function; exhibit a witness by
@@ -883,12 +857,16 @@ def is_zero(e, cfg=OracleConfig(), chart=None):
             cfg = replace(cfg, samples=8)
     env = oracle_function_env(cfg, p)
     func_env = None if rational else tuple(sorted(env.items()))
-    for point, total, tol in sampled_sums(p, cfg, coords, env, chart):
+    for point, total, tol in sampled_sums(p, cfg, env, chart):
         if abs(total) > tol:
+            try:
+                magnitude = float(abs(total))
+            except OverflowError:
+                magnitude = inf
             return ZeroVerdict(
                 zero=False, exact=rational,
                 witness=tuple(sorted(point.items())),
-                magnitude=float(abs(total)), func_env=func_env)
+                magnitude=magnitude, func_env=func_env)
     if rational:
         raise OracleInconclusiveError(
             "nonzero normal form but no nonzero sample point found")

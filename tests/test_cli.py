@@ -103,6 +103,25 @@ class TestScenarioFiles:
         point = {k: Fraction(v) for k, v in check.witness.items()}
         assert eval_expr(residual, point) != 0
 
+    @pytest.mark.parametrize("expect, box, verdict", [
+        # q^1100 leaves float range near the top of the default box
+        ("(1 + q)^(1/2)*(1 + p)^(1/2)*q^1100"
+         " - (1 + q + p + q*p)^(1/2)*q^1100", {}, "PASS"),
+        # every term leaves float range everywhere on this box
+        ("(q^2 + 1)^(401/2)*(p^2 + 1)^(401/2)"
+         " - (q^2 + 2)^(401/2)*(p^2 + 3)^(401/2)",
+         {"q": [2, 3], "p": [2, 3]}, "ERROR")])
+    def test_values_beyond_float_range_give_a_report_row(self, tmp_path,
+                                                         expect, box,
+                                                         verdict):
+        data = dict(MINIMAL, chart=["q", "p"], definitions={},
+                    oracle={"seed": 5, "box": box},
+                    structure={"type": "graph", "h": "dp^dq", "H": "0"},
+                    checks=[{"name": "huge", "op": "poisson_bracket",
+                             "f": "q", "g": "0", "expect": expect}])
+        report = run_scenario(write_scenario(tmp_path, data))
+        assert [c.verdict for c in report.checks] == [verdict]
+
     def test_unknown_op_is_error(self, tmp_path):
         data = json.loads(json.dumps(MINIMAL))
         data["checks"].append({"op": "nonsense"})

@@ -13,7 +13,8 @@ from twistdirac._normal import (p_const, p_mul, rational_pow, sorted_terms,
                                 to_poly)
 from twistdirac.symexpr import (Chart, EvaluationSingularityError,
                                 OracleConfig, Pow, Rat, diff, eval_expr,
-                                is_zero, parse_expr, simplify)
+                                is_zero, parse_expr, sample_point,
+                                simplify)
 
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
@@ -161,3 +162,62 @@ def test_a_monomial_over_every_coordinate_of_the_largest_chart():
         f"{'*'.join(names[1:7] + names[8:])}"
     assert str(is_zero(diff(p, u[3]) - (4 * prod * prod + prod) / u[3])) \
         == "Zero(exact)"
+
+
+def test_derivative_of_negative_and_fractional_coordinate_powers():
+    x = PLANE["x"]
+    d = diff(parse_expr("1/x + x^(1/2)*y", PLANE), x)
+    assert str(simplify(d)) == "-1/x^2 + 1/2*y/x^(1/2)"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("(x^(1/2) + y)^2/(x^(1/2) + y)", "x^(1/2) + y"),
+    ("1/(1/x + 1)", "x/(x + 1)"),
+    ("(x + y)*(x - y)", "x^2 - y^2")])
+def test_quotients_and_cancelling_products(text, expected):
+    got = simplify(parse_expr(text, PLANE))
+    assert simplify(got) == got
+    assert str(is_zero(got - parse_expr(expected, PLANE))) == "Zero(exact)"
+
+
+def test_zero_to_a_negative_power_is_kept_and_singular():
+    e = simplify(parse_expr("1/0", PLANE))
+    assert str(e) == "1/0"
+    with pytest.raises(EvaluationSingularityError):
+        eval_expr(e, {"x": 1, "y": 1})
+
+
+def test_a_rational_witness_search_draws_at_least_8_points():
+    # the residual vanishes at the first point, so one point finds nothing
+    cfg = OracleConfig(samples=1)
+    first = sample_point(cfg, PLANE.coords, 0)
+    v = is_zero(PLANE["x"] - first["x"], cfg)
+    assert not v.zero and v.exact
+    assert v.witness_point == sample_point(cfg, PLANE.coords, 1)
+
+
+# products and powers that make the exponent of an even power under a
+# root an integer: the atom folds back into the polynomial
+FOLDED = ["((x^2)^(1/2))^2 - x^2",
+          "(x^2)^(1/2)*(x^2)^(1/2) - x^2",
+          "((1/(x+1))^2)^(1/2)*((1/(x+1))^2)^(1/2) - 1/(x+1)^2",
+          "((x^2)^(1/2))^4*y - x^4*y",
+          "((F(1)^2)^(1/2))^2 - F(1)^2"]
+
+
+@pytest.mark.parametrize("text", FOLDED)
+def test_an_even_power_under_a_root_folds_at_an_integer_exponent(text):
+    e = parse_expr(text, PLANE)
+    assert str(simplify(e)) == "0"
+    assert str(is_zero(e)) == "Zero(exact)"
+    # the first operand alone: its normal form is a fixed point
+    once = simplify(e.args[0])
+    assert simplify(once) == once
+
+
+def test_an_odd_power_of_an_absolute_value_keeps_its_sign():
+    # |x|^3 = -x^3 on x < 0
+    cfg = OracleConfig(box={"x": (-2, -1)})
+    e = parse_expr("((x^2)^(1/2))^3", PLANE)
+    assert is_zero(e + PLANE["x"] ** 3, cfg).zero
+    assert not is_zero(e - PLANE["x"] ** 3, cfg).zero

@@ -181,7 +181,7 @@ def test_sampled_sums_match_per_term_evaluation(atoms, data):
              data.draw(st.lists(st.tuples(coeff, picks), min_size=2,
                                 max_size=5))]
     try:
-        got = _bits(sampled_sums(Sum(*terms), SIGNED, CHART.coords, ENV))
+        got = _bits(sampled_sums(Sum(*terms), SIGNED, ENV, CHART))
     except OracleInconclusiveError:
         assume(False)
     per_term = _bits(_reference_sums(

@@ -1,6 +1,7 @@
 """Expression kernel: differentiation, evaluation, simplification, the
 zero-test oracle, and the text grammar."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ import pytest
 from twistdirac.symexpr import (Chart, ChartMismatchError,
                                 EvaluationSingularityError, Func,
                                 MissingFunctionError, OracleConfig,
-                                ParseError, PolyFunc, Pow, Prod, Rat, Sum,
-                                diff, eval_expr, is_zero, parse_expr,
+                                OracleInconclusiveError, ParseError,
+                                PolyFunc, Pow, Prod, Rat, Sum, diff,
+                                eval_expr, is_zero, parse_expr,
                                 sample_point, sampled_sums, simplify)
 from twistdirac.randgen import rand_expr, rand_poly, rng_for
 
@@ -179,6 +181,28 @@ class TestEval:
             eval_expr(Func("W", 0, phase["q1"]), {"q1": 1},
                       {"W": lambda t: t})
 
+    def test_an_exact_zero_radicand_stays_exact(self, phase):
+        e = parse_expr("(q1 - 1)^(1/2)", phase)
+        got = eval_expr(e, {"q1": 1})
+        assert type(got) is Fraction and got == 0
+        got = eval_expr(e, {"q1": 1.0})
+        assert type(got) is float and got == 0.0
+
+    @pytest.mark.parametrize("text, x", [("(q1 - 1)^(-1/2)", 1),
+                                         ("1/q1", 0.0)])
+    def test_zero_to_a_negative_power_is_singular(self, phase, text, x):
+        with pytest.raises(EvaluationSingularityError):
+            eval_expr(parse_expr(text, phase), {"q1": x})
+
+    def test_an_instantiation_that_returns_an_int(self, phase):
+        class Doubling:
+            def eval_deriv(self, order, x):
+                return 2 * int(x) + order
+
+        # W(3)*3 + W'(3)/3 = 6*3 + 7/3
+        e = parse_expr("W(q1)*q1 + W'(q1)/3", phase)
+        assert eval_expr(e, {"q1": 3}, {"W": Doubling()}) == Fraction(61, 3)
+
     def test_derivative_tower_consistency(self):
         f = PolyFunc([1, 2, 3, 4])           # 1 + 2t + 3t^2 + 4t^3
         assert f.eval_deriv(1, Fraction(2)) == 2 + 6 * 2 + 12 * 4
@@ -300,7 +324,7 @@ class TestIsZero:
         F = Func("F", 0, Prod(x, y) + 1)
         e = Sum(Prod(x, F), Prod(y, F), Prod(Rat(3), x, y, F))
         cfg = OracleConfig(samples=16)
-        sums = list(sampled_sums(e, cfg, chart.coords, {"F": CountingF()}))
+        sums = list(sampled_sums(e, cfg, {"F": CountingF()}, chart))
         assert len(sums) == 16
         assert CountingF.calls == 16
 
@@ -328,6 +352,40 @@ class TestIsZero:
         cfg = OracleConfig(box={"x": (-2, -1)})
         d = diff(parse_expr("(x^2)^(1/2)", chart), chart["x"])
         assert is_zero(d + 1, cfg).zero
+
+
+class TestFloatRange:
+    """A value beyond float range makes its point singular: the point is
+    redrawn, and the value never decides a verdict."""
+
+    PLANE = Chart("plane", ["x", "y"])
+
+    def test_a_point_beyond_float_range_is_redrawn(self):
+        # x^1100 leaves float range near the top of the default box
+        e = parse_expr("(1 + x)^(1/2)*(1 + y)^(1/2)*x^1100"
+                       " - (1 + x + y + x*y)^(1/2)*x^1100", self.PLANE)
+        v = is_zero(e)
+        assert v.zero and not v.exact
+        with pytest.raises(EvaluationSingularityError):
+            eval_expr(e, {"x": 2, "y": 1})
+
+    def test_terms_beyond_float_range_never_sum_to_zero(self):
+        # at 401/2 the second term overflows on the whole box; inf - inf
+        # is nan, which no tolerance may pass as zero
+        cfg = OracleConfig(samples=16, box={"x": (2, 3), "y": (2, 3)})
+        text = ("(x^2 + 1)^({k}/2)*(y^2 + 1)^({k}/2)"
+                " - (x^2 + 2)^({k}/2)*(y^2 + 3)^({k}/2)")
+        assert not is_zero(parse_expr(text.format(k=41), self.PLANE),
+                           cfg).zero
+        with pytest.raises(OracleInconclusiveError):
+            is_zero(parse_expr(text.format(k=401), self.PLANE), cfg)
+
+    def test_an_exact_total_beyond_float_range(self):
+        e = parse_expr("F(x)^400 - F(y)^400", self.PLANE)
+        v = is_zero(e)
+        assert not v.zero and v.magnitude == math.inf
+        assert eval_expr(e, v.witness_point, dict(v.func_env)) != 0
+        assert str(v).startswith("NonZero(|value|=inf at x=")
 
 
 class TestSimplify:
