@@ -31,9 +31,17 @@ monomial has one key; ``ONE_M`` (0) is the constant monomial.  Tail
 exponents are nonzero ints or Fractions (an integral Fraction compares and
 hashes equal to its int).  A packed int does not know its chart, so
 ``from_poly``, ``sorted_terms`` and ``p_pow`` take the chart from the
-caller.  A polynomial is a dict mapping monomials to nonzero Fraction
+caller.  A polynomial is a dict mapping monomials to nonzero rational
 coefficients; polynomials are shared, so no operation mutates an
 argument.
+
+A coefficient is an int when its value is integral and a Fraction only
+when it is a proper fraction, so most of the engine's arithmetic is int
+arithmetic, which runs in C.  Every operation that stores a coefficient
+keeps this rule (``_coeff``), and every coefficient division goes through
+one exact helper (``_div``), so int / int never gives a float.  A
+polynomial built elsewhere may still hold integral Fractions: they have
+the same values and hashes, so results are the same.
 
 An atom keeps its own expansion: ``_atom_poly`` stores ``to_poly(atom)``
 on the node the first time it is asked for, so the expansion lives as
@@ -64,7 +72,7 @@ _WIDE_CAP = (1 << (_WW - 1)) - 1
 _WIDE = 1 << ((MAX_COORDS + 1) * _WW)        # marks the wide layout
 
 ONE_M = 0
-_ONE = Fraction(1)
+_ONE = 1
 
 
 def _exponents(P):
@@ -194,8 +202,32 @@ def has_packed(p):
     return any(m if type(m) is int else m[0] for m in p)
 
 
+def _coeff(c):
+    """A rational coefficient in its one type: the int when c is
+    integral, c itself (a Fraction) otherwise.  The loops that store
+    coefficients test ``type(c) is int`` first, which is the common case,
+    and call this only for the rest."""
+    return c.numerator if type(c) is not int and c.denominator == 1 else c
+
+
+def _div(a, b):
+    """The exact quotient a / b of coefficients, b nonzero: every
+    coefficient division goes through here, so int / int never gives a
+    float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coeff(a / b)
+
+
+def _cpow(c, n):
+    """c**n for a coefficient c and an int n (c nonzero when n < 0)."""
+    return _coeff(c ** n) if n >= 0 else _div(1, c ** -n)
+
+
 def p_const(c):
-    c = Fraction(c)
+    """The constant polynomial of an int or Fraction c."""
+    c = _coeff(c)
     return {ONE_M: c} if c else {}
 
 
@@ -210,7 +242,7 @@ def p_add_inplace(acc, p, scale=None):
             if not c:
                 del acc[m]
                 continue
-        acc[m] = c
+        acc[m] = c if type(c) is int else _coeff(c)
     return acc
 
 
@@ -233,11 +265,11 @@ def iroot(n, k):
 
 
 def rational_pow(c, e):
-    """c**e for Fraction c and e, as a polynomial: a constant when exact,
-    otherwise the atom c^e (0**negative is kept, singular at eval)."""
-    c = Fraction(c)
+    """c**e for a rational c and a Fraction e, as a polynomial: a constant
+    when exact, otherwise the atom c^e (0**negative is kept, singular at
+    eval)."""
     if c and e.denominator == 1:
-        return p_const(c ** int(e))
+        return p_const(_cpow(c, int(e)))
     if c == 0:
         return {} if e > 0 else _atom_term(symexpr.Rat(c), e)
     if c > 0:
@@ -310,7 +342,7 @@ def term_mul(m1, c1, m2, c2):
             folds.append((a, int(e)))
         else:
             out.append((a, e))
-    base = {_mono(P, out): coeff}
+    base = {_mono(P, out): coeff if type(coeff) is int else _coeff(coeff)}
     for a, n in folds:
         if a.kind == "rat":
             base = p_mul(base, rational_pow(a.value, n))
@@ -363,7 +395,7 @@ def p_mul(a, b):
                 if not c:
                     del out[m]
                     continue
-            out[m] = c
+            out[m] = c if type(c) is int else _coeff(c)
     return out
 
 
@@ -421,7 +453,7 @@ def normalize_sum(p):
     """Split p into (unit, normalized) with p == unit * normalized, where
     normalized has coefficient content 1 and positive leading coefficient."""
     if not p:
-        return Fraction(1), p
+        return 1, p
     lead = max(p, key=_vectorizer(p))
     sign = 1 if p[lead] > 0 else -1
     num_gcd = 0
@@ -429,10 +461,10 @@ def normalize_sum(p):
     for c in p.values():
         num_gcd = gcd(num_gcd, abs(c.numerator))
         den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    unit = Fraction(sign * num_gcd, den_lcm)
+    unit = _div(sign * num_gcd, den_lcm)
     if unit == 1:
-        return Fraction(1), p
-    return unit, {m: c / unit for m, c in p.items()}
+        return 1, p
+    return unit, {m: _div(c, unit) for m, c in p.items()}
 
 
 def _atom_pow(a, k, e):
@@ -471,7 +503,7 @@ def p_pow(p, e, chart):
             power = m * e
             if power >= _NARROW_LIMIT:
                 power = _pack([(i, k * e) for i, k in _exponents(m)])
-            return {power: c ** e}
+            return {power: _coeff(c ** e)}
         out = rational_pow(c, e)
         for a, ae in _factors(m, chart):
             out = p_mul(out, _atom_pow(a, ae, e))
@@ -488,8 +520,25 @@ def p_pow(p, e, chart):
             out = p_mul(out, _atom_pow(a, -k, e))
         return out
     if e.denominator == 1:
+        # coordinates with negative exponents leave the base too:
+        # 1/x + 1 = (1 + x)/x, so 1/(1/x + 1) and x/(x + 1) share the atom
+        # (1 + x)^-1 (a fractional power keeps its base: the sign of
+        # 1/x + 1 is not that of 1 + x)
+        lows = {}
+        for m in p:
+            if type(m) is not int:
+                for a, ae in m[1]:
+                    if a.kind == "var" and ae < 0 and ae.denominator == 1 \
+                            and -ae > lows.get(a.index, 0):
+                        lows[a.index] = -int(ae)
+        if lows:
+            p = p_mul(p, {_pack(list(lows.items())): _ONE})
         unit, norm = normalize_sum(p)
-        return _atom_term(from_poly(norm, chart), e, unit ** e)
+        out = _atom_term(from_poly(norm, chart), e, _cpow(unit, e))
+        if lows:
+            out = p_mul(out, {_pack([(i, -k * e) for i, k in lows.items()]):
+                              _ONE})
+        return out
     # fractional power: opaque atom, base kept as written
     atom = from_poly(p, chart)
     return _atom_term(atom, e)
@@ -518,7 +567,7 @@ def to_poly(e):
                 break
         else:
             if m < _NARROW_LIMIT:
-                return {m: c} if c else {}
+                return {m: _coeff(c)} if c else {}
         out = p_const(1)
         for a in e.args:
             out = p_mul(out, to_poly(a))
@@ -553,7 +602,7 @@ def p_diff(p, v):
                     if not c:
                         del out[m]
                         continue
-                out[m] = c
+                out[m] = c if type(c) is int else _coeff(c)
             continue
         P, tail = _split(m)
         k = _exponent_of(P, vi)
@@ -666,7 +715,7 @@ def try_divide(num, den):
         qm = _mono_quo(lt, lead_den)
         if qm is None:
             return None
-        qc = work[lt] / c_den
+        qc = _div(work[lt], c_den)
         p_add_inplace(quotient, {qm: qc})
         del work[lt]
         if den_tail:
@@ -733,9 +782,9 @@ def combined_fraction(p):
                     (m, c), = norm.items()
                     inv = _mono_of([(ia, -ie)
                                     for ia, ie in _factors(m, a.chart)])
-                    return {inv: 1 / (unit * c)}, {}
+                    return {inv: _div(1, unit * c)}, {}
                 atom = from_poly(norm, a.chart)
-                return p_const(1 / unit), {atom: 1}
+                return p_const(_div(1, unit)), {atom: 1}
     return num, dens
 
 

@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 
 from twistdirac import _normal
-from twistdirac._normal import (p_const, p_mul, rational_pow, sorted_terms,
-                                to_poly)
+from twistdirac._normal import (normalize_sum, p_const, p_diff, p_mul,
+                                rational_pow, sorted_terms, to_poly,
+                                try_divide)
 from twistdirac.symexpr import (Chart, EvaluationSingularityError,
                                 OracleConfig, Pow, Rat, diff, eval_expr,
                                 is_zero, parse_expr, sample_point,
@@ -221,3 +222,50 @@ def test_an_odd_power_of_an_absolute_value_keeps_its_sign():
     e = parse_expr("((x^2)^(1/2))^3", PLANE)
     assert is_zero(e + PLANE["x"] ** 3, cfg).zero
     assert not is_zero(e - PLANE["x"] ** 3, cfg).zero
+
+
+def test_one_over_a_sum_with_inverse_coordinates_has_one_normal_form():
+    inverse = simplify(parse_expr("1/(1/x + 1)", PLANE))
+    quotient = simplify(parse_expr("x/(x + 1)", PLANE))
+    assert str(inverse) == str(quotient) == "x/(1 + x)"
+    both = simplify(parse_expr("1/(1/x + 1/y)", PLANE))
+    assert str(both) == "x*y/(x + y)"
+    for e in (inverse, both):
+        assert simplify(e) == e
+
+
+def test_a_root_of_a_sum_with_an_inverse_coordinate_keeps_its_base():
+    # (1/x + 1)^(1/2) is real on x <= -1, where (1 + x)^(1/2) is not
+    cfg = OracleConfig(box={"x": (-3, -2)})
+    e = simplify(parse_expr("(1/x + 1)^(1/2)", PLANE))
+    assert str(e) == "(1 + 1/x)^(1/2)"
+    assert eval_expr(e, {"x": -2, "y": 1}) == pytest.approx(HALF ** HALF)
+    assert is_zero(e * e - parse_expr("1 + 1/x", PLANE), cfg).zero
+    assert not is_zero(e + parse_expr("(1/x + 1)^(1/2)", PLANE), cfg).zero
+
+
+def test_a_quotient_of_coprime_integer_coefficients_is_a_fraction():
+    q = try_divide(to_poly(parse_expr("2*x + 2", PLANE)),
+                   to_poly(parse_expr("3*x + 3", PLANE)))
+    assert q == {0: Fraction(2, 3)} and type(q[0]) is Fraction
+    unit, norm = normalize_sum(to_poly(parse_expr("2/3*x + 4/9", PLANE)))
+    assert unit == Fraction(2, 9) and type(unit) is Fraction
+    assert sorted(norm.values()) == [2, 3]
+    assert all(type(c) is int for c in norm.values())
+    unit, norm = normalize_sum(to_poly(parse_expr("6*x + 4", PLANE)))
+    assert unit == 2 and type(unit) is int
+
+
+def test_the_derivative_of_a_root_has_a_fraction_coefficient():
+    (c,) = p_diff(to_poly(parse_expr("x^(1/2)", PLANE)), PLANE["x"]).values()
+    assert c == HALF and type(c) is Fraction
+
+
+@pytest.mark.parametrize("text", ["2*x/(x + 1) + 2/(x + 1) - 2",
+                                  "2*x/(x + 1) + 3*y - 2"])
+def test_integral_fraction_coefficients_get_the_int_verdict(text):
+    p = to_poly(parse_expr(text, PLANE))
+    assert all(type(c) is int for c in p.values())
+    as_fractions = {m: Fraction(c) for m, c in p.items()}
+    assert is_zero(as_fractions, OracleConfig(), PLANE) == \
+        is_zero(p, OracleConfig(), PLANE)

@@ -11,6 +11,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from twistdirac import _normal  # noqa: E402
+from twistdirac._normal import (  # noqa: E402
+    from_poly, normal, normalize_sum, p_add_inplace, p_diff, p_mul, p_pow,
+    to_poly, try_divide)
 from twistdirac.exterior import KForm, ext_d, form_is_zero  # noqa: E402
 from twistdirac.symexpr import (  # noqa: E402
     MAX_RESAMPLE, Chart, EvaluationSingularityError, Func, OracleConfig,
@@ -188,3 +192,123 @@ def test_sampled_sums_match_per_term_evaluation(atoms, data):
         terms, SIGNED, lambda t, point: eval_expr(t, point, ENV)))
     assert got == per_term, terms
     assert per_term == _bits(_reference_sums(terms, SIGNED, _plain_eval))
+
+
+# random rational polynomials over CHART, as {exponent tuple: Fraction}:
+# the reference every engine result below is compared with
+REF_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+    max_size=4)
+SCALES = st.one_of(st.none(), st.fractions(min_value=-3, max_value=3,
+                                           max_denominator=2).filter(bool))
+POINT = {"x": Fraction(1, 3), "y": Fraction(-2, 7), "z": Fraction(5, 4)}
+
+
+def _engine(ref):
+    """The engine polynomial of a reference polynomial, through to_poly."""
+    xs = CHART.vars()
+    return to_poly(Sum(*(Prod(Rat(c), *(Pow(x, k) for x, k in zip(xs, e)
+                                         if k))
+                         for e, c in ref.items())))
+
+
+def _canonical(p):
+    """p's coefficients are nonzero ints or non-integral Fractions."""
+    for c in p.values():
+        assert c != 0, p
+        assert type(c) is int or \
+            (type(c) is Fraction and c.denominator != 1), (c, p)
+
+
+def _reference_of(p):
+    """A polynomial of packed monomials as a reference polynomial,
+    checking its coefficient types on the way."""
+    _canonical(p)
+    out = {}
+    for m, c in p.items():
+        assert type(m) is int, m
+        exps = [0] * CHART.dim
+        for i, k in _normal._exponents(m):
+            exps[i] = k
+        out[tuple(exps)] = Fraction(c)
+    return out
+
+
+def _ref_add(a, b, scale=None):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c * (1 if scale is None else scale)
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = _ref_add(out, {tuple(map(sum, zip(e1, e2))): c1 * c2})
+    return out
+
+
+def _ref_diff(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            out = _ref_add(out, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]})
+    return out
+
+
+def _ref_eval(a, point):
+    xs = [point[name] for name in CHART.coords]
+    return sum((c * math.prod(x ** k for x, k in zip(xs, e))
+                for e, c in a.items()), Fraction(0))
+
+
+@SETTINGS
+@given(REF_POLYS, REF_POLYS, SCALES, st.integers(2, 3))
+def test_engine_arithmetic_keeps_one_coefficient_type(a, b, scale, n):
+    pa, pb = _engine(a), _engine(b)
+    assert _reference_of(pa) == a
+    assert _reference_of(p_mul(pa, pb)) == _ref_mul(a, b)
+    assert _reference_of(p_add_inplace(dict(pa), pb, scale)) == \
+        _ref_add(a, b, scale)
+    for i, x in enumerate(CHART.vars()):
+        assert _reference_of(p_diff(pa, x)) == _ref_diff(a, i)
+    power = {(0, 0, 0): Fraction(1)}
+    for _ in range(n):
+        power = _ref_mul(power, a)
+    assert _reference_of(p_pow(pa, Fraction(n), CHART)) == power
+    # the operands are shared, never mutated
+    assert _reference_of(pa) == a and _reference_of(pb) == b
+
+
+@SETTINGS
+@given(REF_POLYS, REF_POLYS)
+def test_exact_division_keeps_one_coefficient_type(a, b):
+    pa, pb = _engine(a), _engine(b)
+    if pb:
+        assert _reference_of(try_divide(p_mul(pa, pb), pb)) == a
+    q = try_divide(pa, pb)
+    if q is not None:
+        assert _ref_mul(_reference_of(q), b) == a
+    unit, norm = normalize_sum(pa)
+    _canonical({0: unit})
+    assert all(type(c) is int for c in norm.values())
+    assert _ref_mul({(0, 0, 0): Fraction(unit)}, _reference_of(norm)) == a
+
+
+@SETTINGS
+@given(REF_POLYS, REF_POLYS, REF_POLYS, st.sampled_from([-1, -2]))
+def test_normal_forms_of_quotients_keep_one_coefficient_type(a, b, c, n):
+    assume(b and _ref_eval(b, POINT))
+    pa, pb, pc = _engine(a), _engine(b), _engine(c)
+    inverse = p_pow(pb, Fraction(n), CHART)
+    _canonical(inverse)
+    got = normal(p_add_inplace(p_mul(pa, inverse), pc))
+    _canonical(got)
+    assert eval_expr(from_poly(got, CHART), POINT) == \
+        _ref_eval(a, POINT) * _ref_eval(b, POINT) ** n + _ref_eval(c, POINT)
+    if a:
+        # a root of one term: a rational constant or a radical atom
+        term = dict([next(iter(a.items()))])
+        _canonical(p_pow(_engine(term), HALF, CHART))
