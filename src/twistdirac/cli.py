@@ -9,6 +9,12 @@ Verdicts: PASS/FAIL report mathematical outcomes (a FAIL carries a witness
 point), ERROR reports infrastructure problems, INCONCLUSIVE reports an
 oracle that could not evaluate.  Exit codes: 0 all PASS, 1 any FAIL,
 2 any ERROR or INCONCLUSIVE.
+
+Each check op in CHECK_OPS takes the run and the check object and returns
+(verdict word, evidence, detail).  The evidence is the ZeroVerdict whose
+witness and magnitude the report row carries, or None for the flag and
+Lie algebra ops; _run_check copies them into the row when the evidence is
+not zero.  Every command loads its scenario with ScenarioRun.load.
 """
 
 from __future__ import annotations
@@ -145,14 +151,17 @@ def _builtin_path(name):
 def load_scenario_data(source):
     """Scenario dict from a builtin name or a JSON file path."""
     if source in BUILTIN_NAMES:
-        text = _builtin_path(source).read_text()
+        text = _builtin_path(source).read_text(encoding="utf-8")
     else:
         if not os.path.exists(source):
             known = ", ".join(BUILTIN_NAMES)
             raise ScenarioError(
                 f"{source!r} is neither a builtin ({known}) nor a file")
-        with open(source) as fh:
-            text = fh.read()
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"cannot read {source!r}: {exc}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -165,16 +174,31 @@ def load_scenario_data(source):
     return data
 
 
-def _oracle_config(oracle, seed, samples, tol):
+def _oracle_config(oracle, coords, seed, samples, tol):
     """OracleConfig from a scenario's oracle block and the overrides; a
     setting that neither gives keeps OracleConfig's default.  TypeError or
-    ValueError for a malformed block or setting."""
-    oracle = dict(oracle)
-    given = {"seed": int, "samples": int, "func_degree": int, "box": dict}
-    if tol is None:
-        given.update(abs_tol=float, rel_tol=float)
-    settings = {name: convert(oracle[name])
-                for name, convert in given.items() if name in oracle}
+    ValueError for a malformed block or setting: seed, samples and
+    func_degree must be JSON integers, the tolerances JSON numbers, and the
+    box must map chart coordinates to [lo, hi] pairs."""
+    oracle = _json(oracle, dict, "oracle")
+    settings = {}
+    for name, kind in (("seed", int), ("samples", int), ("func_degree", int),
+                       ("abs_tol", float), ("rel_tol", float)):
+        if name not in oracle:
+            continue
+        value = oracle[name]
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            what = "an integer" if kind is int else "a number"
+            raise TypeError(f"{name} must be {what}, got {value!r}")
+        settings[name] = kind(value)
+    settings["box"] = box = _json(oracle.get("box", {}), dict, "oracle box")
+    for name, interval in box.items():
+        if name not in coords:
+            raise ValueError(f"box entry {name!r} is not a chart coordinate")
+        if not (isinstance(interval, list) and len(interval) == 2) \
+                or any(isinstance(end, bool) for end in interval):
+            raise TypeError(
+                f"box of {name!r} must be a [lo, hi] pair, got {interval!r}")
     if seed is None:
         seed = os.environ.get(SEED_ENV_VAR)
     if seed is not None:
@@ -189,6 +213,12 @@ def _oracle_config(oracle, seed, samples, tol):
 class ScenarioRun:
     """A loaded scenario with resolved definitions and structures."""
 
+    @classmethod
+    def load(cls, source, seed=None, samples=None, tol=None, sign=None):
+        """The run of a builtin name or a JSON file path; seed, samples,
+        tol and sign override the scenario's own settings."""
+        return cls(load_scenario_data(source), seed, samples, tol, sign)
+
     def __init__(self, data, seed=None, samples=None, tol=None, sign=None):
         self.name = data.get("name", "unnamed")
         try:
@@ -199,9 +229,9 @@ class ScenarioRun:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"invalid chart: {exc}")
         try:
-            self.cfg = _oracle_config(data.get("oracle", {}), seed, samples,
-                                      tol)
-        except (TypeError, ValueError) as exc:
+            self.cfg = _oracle_config(data.get("oracle", {}),
+                                      self.chart.coords, seed, samples, tol)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"invalid oracle settings: {exc}")
         self.sign_override = sign
         self.exprs = {}
@@ -212,6 +242,21 @@ class ScenarioRun:
         self._structure_specs = self._collect_structures(data)
         self._structures = {}
         self.checks = _json(data.get("checks", []), list, "checks")
+
+    def report(self):
+        """Run every check in order; a check that is not an object makes
+        an ERROR row."""
+        report = Report(self.name, self.cfg, self.sign_override or "+")
+        for spec in self.checks:
+            start = time.perf_counter()
+            if isinstance(spec, dict):
+                result = _run_check(self, spec)
+            else:
+                result = CheckResult(json.dumps(spec), "ERROR",
+                                     detail="a check must be a JSON object")
+            result.ms = (time.perf_counter() - start) * 1000.0
+            report.checks.append(result)
+        return report
 
     # -- definitions -------------------------------------------------------
 
@@ -355,14 +400,21 @@ class ScenarioRun:
 # check operations
 
 
-def _outcome(verdict):
-    """(PASS/FAIL, witness, residual, detail naming the failing children)
-    of a ZeroVerdict."""
-    if verdict.zero:
-        return "PASS", None, None, ""
+def _word(ok):
+    return "PASS" if ok else "FAIL"
+
+
+def _composite(verdict):
+    """The result of a composite verdict, its detail naming the failing
+    children."""
     failing = "; ".join(label for label, _ in verdict.failures)
-    return ("FAIL", verdict.witness_point, verdict.magnitude,
-            failing and f"failing: {failing}")
+    return _word(verdict.zero), verdict, failing and f"failing: {failing}"
+
+
+def _graph_args(run, spec, *names):
+    """The check's graph structure, then its expressions spec[name]."""
+    return (run.structure(spec.get("structure")),
+            *(run.expr(spec[name], name) for name in names))
 
 
 def _flag(spec, name, default=True):
@@ -375,83 +427,61 @@ def _flag(spec, name, default=True):
 
 
 def _op_poisson_bracket(run, spec):
-    D = run.structure(spec.get("structure"))
-    f = run.expr(spec["f"], "f")
-    g = run.expr(spec["g"], "g")
+    D, f, g = _graph_args(run, spec, "f", "g")
     bracket = dirac.poisson_bracket(D, f, g)
     expect = run.expr(spec.get("expect", "0"), "expect")
-    v, w, r, _ = _outcome(is_zero(bracket - expect, run.cfg))
-    return v, w, r, f"{{f,g}} = {bracket}"
+    verdict = is_zero(bracket - expect, run.cfg)
+    return _word(verdict.zero), verdict, f"{{f,g}} = {bracket}"
 
 
 def _op_courant_admissible(run, spec):
-    D = run.structure(spec.get("structure"))
-    f = run.expr(spec["f"], "f")
+    D, f = _graph_args(run, spec, "f")
     expect = _flag(spec, "expect")
     ok, X = dirac.is_courant_admissible(D, f)
-    verdict = "PASS" if ok == expect else "FAIL"
     detail = f"admissible={ok}" + (f", X_f = {X}" if X is not None else "")
-    return verdict, None, None, detail
+    return _word(ok == expect), None, detail
 
 
 def _op_h_admissible(run, spec):
-    D = run.structure(spec.get("structure"))
-    f = run.expr(spec["f"], "f")
+    D, f = _graph_args(run, spec, "f")
     expect = spec.get("expect")
     if expect not in (None, "zero", "nonzero"):
         raise ScenarioError(
             f"h_admissible expect must be 'zero' or 'nonzero', "
             f"got {expect!r}")
-    report = dirac.is_H_admissible(D, f, spec.get("f", "f"))
-    if report.h_admissible is None:
-        return ("INCONCLUSIVE", None, None,
-                f"verdict not determined: {report.detail}")
-    verdict_word = "zero" if report.h_admissible else "nonzero"
-    detail = (f"i_X H {verdict_word}"
-              + (f"; X_f = {report.hamiltonian_field}"
-                 if report.hamiltonian_field else ""))
-    if expect is None:
-        return "PASS", report.witness, report.magnitude, detail
-    ok = (expect == verdict_word)
-    return ("PASS" if ok else "FAIL", report.witness, report.magnitude,
-            detail)
+    X, verdict = dirac._h_verdict(D, f)
+    if verdict in dirac._NOT_DETERMINED:
+        return ("INCONCLUSIVE", None,
+                f"verdict not determined: {verdict.label}")
+    found = "zero" if verdict.zero else "nonzero"
+    return (_word(expect in (None, found)), verdict,
+            f"i_X H {found}; X_f = {X}")
 
 
 def _op_theorem_closure(run, spec):
-    D = run.structure(spec.get("structure"))
-    f = run.expr(spec["f"], "f")
-    g = run.expr(spec["g"], "g")
+    D, f, g = _graph_args(run, spec, "f", "g")
     k = run.expr(spec["k"], "k") if "k" in spec else None
-    return _outcome(dirac.check_theorem(D, f, g, k))
+    return _composite(dirac.check_theorem(D, f, g, k))
 
 
 def _op_jacobi_defect(run, spec):
-    D = run.structure(spec.get("structure"))
-    f = run.expr(spec["f"], "f")
-    g = run.expr(spec["g"], "g")
-    k = run.expr(spec["k"], "k")
-    cyclic, contraction = dirac.jacobi_defect(D, f, g, k)
-    v, w, r, _ = _outcome(is_zero(cyclic - contraction, run.cfg))
-    return v, w, r, f"cyclic sum = {cyclic}"
+    cyclic, contraction = dirac.jacobi_defect(
+        *_graph_args(run, spec, "f", "g", "k"))
+    verdict = is_zero(cyclic - contraction, run.cfg)
+    return _word(verdict.zero), verdict, f"cyclic sum = {cyclic}"
 
 
 def _op_symplectic_graph(run, spec):
-    D = run.structure(spec.get("structure"))
-    f = run.expr(spec["f"], "f")
+    D, f = _graph_args(run, spec, "f")
     expect = _flag(spec, "expect_h_admissible", None)
-    identity, lie = dirac.check_symplgraph(D, f, spec.get("f", "f"))
-    v, w, r, _ = _outcome(identity)
-    detail = f"H-admissible (L_X h = 0): {lie.zero}"
-    if expect is not None and expect != lie.zero:
-        v = "FAIL"
-    return v, w, r, detail
+    identity, lie = dirac.check_symplgraph(D, f, spec["f"])
+    return (_word(identity.zero and expect in (None, lie.zero)), identity,
+            f"H-admissible (L_X h = 0): {lie.zero}")
 
 
 def _op_poisson_pair(run, spec):
-    D = run.structure(spec.get("structure"))
-    f = run.expr(spec["f"], "f")
-    g = run.expr(spec["g"], "g")
-    return _outcome(dirac.check_poiss_brak_adm(D, f, g))
+    return _composite(dirac.check_poiss_brak_adm(
+        *_graph_args(run, spec, "f", "g")))
 
 
 def _op_admissible_pair(run, spec):
@@ -460,15 +490,13 @@ def _op_admissible_pair(run, spec):
         if "H" in spec else run.structure(spec.get("structure")).H
     expect = _flag(spec, "expect")
     verdict = dirac.is_admissible_pair(sec.X, sec.alpha, H, run.cfg)
-    _, w, r, _ = _outcome(verdict)
-    return "PASS" if verdict.zero == expect else "FAIL", w, r, ""
+    return _word(verdict.zero == expect), verdict, ""
 
 
 def _op_pairing_zero(run, spec):
-    A = run.sections[spec["a"]]
-    B = run.sections[spec["b"]]
-    v, w, r, _ = _outcome(pairing_is_zero(A, B, run.cfg))
-    return v, w, r, ""
+    verdict = pairing_is_zero(run.sections[spec["a"]],
+                              run.sections[spec["b"]], run.cfg)
+    return _word(verdict.zero), verdict, ""
 
 
 def _op_image_under_d(run, spec):
@@ -477,21 +505,15 @@ def _op_image_under_d(run, spec):
         raise ScenarioError("image_under_d needs at least one section")
     H = run._parse_form_spec(spec["H"], label="H") if "H" in spec \
         else run.structure(spec.get("structure")).H
-    return _outcome(dirac.check_image_under_d(secs, H, run.cfg))
+    return _composite(dirac.check_image_under_d(secs, H, run.cfg))
 
 
-def _op_integrable(run, spec):
-    D = run.structure(spec.get("structure"))
-    ok = D.integrable == _flag(spec, "expect")
-    return ("PASS" if ok else "FAIL", None, None,
-            f"integrable={D.integrable}")
-
-
-def _op_nondegenerate(run, spec):
-    D = run.structure(spec.get("structure"))
-    ok = D.nondegenerate == _flag(spec, "expect")
-    return ("PASS" if ok else "FAIL", None, None,
-            f"nondegenerate={D.nondegenerate}")
+def _op_graph_flag(run, spec):
+    """integrable or nondegenerate, named by the op: the graph's flag
+    against expect."""
+    op = spec["op"]
+    value = getattr(run.structure(spec.get("structure")), op)
+    return _word(value == _flag(spec, "expect")), None, f"{op}={value}"
 
 
 def _op_cartan_kernel(run, spec):
@@ -501,12 +523,11 @@ def _op_cartan_kernel(run, spec):
         raise ScenarioError(
             f"expect_dimension must be an integer, got {expect!r}")
     kernel = liealg.contraction_kernel(L)
-    ok = len(kernel) == expect
     detail = f"kernel dimension = {len(kernel)}"
     if kernel:
         detail += "; basis: " + "; ".join(
             "(" + ", ".join(str(x) for x in vec) + ")" for vec in kernel)
-    return ("PASS" if ok else "FAIL", None, None, detail)
+    return _word(len(kernel) == expect), None, detail
 
 
 def _op_cartan_table(run, spec):
@@ -515,17 +536,16 @@ def _op_cartan_table(run, spec):
             for (i, j, k), v in liealg.cartan_3form(L).table()]
     detail = "; ".join(rows) if rows else "no triples"
     nonzero = spec.get("nonzero")
-    if nonzero is not None:
-        if not (isinstance(nonzero, list) and len(nonzero) == 3
-                and all(type(i) is int for i in nonzero)):
-            raise ScenarioError(
-                f"nonzero must be three basis indices, got {nonzero!r}")
-        l, m, n = nonzero
-        value = liealg.triple_contraction(L, l, m, n)
-        detail += f"; contraction({l},{m},{n}) = {value}"
-        if value == 0:
-            return "FAIL", None, None, detail
-    return "PASS", None, None, detail
+    if nonzero is None:
+        return "PASS", None, detail
+    if not (isinstance(nonzero, list) and len(nonzero) == 3
+            and all(type(i) is int for i in nonzero)):
+        raise ScenarioError(
+            f"nonzero must be three basis indices, got {nonzero!r}")
+    l, m, n = nonzero
+    value = liealg.triple_contraction(L, l, m, n)
+    return (_word(value != 0), None,
+            f"{detail}; contraction({l},{m},{n}) = {value}")
 
 
 CHECK_OPS = {
@@ -539,8 +559,8 @@ CHECK_OPS = {
     "admissible_pair": _op_admissible_pair,
     "pairing_zero": _op_pairing_zero,
     "image_under_d": _op_image_under_d,
-    "integrable": _op_integrable,
-    "nondegenerate": _op_nondegenerate,
+    "integrable": _op_graph_flag,
+    "nondegenerate": _op_graph_flag,
     "cartan_kernel": _op_cartan_kernel,
     "cartan_table": _op_cartan_table,
 }
@@ -554,48 +574,36 @@ def _default_check_name(spec):
 
 
 def run_scenario(source, seed=None, samples=None, tol=None, sign=None):
-    """Execute every check of a scenario; FAIL results never abort the
-    run, definition and structure errors do."""
-    data = load_scenario_data(source)
-    run = ScenarioRun(data, seed=seed, samples=samples, tol=tol, sign=sign)
-    report = Report(scenario=run.name, cfg=run.cfg, sign=sign or "+")
-    for spec in run.checks:
-        start = time.perf_counter()
-        if isinstance(spec, dict):
-            result = _run_check(run, spec)
-        else:
-            result = CheckResult(json.dumps(spec), "ERROR",
-                                 detail="a check must be a JSON object")
-        result.ms = (time.perf_counter() - start) * 1000.0
-        report.checks.append(result)
-    return report
+    """The report of every check of a scenario; FAIL results never abort
+    the run, definition and structure errors do."""
+    return ScenarioRun.load(source, seed, samples, tol, sign).report()
 
 
 def _run_check(run, spec):
     """The CheckResult of one check object; an error it raises from the
-    package, or a missing field, makes an ERROR row."""
+    package, or a missing field, makes an ERROR row.  The witness and
+    residual are those of the op's evidence, when it is not zero."""
     name = spec.get("name") or _default_check_name(spec)
     op = spec.get("op")
-    handler = CHECK_OPS.get(op)
+    handler = CHECK_OPS.get(op) if isinstance(op, str) else None
     if handler is None:
         return CheckResult(name, "ERROR", detail=f"unknown check op {op!r}")
     try:
-        verdict, witness, residual, detail = handler(run, spec)
+        verdict, evidence, detail = handler(run, spec)
     except (SymExprError, KeyError) as exc:
         return CheckResult(name, "ERROR",
                            detail=f"{type(exc).__name__}: {exc}")
-    return CheckResult(name, verdict, witness, residual, detail=detail)
+    if evidence is None or evidence.zero:
+        return CheckResult(name, verdict, detail=detail)
+    return CheckResult(name, verdict, evidence.witness_point,
+                       evidence.magnitude, detail=detail)
 
 
-def cmd_bracket(source, f_name, g_name, structure=None, seed=None,
-                samples=None, tol=None, sign=None, out=None):
+def cmd_bracket(run, f_name, g_name, structure=None):
     """Print X_f, X_g and the simplified bracket {f, g}."""
-    data = load_scenario_data(source)
-    run = ScenarioRun(data, seed=seed, samples=samples, tol=tol, sign=sign)
     D = run.structure(structure)
     f = run.expr(f_name, "f")
     g = run.expr(g_name, "g")
-    out = out or sys.stdout
     Xf = dirac.hamiltonian_vf(D, f)
     Xg = dirac.hamiltonian_vf(D, g)
     bracket = vf_apply(Xf, g)
@@ -604,22 +612,17 @@ def cmd_bracket(source, f_name, g_name, structure=None, seed=None,
         if simplify(e) == bracket:
             label = f"  (= {name})"
             break
-    print(f"X_{f_name} = {Xf}", file=out)
-    print(f"X_{g_name} = {Xg}", file=out)
-    print(f"{{{f_name}, {g_name}}} = {bracket}{label}", file=out)
+    print(f"X_{f_name} = {Xf}")
+    print(f"X_{g_name} = {Xg}")
+    print(f"{{{f_name}, {g_name}}} = {bracket}{label}")
     return bracket
 
 
-def cmd_admissible(source, f_name, structure=None, seed=None, samples=None,
-                   tol=None, sign=None, out=None):
+def cmd_admissible(run, f_name, structure=None):
     """Print the admissibility report for a named function."""
-    data = load_scenario_data(source)
-    run = ScenarioRun(data, seed=seed, samples=samples, tol=tol, sign=sign)
-    D = run.structure(structure)
-    f = run.expr(f_name, "f")
-    out = out or sys.stdout
-    report = dirac.is_H_admissible(D, f, f_name)
-    print(report, file=out)
+    report = dirac.is_H_admissible(run.structure(structure),
+                                   run.expr(f_name, "f"), f_name)
+    print(report)
     return report
 
 
@@ -684,41 +687,30 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.command == "builtins":
+        print("\n".join(BUILTIN_NAMES))
+        return 0
     try:
-        if args.command == "builtins":
-            for name in BUILTIN_NAMES:
-                print(name)
-            return 0
-        if args.command in ("check", "report"):
-            report = run_scenario(args.scenario, seed=args.seed,
-                                  samples=args.samples, tol=args.tol,
-                                  sign=args.sign)
-            if args.format == "json":
-                text = report.to_json()
-            else:
-                text = report.render_text()
-            output = getattr(args, "output", None)
-            if output:
-                with open(output, "w") as fh:
-                    fh.write(text + "\n")
-            else:
-                print(text)
-            return report.exit_code
+        run = ScenarioRun.load(args.scenario, args.seed, args.samples,
+                               args.tol, args.sign)
         if args.command == "bracket":
-            cmd_bracket(args.scenario, args.f, args.g,
-                        structure=args.structure, seed=args.seed,
-                        samples=args.samples, tol=args.tol, sign=args.sign)
+            cmd_bracket(run, args.f, args.g, args.structure)
             return 0
         if args.command == "admissible":
-            cmd_admissible(args.scenario, args.f,
-                           structure=args.structure, seed=args.seed,
-                           samples=args.samples, tol=args.tol,
-                           sign=args.sign)
+            cmd_admissible(run, args.f, args.structure)
             return 0
+        report = run.report()
     except SymExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
+    text = report.to_json() if args.format == "json" \
+        else report.render_text()
+    if getattr(args, "output", None):
+        with open(args.output, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    return report.exit_code
 
 
 if __name__ == "__main__":

@@ -288,28 +288,28 @@ def is_H_admissible(D, f, name="f"):
     """Full admissibility report: Courant admissibility, the solved
     Hamiltonian field, and the verdict on i_{X_f} H = 0."""
     X, verdict = _h_verdict(D, f)
-    if X is None:
-        return AdmissibilityReport(name, False,
-                                   detail="not admissible (Courant)")
-    if not D.nondegenerate:
-        return AdmissibilityReport(
-            name, True, hamiltonian_field=X,
-            detail="degenerate structure: Hamiltonian field not unique")
+    if verdict in _NOT_DETERMINED:
+        return AdmissibilityReport(name, X is not None, hamiltonian_field=X,
+                                   detail=verdict.label)
     return AdmissibilityReport(
         name, True, hamiltonian_field=X, h_admissible=verdict.zero,
         witness=verdict.witness_point, magnitude=verdict.magnitude)
 
 
-# fails without a witness: f is not admissible, or its field is not unique
-_NOT_DETERMINED = ZeroVerdict(zero=False, exact=True)
+# the verdict on i_{X_f} H = 0 when it is not determined, without a
+# witness, indexed by whether f is admissible; the label says why
+_NOT_DETERMINED = (
+    ZeroVerdict(zero=False, exact=True, label="not admissible (Courant)"),
+    ZeroVerdict(zero=False, exact=True,
+                label="degenerate structure: Hamiltonian field not unique"))
 
 
 def _h_verdict(D, f):
-    """(X_f or None, the verdict on i_{X_f} H = 0); _NOT_DETERMINED when
-    f is not admissible or the structure is degenerate."""
+    """(X_f or None, the verdict on i_{X_f} H = 0); one of _NOT_DETERMINED
+    when f is not admissible or the structure is degenerate."""
     ok, X = is_courant_admissible(D, f)
-    if not ok or not D.nondegenerate:
-        return X, _NOT_DETERMINED
+    if not (ok and D.nondegenerate):
+        return X, _NOT_DETERMINED[ok]
     return X, form_is_zero(interior(X, D.H), D.cfg)
 
 

@@ -180,11 +180,11 @@ class Rat(Expr):
 
     def __init__(self, num, den=None):
         value = Fraction(num) if den is None else Fraction(num, den)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "chart", None)
+        self.value = value
+        self.chart = None
         key = ("rat", value.numerator, value.denominator)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        self._key = key
+        self._hash = hash(key)
 
 
 class Var(Expr):
@@ -195,11 +195,11 @@ class Var(Expr):
         if not 0 <= index < chart.dim:
             raise ChartMismatchError(
                 f"coordinate index {index} out of range for {chart.name!r}")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "index", index)
+        self.chart = chart
+        self.index = index
         key = ("var", chart.ident, index)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        self._key = key
+        self._hash = hash(key)
 
     @property
     def name(self):
@@ -221,11 +221,11 @@ class _NAry(Expr):
             else:
                 flat.append(a)
         chart = _merge_charts(*(a.chart for a in flat))
-        object.__setattr__(self, "args", tuple(flat))
-        object.__setattr__(self, "chart", chart)
+        self.args = tuple(flat)
+        self.chart = chart
         key = (kind, len(flat)) + tuple(a._key for a in flat)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        self._key = key
+        self._hash = hash(key)
 
 
 class Sum(_NAry):
@@ -245,12 +245,12 @@ class Pow(Expr):
     def __init__(self, base, exp):
         base = as_expr(base)
         exp = Fraction(exp)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exp", exp)
-        object.__setattr__(self, "chart", base.chart)
+        self.base = base
+        self.exp = exp
+        self.chart = base.chart
         key = ("pow", base._key, exp.numerator, exp.denominator)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        self._key = key
+        self._hash = hash(key)
 
 
 class Func(Expr):
@@ -264,13 +264,13 @@ class Func(Expr):
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         arg = as_expr(arg)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "chart", arg.chart)
+        self.name = name
+        self.order = order
+        self.arg = arg
+        self.chart = arg.chart
         key = ("func", name, order, arg._key)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        self._key = key
+        self._hash = hash(key)
 
 
 
@@ -620,8 +620,8 @@ class OracleConfig:
     coordinates use the default interval [1/4, 2] which keeps the built-in
     scenarios away from their singular loci.  Settings under which a
     Zero verdict would hold vacuously (no samples, a negative function
-    degree, a tolerance that is negative, infinite or nan) are rejected
-    with ValueError.  Each config keeps the sample points it has drawn
+    degree, a tolerance that is negative, infinite or nan, an interval
+    whose lo is not below its hi) are rejected with ValueError.  Each config keeps the sample points it has drawn
     (see sample_point); the table is not a setting, so it takes no part
     in equality, and replace() starts a new one.
     """
@@ -649,6 +649,11 @@ class OracleConfig:
         norm = tuple(sorted(
             (name, (Fraction(lo), Fraction(hi)))
             for name, (lo, hi) in dict(self.box).items()))
+        for name, (lo, hi) in norm:
+            if not lo < hi:
+                raise ValueError(
+                    f"the interval of {name} must have lo < hi, "
+                    f"got [{lo}, {hi}]")
         object.__setattr__(self, "box", norm)
 
     def interval(self, name):

@@ -315,6 +315,7 @@ class TestScenarioFiles:
         ({"op": "admissible_pair", "section": "A3", "expect": True}, None),
         ({"op": "pairing_zero", "a": "A", "b": "A3"}, None),
         ({"op": "image_under_d", "sections": ["A"], "H": "0"}, None),
+        ({"op": ["poisson_bracket"], "f": "q1", "g": "p1"}, None),
     ], ids=["check-not-an-object", "expression-is-a-list",
             "graph-op-on-an-algebra", "cartan-kernel-on-a-graph",
             "cartan-table-on-a-graph", "algebra-missing",
@@ -327,7 +328,8 @@ class TestScenarioFiles:
             "symplectic-graph-expect-a-string", "integrable-expect-zero",
             "symplectic-graph-expect-null", "abelian-over-the-bound",
             "dim-over-the-bound", "admissible-pair-level-3-on-a-3-form",
-            "pairing-zero-of-levels-2-and-3", "image-under-d-with-H-0"])
+            "pairing-zero-of-levels-2-and-3", "image-under-d-with-H-0",
+            "op-a-list"])
     def test_malformed_check_is_an_error_row(self, tmp_path, check,
                                              algebra):
         # L is so3, a lie_algebra structure with the given fields, or a
@@ -398,7 +400,11 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("oracle", [{"func_degree": -1},
                                         {"samples": 0},
-                                        {"abs_tol": "nan"}])
+                                        {"abs_tol": "nan"},
+                                        {"abs_tol": True},
+                                        {"box": {"q": [1, 1]}},
+                                        {"box": {"q": [2, 1]}},
+                                        {"abs_tol": 10 ** 400}])
     def test_vacuous_oracle_settings_are_errors(self, tmp_path, capsys,
                                                 oracle):
         data = _with(FUNCTION_BRACKET, "oracle", oracle)
@@ -427,17 +433,42 @@ class TestRejectedInput:
         _with(MINIMAL, "definitions", {"forms": MINIMAL["definitions"][
             "forms"], "sections": {"A": ["q1", "dq1"]}}),
         _with(MINIMAL, "structures", [MINIMAL["structure"]]),
+        _with(MINIMAL, "oracle", {"samples": True}),
+        _with(MINIMAL, "oracle", {"seed": "4"}),
+        _with(MINIMAL, "oracle", {"func_degree": 2.9}),
+        _with(MINIMAL, "oracle", {"rel_tol": "1e-9"}),
+        _with(MINIMAL, "oracle", {"box": {"q1": [True, 2]}}),
+        _with(MINIMAL, "oracle", {"box": {"x": [1, 2]}}),
+        _with(MINIMAL, "oracle", {"box": {"q1": "12"}}),
     ], ids=["repeated-coordinates", "17-coordinates", "top-level-array",
             "non-numeric-samples", "one-ended-box", "chart-a-string",
             "checks-an-object", "definitions-an-array", "forms-an-array",
             "exprs-a-string", "form-without-text", "section-X-a-string",
-            "section-an-array", "structures-an-array"])
+            "section-an-array", "structures-an-array", "boolean-samples",
+            "seed-a-string", "fractional-func-degree", "rel-tol-a-string",
+            "boolean-box-endpoint", "box-of-a-non-coordinate",
+            "box-a-string"])
     def test_malformed_scenario_file_is_an_error(self, tmp_path, capsys,
                                                   data):
         with pytest.raises(ScenarioError):
             run_scenario(write_scenario(tmp_path, data))
         assert main(["check", write_scenario(tmp_path, data)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("content", [None, b'{"name": "\xff"}'],
+                             ids=["a-directory", "not-utf-8"])
+    def test_unreadable_scenario_file_is_an_error(self, tmp_path, capsys,
+                                                  content):
+        path = tmp_path / "scen.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ScenarioError):
+            load_scenario_data(str(path))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read")
 
 
 class TestCommands:

@@ -539,7 +539,8 @@ class TestOracleConfig:
         {"samples": 0}, {"samples": -5}, {"func_degree": -1},
         {"abs_tol": float("nan")}, {"abs_tol": float("inf")},
         {"rel_tol": float("nan")}, {"rel_tol": float("inf")},
-        {"abs_tol": -1e-9}, {"rel_tol": -1e-9}])
+        {"abs_tol": -1e-9}, {"rel_tol": -1e-9}, {"box": {"x": (1, 1)}},
+        {"box": {"x": (2, 1)}}])
     def test_settings_that_make_zero_vacuous_are_rejected(self, setting):
         # no samples, function symbols that vanish identically, or a
         # tolerance every total passes would each give a Zero for free
