@@ -334,12 +334,16 @@ class ScenarioRun:
 
     def structure(self, name=None, kind="graph"):
         """The named structure (the only one, else "main", when unnamed);
-        ScenarioError unless its type is kind ("graph" or "lie_algebra")."""
+        ScenarioError unless its type is kind ("graph" or "lie_algebra"),
+        and when unnamed among several of which none is "main"."""
         if name is None:
-            if len(self._structure_specs) == 1:
-                name = next(iter(self._structure_specs))
-            else:
-                name = "main"
+            names = list(self._structure_specs)
+            if len(names) > 1 and "main" not in names:
+                raise ScenarioError(
+                    f"the scenario has structures {', '.join(names)}: "
+                    f"name one with --structure or the check's "
+                    f"'structure' field")
+            name = names[0] if len(names) == 1 else "main"
         if name not in self._structures:
             try:
                 spec = self._structure_specs[name]

@@ -10,7 +10,16 @@ coefficient matrix when it is built.  It yields the rank, the determinant
 (the signed product of the pivots, unexpanded; simplify(D.det) expands
 it), the inverse and a transform that turns every Hamiltonian solve, on
 degenerate structures too, into one matrix-vector product; every solve is
-then verified by a residual zero-test.
+then verified by a residual zero-test.  A constant determinant decides
+nondegeneracy exactly, without sampling.
+
+Each structure solves a function once.  A table on the instance, keyed
+by the function's tree (as_expr(f)), keeps X_f and its residual verdict,
+and the verdict on i_{X_f} H once it is first asked for; hamiltonian_vf,
+the admissibility tests, poisson_bracket, jacobi_defect and the checks
+all read it.  The table has no size limit and dies with its structure.
+A solve that raises stores nothing, and what is stored is never
+mutated: the engine builds new polynomials and ZeroVerdict is frozen.
 
 Every check answers with one ``ZeroVerdict``: the proposition checks
 (check_theorem, check_image_under_d, check_poiss_brak_adm) return a
@@ -128,6 +137,8 @@ class TwistedGraph:
                 f"the twisting 3-form is not closed: {closed}")
         self._eliminate()
         self.nondegenerate = self._det_nonvanishing()
+        # as_expr(f) -> (X_f, residual verdict, i_{X_f} H verdict or None)
+        self._solved = {}
         self.integrable = form_is_zero(ext_d(self.h) - self.H, cfg).zero
 
     def _eliminate(self):
@@ -193,7 +204,11 @@ class TwistedGraph:
         self._transform = [rows[r][dim:] for r in order]
 
     def _det_nonvanishing(self):
-        """True when |det| clears the tolerance at every sample point."""
+        """True when |det| clears the tolerance at every sample point; a
+        constant det is decided exactly, as sampling would with tolerance
+        0, and draws no point."""
+        if isinstance(self.det, Rat):
+            return self.det.value != 0
         env = oracle_function_env(self.cfg, self.det)
         try:
             return all(abs(total) > tol for _, total, tol in sampled_sums(
@@ -242,12 +257,22 @@ def hamiltonian_vf(D, f):
 
 def _solve_verified(D, f):
     """(X_f, verdict on df - sign * i_{X_f} h), or (None, None) when the
-    system is inconsistent.  X_f is the elimination transform applied to
-    sign * grad f: rows past the rank must vanish, pivot rows give the
-    pivot components, and free components are zero."""
+    system is inconsistent; solved once per function per structure and
+    kept in the structure's table."""
     f = as_expr(f)
     if f.chart is not None and f.chart != D.chart:
         raise SymExprError("function lives on a different chart")
+    entry = D._solved.get(f)
+    if entry is None:
+        # threads racing here compute equal entries; the first is kept
+        entry = D._solved.setdefault(f, _solve(D, f) + (None,))
+    return entry[:2]
+
+
+def _solve(D, f):
+    """The solve behind _solve_verified.  X_f is the elimination transform
+    applied to sign * grad f: rows past the rank must vanish, pivot rows
+    give the pivot components, and free components are zero."""
     df = ext_d(KForm.scalar(D.chart, f))
     grad = [normal(df.polys.get(1 << i, {})) for i in range(D.chart.dim)]
     sign = -1 if D.sign < 0 else None
@@ -310,7 +335,12 @@ def _h_verdict(D, f):
     ok, X = is_courant_admissible(D, f)
     if not (ok and D.nondegenerate):
         return X, _NOT_DETERMINED[ok]
-    return X, form_is_zero(interior(X, D.H), D.cfg)
+    f = as_expr(f)
+    X, residual, verdict = D._solved[f]
+    if verdict is None:
+        verdict = form_is_zero(interior(X, D.H), D.cfg)
+        D._solved[f] = (X, residual, verdict)
+    return X, verdict
 
 
 def is_admissible_pair(X, alpha, H, cfg=OracleConfig()):

@@ -610,6 +610,7 @@ def simplify(e):
 
 _DEFAULT_INTERVAL = (Fraction(1, 4), Fraction(2))
 MAX_RESAMPLE = 10       # draws per sample point before the oracle gives up
+MAX_SAMPLES = 4096      # sample points per zero test, 32 times the default
 
 
 @dataclass(frozen=True)
@@ -621,9 +622,11 @@ class OracleConfig:
     scenarios away from their singular loci.  Settings under which a
     Zero verdict would hold vacuously (no samples, a negative function
     degree, a tolerance that is negative, infinite or nan, an interval
-    whose lo is not below its hi) are rejected with ValueError.  Each config keeps the sample points it has drawn
-    (see sample_point); the table is not a setting, so it takes no part
-    in equality, and replace() starts a new one.
+    whose lo is not below its hi) are rejected with ValueError, and so is
+    a sample count above MAX_SAMPLES, which would make one zero test
+    grind instead of answering.  Each config keeps the sample points it
+    has drawn (see sample_point); the table is not a setting, so it takes
+    no part in equality, and replace() starts a new one.
     """
 
     seed: int = 0
@@ -636,8 +639,9 @@ class OracleConfig:
                           compare=False)
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}, "
+                             f"got {self.samples}")
         if self.func_degree < 0:
             raise ValueError(
                 f"func_degree must be >= 0, got {self.func_degree}")

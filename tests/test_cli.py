@@ -349,6 +349,17 @@ class TestScenarioFiles:
         assert [c.verdict for c in report.checks] == ["ERROR", "PASS"]
         assert report.exit_code == 2
 
+    def test_unnamed_structure_among_several_is_an_error_row(self,
+                                                              tmp_path):
+        data = _with(MINIMAL, "structures", {"a": MINIMAL["structure"],
+                                             "b": MINIMAL["structure"]})
+        data["checks"] = MINIMAL["checks"] + [
+            dict(MINIMAL["checks"][0], structure="b")]
+        report = run_scenario(write_scenario(tmp_path, data))
+        assert [c.verdict for c in report.checks] == ["ERROR", "PASS"]
+        detail = report.checks[0].detail
+        assert "a, b" in detail and "'structure' field" in detail
+
     @pytest.mark.parametrize("field, value", [
         ("expect", "false"), ("expect", 0), ("expect", None),
         ("expect_h_admissible", "false")])
@@ -392,7 +403,8 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("flags", [["--samples", "0"],
                                        ["--samples", "-5"],
-                                       ["--tol", "nan"], ["--tol", "inf"]])
+                                       ["--tol", "nan"], ["--tol", "inf"],
+                                       ["--samples", "100000000"]])
     def test_vacuous_oracle_flags_are_errors(self, tmp_path, capsys, flags):
         path = write_scenario(tmp_path, FUNCTION_BRACKET)
         assert main(["check", path] + flags) == 2
@@ -404,7 +416,8 @@ class TestRejectedInput:
                                         {"abs_tol": True},
                                         {"box": {"q": [1, 1]}},
                                         {"box": {"q": [2, 1]}},
-                                        {"abs_tol": 10 ** 400}])
+                                        {"abs_tol": 10 ** 400},
+                                        {"samples": 100000000}])
     def test_vacuous_oracle_settings_are_errors(self, tmp_path, capsys,
                                                 oracle):
         data = _with(FUNCTION_BRACKET, "oracle", oracle)
@@ -508,6 +521,13 @@ class TestCommands:
     def test_missing_scenario_is_exit_two(self, capsys):
         assert main(["check", "missing.json"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unnamed_structure_among_several_is_exit_two(self, capsys):
+        # conformal-symplectic has the structures property and hamiltonian
+        assert main(["admissible", "conformal-symplectic", "L1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--structure" in err
+        assert "hamiltonian" in err and "property" in err
 
     def test_seed_flag(self, capsys):
         assert main(["check", "darboux", "--seed", "42",

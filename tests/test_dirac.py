@@ -1,12 +1,15 @@
 """Twisted graphs: solving, admissibility, and the proposition checks."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from twistdirac.symexpr import (Chart, Pow, Prod, Rat, Sum, is_zero,
-                                parse_expr, simplify)
+from twistdirac import dirac
+from twistdirac.symexpr import (Chart, OracleConfig, Pow, Prod, Rat, Sum,
+                                is_zero, parse_expr, simplify)
 from twistdirac.exterior import (KForm, VectorField, ext_d, form_is_zero,
                                  interior, parse_form, vf_bracket,
                                  vf_is_zero)
@@ -228,6 +231,119 @@ class TestElimination:
             hamiltonian_vf(D, kernel_touching)
         with pytest.raises(NondegeneracyError):
             D.inverse_matrix()
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The (structure, function) pairs the Hamiltonian solver runs on."""
+    calls = []
+    solve = dirac._solve
+
+    def counting(D, f):
+        calls.append((D, f))
+        return solve(D, f)
+    monkeypatch.setattr(dirac, "_solve", counting)
+    return calls
+
+
+def _answers(D, fs):
+    """Fields, H verdicts and brackets of fs on D, as comparable values."""
+    out = []
+    for f in fs:
+        report = is_H_admissible(D, f)
+        out.append((hamiltonian_vf(D, f).polys, report.h_admissible,
+                    report.witness, report.magnitude))
+    out += [poisson_bracket(D, f, g) for f, g in permutations(fs, 2)]
+    return out
+
+
+class TestSolveTable:
+    def test_later_queries_reuse_the_solves(self, phase, conformal, solves,
+                                            monkeypatch):
+        L = angular_momenta(phase)
+        fields = [hamiltonian_vf(conformal, f) for f in L]
+        assert len(solves) == 3
+        reports = [is_H_admissible(conformal, f) for f in L]
+        for f, g in permutations(L, 2):
+            poisson_bracket(conformal, f, g)
+        jacobi_defect(conformal, *L)
+        assert len(solves) == 3
+        assert [r.hamiltonian_field for r in reports] == fields
+        # equal trees are one key, and the H verdict is tested once
+        zero_tests = []
+        form_is_zero = dirac.form_is_zero
+
+        def counting(*args):
+            zero_tests.append(args)
+            return form_is_zero(*args)
+        monkeypatch.setattr(dirac, "form_is_zero", counting)
+        again = [is_H_admissible(conformal, f)
+                 for f in angular_momenta(phase)]
+        assert again == reports and not zero_tests and len(solves) == 3
+
+    def test_an_inconsistent_system_is_solved_once(self, phase, cfg, solves):
+        D = TwistedGraph(phase, rank_four_graph(phase), "dh", cfg=cfg)
+        f = parse_expr("q1*p2 + q3", phase)
+        for _ in range(2):
+            with pytest.raises(NondegeneracyError):
+                hamiltonian_vf(D, f)
+            assert is_courant_admissible(D, f) == (False, None)
+            assert is_H_admissible(D, f).h_admissible is None
+        assert len(solves) == 1
+
+    def test_structures_keep_their_own_solves(self, phase, omega, cfg,
+                                              solves):
+        f = parse_expr("q1*p2 - q3^2", phase)
+        structures = [TwistedGraph(phase, omega, cfg=cfg),
+                      TwistedGraph(phase, omega, sign=-1, cfg=cfg),
+                      TwistedGraph(phase, omega,
+                                   cfg=OracleConfig(seed=1, samples=8)),
+                      TwistedGraph(phase, omega, cfg=cfg)]
+        fields = [hamiltonian_vf(D, f) for D in structures]
+        assert [D for D, _ in solves] == structures
+        assert vf_is_zero(fields[0] + fields[1], cfg).zero
+        assert [hamiltonian_vf(D, f) for D in structures] == fields
+        assert len(solves) == 4
+
+    def test_threads_querying_one_structure_agree(self, phase, omega, cfg):
+        # the threads fill one structure's empty table at once; each must
+        # see the answers of a sequential run on a structure of its own
+        h = omega.scale(1 + phase["q1"])
+        fs = list(angular_momenta(phase)) + [phase["p1"],
+                                             parse_expr("q1*q2", phase)]
+        expected = _answers(TwistedGraph(phase, h, "dh", cfg=cfg), fs)
+        shared = TwistedGraph(phase, h, "dh", cfg=cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_answers, shared, fs)
+                           for _ in range(8)]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [expected] * 8
+        assert any(h_adm is False for _, h_adm, _, _ in expected[:5])
+
+    @pytest.mark.parametrize("scale, nondegenerate", [
+        (Rat(1), True), (Rat(1, 10 ** 6), True), (None, False)])
+    def test_a_constant_determinant_draws_no_point(self, phase, omega,
+                                                   scale, nondegenerate):
+        # 10^-18 is below the sampling tolerance of a float, but an exact
+        # value meets tolerance 0; dp1^dq1 alone has det Rat(0)
+        cfg = OracleConfig(seed=3)
+        h = KForm.basis(phase, ["p1", "q1"]) if scale is None \
+            else omega.scale(scale)
+        D = TwistedGraph(phase, h, cfg=cfg)
+        assert D.det.kind == "rat"
+        assert D.nondegenerate == nondegenerate
+        assert D.nondegenerate == (D.det.value != 0)
+        assert not cfg._points
+
+    def test_a_varying_determinant_is_sampled(self, phase, omega):
+        cfg = OracleConfig(seed=3)
+        D = TwistedGraph(phase, omega.scale(1 + phase["q1"]), "dh", cfg=cfg)
+        assert D.nondegenerate and D.det.kind != "rat" and cfg._points
 
 
 class TestPoissonBracket:

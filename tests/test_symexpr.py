@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistdirac.symexpr import (Chart, ChartMismatchError,
+from twistdirac.symexpr import (MAX_SAMPLES, Chart, ChartMismatchError,
                                 EvaluationSingularityError, Func,
                                 MissingFunctionError, OracleConfig,
                                 OracleInconclusiveError, ParseError,
@@ -540,10 +540,11 @@ class TestOracleConfig:
         {"abs_tol": float("nan")}, {"abs_tol": float("inf")},
         {"rel_tol": float("nan")}, {"rel_tol": float("inf")},
         {"abs_tol": -1e-9}, {"rel_tol": -1e-9}, {"box": {"x": (1, 1)}},
-        {"box": {"x": (2, 1)}}])
+        {"box": {"x": (2, 1)}}, {"samples": MAX_SAMPLES + 1}])
     def test_settings_that_make_zero_vacuous_are_rejected(self, setting):
         # no samples, function symbols that vanish identically, or a
-        # tolerance every total passes would each give a Zero for free
+        # tolerance every total passes would each give a Zero for free;
+        # more than MAX_SAMPLES points would make one zero test grind
         with pytest.raises(ValueError):
             OracleConfig(**setting)
 
