@@ -14,12 +14,12 @@ then verified by a residual zero-test.  A constant determinant decides
 nondegeneracy exactly, without sampling.
 
 Each structure solves a function once.  A table on the instance, keyed
-by the function's tree (as_expr(f)), keeps X_f and its residual verdict,
-and the verdict on i_{X_f} H once it is first asked for; hamiltonian_vf,
-the admissibility tests, poisson_bracket, jacobi_defect and the checks
-all read it.  The table has no size limit and dies with its structure.
-A solve that raises stores nothing, and what is stored is never
-mutated: the engine builds new polynomials and ZeroVerdict is frozen.
+by the function's tree (as_expr(f)), keeps X_f and its residual verdict;
+hamiltonian_vf, the admissibility tests, poisson_bracket, jacobi_defect
+and the checks all read it.  The table has no size limit and dies with
+its structure.  A solve that raises stores nothing, and what is stored
+is never mutated: the engine builds new polynomials and ZeroVerdict is
+frozen.
 
 Every check answers with one ``ZeroVerdict``: the proposition checks
 (check_theorem, check_image_under_d, check_poiss_brak_adm) return a
@@ -137,7 +137,7 @@ class TwistedGraph:
                 f"the twisting 3-form is not closed: {closed}")
         self._eliminate()
         self.nondegenerate = self._det_nonvanishing()
-        # as_expr(f) -> (X_f, residual verdict, i_{X_f} H verdict or None)
+        # as_expr(f) -> (X_f, residual verdict), as _solve_verified returns
         self._solved = {}
         self.integrable = form_is_zero(ext_d(self.h) - self.H, cfg).zero
 
@@ -265,8 +265,8 @@ def _solve_verified(D, f):
     entry = D._solved.get(f)
     if entry is None:
         # threads racing here compute equal entries; the first is kept
-        entry = D._solved.setdefault(f, _solve(D, f) + (None,))
-    return entry[:2]
+        entry = D._solved.setdefault(f, _solve(D, f))
+    return entry
 
 
 def _solve(D, f):
@@ -335,12 +335,7 @@ def _h_verdict(D, f):
     ok, X = is_courant_admissible(D, f)
     if not (ok and D.nondegenerate):
         return X, _NOT_DETERMINED[ok]
-    f = as_expr(f)
-    X, residual, verdict = D._solved[f]
-    if verdict is None:
-        verdict = form_is_zero(interior(X, D.H), D.cfg)
-        D._solved[f] = (X, residual, verdict)
-    return X, verdict
+    return X, form_is_zero(interior(X, D.H), D.cfg)
 
 
 def is_admissible_pair(X, alpha, H, cfg=OracleConfig()):
