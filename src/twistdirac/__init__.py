@@ -22,6 +22,7 @@ from .courant import (GenSection, LevelError, courant_bracket,
                       twisted_courant_bracket)
 from .dirac import (AdmissibilityReport, NondegeneracyError, SolveError,
                     TwistNotClosedError, TwistedGraph,
+                    VerdictNotDeterminedError,
                     check_image_under_d, check_poiss_brak_adm,
                     check_symplgraph, check_theorem, graph_section,
                     hamiltonian_vf, is_H_admissible, is_admissible_pair,

@@ -43,6 +43,16 @@ one exact helper (``_div``), so int / int never gives a float.  A
 polynomial built elsewhere may still hold integral Fractions: they have
 the same values and hashes, so results are the same.
 
+Exact division (``try_divide``) and ``normalize_sum`` need the
+graded-lexicographic order over every atom.  Packed ints compare in it
+themselves; once a tail appears, one key function (``_vectorizer``)
+spells a monomial out as its total degree, its tail exponents and every
+coordinate exponent.  ``try_divide`` caches that key per call.  Few
+lookups hit on short divisions, but each step of a long one takes the
+largest monomial of the whole remainder again, and without the cache
+long exact divisions of polynomials with function atoms ran several
+times slower.
+
 An atom keeps its own expansion: ``_atom_poly`` stores ``to_poly(atom)``
 on the node the first time it is asked for, so the expansion lives as
 long as the node does.  The module itself holds no state.
@@ -108,10 +118,6 @@ def _pack(pairs):
     for i, e in pairs:
         m += e << ((MAX_COORDS - 1 - i) * _WW)
     return m
-
-
-def _degree(P):
-    return (P - _WIDE) // _WIDE_DEG if P >= _WIDE else P // _DEG
 
 
 def _exponent_of(P, i):
@@ -423,16 +429,6 @@ def _vectorizer(*polys):
                     key=lambda a: a._key)
     pos = {a: i for i, a in enumerate(others)}
     zero = (0,) * len(others)
-    if len(others) == len(tails):
-        # the packed parts of monomials equal so far have equal degrees,
-        # so they compare lexicographically as ints
-        def vec(m):
-            P, tail = _split(m)
-            v = list(zero)
-            for a, e in tail:
-                v[pos[a]] = e
-            return (sum(v) + _degree(P), *v, P)
-        return vec
 
     def vec(m):
         P, tail = _split(m)

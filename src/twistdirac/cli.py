@@ -6,9 +6,11 @@ Lie algebras), and a list of named checks.  Built-in scenarios ship as
 embedded JSON and double as documentation and golden tests.
 
 Verdicts: PASS/FAIL report mathematical outcomes (a FAIL carries a witness
-point), ERROR reports infrastructure problems, INCONCLUSIVE reports an
-oracle that could not evaluate.  Exit codes: 0 all PASS, 1 any FAIL,
-2 any ERROR or INCONCLUSIVE.
+point), INCONCLUSIVE a verdict the structure does not determine (the H
+verdict of a function that is not admissible, or on a degenerate
+structure), and ERROR every other problem, an oracle that could not
+evaluate included.  Exit codes: 0 all PASS, 1 any FAIL, 2 any ERROR or
+INCONCLUSIVE.
 
 Each check op in CHECK_OPS takes the run and the check object and returns
 (verdict word, evidence, detail).  The evidence is the ZeroVerdict whose
@@ -272,6 +274,10 @@ class ScenarioRun:
                 raise ScenarioError(f"in expression {name!r}: {exc}")
         for name, spec in forms.items():
             self._check_name(name)
+            # a form literal reads d<coord> as the covector, so a form of
+            # that name could never be used
+            if name[:1] == "d" and name[1:] in self.chart.coords:
+                raise ScenarioError(f"form {name!r} shadows a covector")
             self.forms[name] = self._parse_form_spec(spec, label=name)
         for name, spec in sections.items():
             self._check_name(name)
@@ -300,8 +306,6 @@ class ScenarioRun:
             spec = spec.get("text")
         if not isinstance(spec, str):
             raise ScenarioError(f"{label} must be a string, got {spec!r}")
-        if spec in self.forms:
-            return self.forms[spec]
         try:
             return parse_form(spec, self.chart, degree=degree,
                               names=self.exprs, form_names=self.forms)
@@ -454,9 +458,6 @@ def _op_h_admissible(run, spec):
             f"h_admissible expect must be 'zero' or 'nonzero', "
             f"got {expect!r}")
     X, verdict = dirac._h_verdict(D, f)
-    if verdict in dirac._NOT_DETERMINED:
-        return ("INCONCLUSIVE", None,
-                f"verdict not determined: {verdict.label}")
     found = "zero" if verdict.zero else "nonzero"
     return (_word(expect in (None, found)), verdict,
             f"i_X H {found}; X_f = {X}")
@@ -584,8 +585,9 @@ def run_scenario(source, seed=None, samples=None, tol=None, sign=None):
 
 
 def _run_check(run, spec):
-    """The CheckResult of one check object; an error it raises from the
-    package, or a missing field, makes an ERROR row.  The witness and
+    """The CheckResult of one check object; a verdict the structure does
+    not determine makes an INCONCLUSIVE row, any other error it raises
+    from the package, or a missing field, an ERROR row.  The witness and
     residual are those of the op's evidence, when it is not zero."""
     name = spec.get("name") or _default_check_name(spec)
     op = spec.get("op")
@@ -594,6 +596,9 @@ def _run_check(run, spec):
         return CheckResult(name, "ERROR", detail=f"unknown check op {op!r}")
     try:
         verdict, evidence, detail = handler(run, spec)
+    except dirac.VerdictNotDeterminedError as exc:
+        return CheckResult(name, "INCONCLUSIVE",
+                           detail=f"verdict not determined: {exc}")
     except (SymExprError, KeyError) as exc:
         return CheckResult(name, "ERROR",
                            detail=f"{type(exc).__name__}: {exc}")

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .symexpr import OracleConfig, Rat, SymExprError, is_zero
+from .symexpr import OracleConfig, Rat, SymExprError, _merge_charts, is_zero
 from .exterior import (KForm, ext_d, form_is_zero, interior, lie_derivative,
-                       vf_bracket, _require_same_chart)
+                       vf_bracket)
 
 __all__ = [
     "LevelError", "GenSection", "pairing", "pairing_is_zero",
@@ -34,7 +34,7 @@ class GenSection:
     __slots__ = ("X", "alpha")
 
     def __init__(self, X, alpha):
-        _require_same_chart(X, alpha)
+        _merge_charts(X.chart, alpha.chart)
         self.X = X
         self.alpha = alpha
 
@@ -57,7 +57,7 @@ class GenSection:
 
 
 def _check_levels(A, B):
-    _require_same_chart(A.X, B.X)
+    _merge_charts(A.X.chart, B.X.chart)
     if A.level != B.level:
         raise LevelError(f"section levels differ: {A.level} vs {B.level}")
     return A.level
@@ -68,7 +68,7 @@ def _check_twist(A, H):
         raise LevelError(
             f"twisting form must have degree {A.level + 1} "
             f"for level-{A.level} sections, got {H.degree}")
-    _require_same_chart(A.X, H)
+    _merge_charts(A.X.chart, H.chart)
 
 
 def pairing(A, B):

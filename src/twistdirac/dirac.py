@@ -42,19 +42,19 @@ from math import prod
 from ._normal import (ONE_M, from_poly, normal, p_add_inplace, p_const,
                       p_mul, p_pow, to_poly)
 from .symexpr import (OracleConfig, OracleInconclusiveError, Prod, Rat, Sum,
-                      SymExprError, ZeroVerdict, as_expr, is_zero,
-                      oracle_function_env, sampled_sums)
+                      SymExprError, ZeroVerdict, _merge_charts, as_expr,
+                      is_zero, oracle_function_env, sampled_sums)
 from .exterior import (KForm, VectorField, ext_d, form_is_zero, interior,
                        lie_derivative, vf_apply, vf_bracket, vf_is_zero,
-                       apply_poly, _require_same_chart)
+                       apply_poly)
 from .courant import (GenSection, _check_twist, derived_bracket,
                       pairing_is_zero, twisted_courant_bracket)
 
 __all__ = [
     "TwistedGraph", "AdmissibilityReport", "NondegeneracyError", "SolveError",
-    "TwistNotClosedError", "graph_section", "hamiltonian_vf",
-    "poisson_bracket", "is_courant_admissible", "is_H_admissible",
-    "is_admissible_pair", "jacobi_defect", "check_theorem",
+    "TwistNotClosedError", "VerdictNotDeterminedError", "graph_section",
+    "hamiltonian_vf", "poisson_bracket", "is_courant_admissible",
+    "is_H_admissible", "is_admissible_pair", "jacobi_defect", "check_theorem",
     "check_symplgraph", "check_image_under_d", "check_poiss_brak_adm",
 ]
 
@@ -71,12 +71,17 @@ class TwistNotClosedError(SymExprError):
     pass
 
 
+class VerdictNotDeterminedError(SymExprError):
+    """The structure does not determine whether i_{X_f} H vanishes: f is
+    not admissible, or the structure is degenerate and X_f is not unique."""
+
+
 @dataclass
 class AdmissibilityReport:
     """Admissibility of a named function on a twisted graph.
 
-    h_admissible is None when the structure is degenerate and the
-    Hamiltonian field is not unique (the verdict is not determined).
+    h_admissible is None when the structure does not determine it (see
+    VerdictNotDeterminedError); detail then says why.
     """
 
     name: str
@@ -129,7 +134,7 @@ class TwistedGraph:
             twist = ext_d(self.h)
         if twist.degree != 3:
             raise ValueError("the twisting form must be a 3-form")
-        _require_same_chart(h, twist)
+        _merge_charts(chart, h.chart, twist.chart)
         self.H = twist.simplified()
         closed = form_is_zero(ext_d(self.H), cfg)
         if not closed.zero:
@@ -233,7 +238,6 @@ def _is_constant(p):
 
 def graph_section(D, X):
     """The section (X, sign * i_X h) of the graph."""
-    _require_same_chart(X, D.h)
     alpha = interior(X, D.h)
     if D.sign < 0:
         alpha = alpha.scale(Rat(-1))
@@ -260,8 +264,7 @@ def _solve_verified(D, f):
     system is inconsistent; solved once per function per structure and
     kept in the structure's table."""
     f = as_expr(f)
-    if f.chart is not None and f.chart != D.chart:
-        raise SymExprError("function lives on a different chart")
+    _merge_charts(f.chart, D.chart)
     entry = D._solved.get(f)
     if entry is None:
         # threads racing here compute equal entries; the first is kept
@@ -312,29 +315,26 @@ def is_courant_admissible(D, f):
 def is_H_admissible(D, f, name="f"):
     """Full admissibility report: Courant admissibility, the solved
     Hamiltonian field, and the verdict on i_{X_f} H = 0."""
-    X, verdict = _h_verdict(D, f)
-    if verdict in _NOT_DETERMINED:
-        return AdmissibilityReport(name, X is not None, hamiltonian_field=X,
-                                   detail=verdict.label)
+    try:
+        X, verdict = _h_verdict(D, f)
+    except VerdictNotDeterminedError as exc:
+        ok, X = is_courant_admissible(D, f)
+        return AdmissibilityReport(name, ok, hamiltonian_field=X,
+                                   detail=str(exc))
     return AdmissibilityReport(
         name, True, hamiltonian_field=X, h_admissible=verdict.zero,
         witness=verdict.witness_point, magnitude=verdict.magnitude)
 
 
-# the verdict on i_{X_f} H = 0 when it is not determined, without a
-# witness, indexed by whether f is admissible; the label says why
-_NOT_DETERMINED = (
-    ZeroVerdict(zero=False, exact=True, label="not admissible (Courant)"),
-    ZeroVerdict(zero=False, exact=True,
-                label="degenerate structure: Hamiltonian field not unique"))
-
-
 def _h_verdict(D, f):
-    """(X_f or None, the verdict on i_{X_f} H = 0); one of _NOT_DETERMINED
-    when f is not admissible or the structure is degenerate."""
+    """(X_f, the verdict on i_{X_f} H = 0); VerdictNotDeterminedError when
+    f is not admissible or the structure is degenerate."""
     ok, X = is_courant_admissible(D, f)
-    if not (ok and D.nondegenerate):
-        return X, _NOT_DETERMINED[ok]
+    if not ok:
+        raise VerdictNotDeterminedError("not admissible (Courant)")
+    if not D.nondegenerate:
+        raise VerdictNotDeterminedError(
+            "degenerate structure: Hamiltonian field not unique")
     return X, form_is_zero(interior(X, D.H), D.cfg)
 
 

@@ -22,22 +22,15 @@ from fractions import Fraction
 
 from ._normal import (from_poly, normal, p_add_inplace, p_const, p_diff,
                       p_mul, to_poly)
-from .symexpr import (Chart, ChartMismatchError, Expr, ExprParser,
-                      OracleConfig, Pow, Rat, SymExprError, TokenStream,
-                      ZeroVerdict, as_expr, is_zero, parse_expr, tokenize)
+from .symexpr import (Chart, Expr, ExprParser, OracleConfig, Pow, Rat,
+                      SymExprError, TokenStream, ZeroVerdict, _merge_charts,
+                      as_expr, is_zero, parse_expr, tokenize)
 
 __all__ = [
     "Chart", "VectorField", "KForm", "wedge", "ext_d",
     "interior", "lie_derivative", "vf_bracket", "vf_apply", "parse_form",
     "parse_vector_field", "form_is_zero", "vf_is_zero",
 ]
-
-
-def _require_same_chart(a, b):
-    if a.chart != b.chart:
-        raise ChartMismatchError(
-            f"operands live on different charts "
-            f"({a.chart.name!r} vs {b.chart.name!r})")
 
 
 def _merge_sign(m1, m2):
@@ -57,8 +50,7 @@ def _as_poly(c, chart):
     if isinstance(c, dict):
         return c
     c = as_expr(c)
-    if c.chart is not None and c.chart != chart:
-        raise ChartMismatchError("coefficient from a different chart")
+    _merge_charts(c.chart, chart)
     return to_poly(c)
 
 
@@ -91,13 +83,13 @@ class VectorField:
                                 for j in range(chart.dim)))
 
     def __add__(self, other):
-        _require_same_chart(self, other)
+        _merge_charts(self.chart, other.chart)
         return VectorField(self.chart,
                            tuple(p_add_inplace(dict(a), b) for a, b in
                                  zip(self.polys, other.polys)))
 
     def __sub__(self, other):
-        _require_same_chart(self, other)
+        _merge_charts(self.chart, other.chart)
         return VectorField(self.chart,
                            tuple(p_add_inplace(dict(a), b, -1) for a, b in
                                  zip(self.polys, other.polys)))
@@ -169,15 +161,10 @@ class KForm:
     @classmethod
     def basis(cls, chart, coords, coeff=1):
         """coeff * dx_{i1} ^ ... ^ dx_{ik} for coordinates in any order."""
-        idx = [c if isinstance(c, int) else chart.index(c) for c in coords]
-        if len(set(idx)) != len(idx):
-            return cls.zero(chart, len(idx))
-        mask = 0
-        for i in idx:
-            mask |= 1 << i
-        sign = _permutation_sign(idx)
-        return cls(chart, len(idx),
-                   {mask: p_mul(p_const(sign), _as_poly(coeff, chart))})
+        form = cls.scalar(chart, coeff)
+        for c in coords:
+            form = wedge(form, cls.covector(chart, c))
+        return form
 
     def coeff(self, mask):
         return from_poly(normal(self.polys.get(mask, {})), self.chart)
@@ -194,7 +181,7 @@ class KForm:
         return self.coeff(0)
 
     def __add__(self, other):
-        _require_same_chart(self, other)
+        _merge_charts(self.chart, other.chart)
         if self.degree != other.degree:
             if self.is_structurally_zero():
                 return other
@@ -259,18 +246,9 @@ def _mask_indices(mask):
     return out
 
 
-def _permutation_sign(indices):
-    sign = 1
-    for i in range(len(indices)):
-        for j in range(i + 1, len(indices)):
-            if indices[i] > indices[j]:
-                sign = -sign
-    return sign
-
-
 def wedge(a, b):
     """Exterior product; associative, graded-commutative."""
-    _require_same_chart(a, b)
+    _merge_charts(a.chart, b.chart)
     degree = a.degree + b.degree
     if degree > a.chart.dim:
         return KForm.zero(a.chart, degree)
@@ -309,7 +287,7 @@ def interior(X, a):
     """Contraction of X into the first slot of a."""
     if not isinstance(X, VectorField):
         raise TypeError("first argument must be a VectorField")
-    _require_same_chart(X, a)
+    _merge_charts(X.chart, a.chart)
     if a.degree == 0:
         return KForm.zero(a.chart, 0)
     acc = {}
@@ -331,8 +309,7 @@ def lie_derivative(X, a):
 def vf_apply(X, f):
     """Directional derivative X(f), as a canonical expression."""
     f = as_expr(f)
-    if f.chart is not None and f.chart != X.chart:
-        raise ChartMismatchError("function lives on a different chart")
+    _merge_charts(f.chart, X.chart)
     return from_poly(normal(apply_poly(X, to_poly(f))), X.chart)
 
 
@@ -349,7 +326,7 @@ def apply_poly(X, p):
 
 def vf_bracket(X, Y):
     """Lie bracket of vector fields: [X, Y]_i = X(Y_i) - Y(X_i)."""
-    _require_same_chart(X, Y)
+    _merge_charts(X.chart, Y.chart)
     comps = tuple(p_add_inplace(apply_poly(X, yc), apply_poly(Y, xc), -1)
                   for xc, yc in zip(X.polys, Y.polys))
     return VectorField(X.chart, comps)

@@ -282,10 +282,7 @@ def diff(e, v):
     """Partial derivative of e with respect to coordinate v."""
     if not isinstance(v, Var):
         raise TypeError("differentiation variable must be a Var")
-    if e.chart is not None and e.chart != v.chart:
-        raise ChartMismatchError(
-            f"cannot differentiate expression on chart "
-            f"{e.chart.name!r} by coordinate of {v.chart.name!r}")
+    _merge_charts(e.chart, v.chart)
     return from_poly(p_diff(to_poly(e), v), v.chart)
 
 
@@ -909,10 +906,10 @@ def tokenize(text):
             col += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit()
+            while j < n and (text[j].isdecimal()
                              or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True

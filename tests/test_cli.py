@@ -43,6 +43,21 @@ def write_scenario(tmp_path, data, name="scen.json"):
     return str(path)
 
 
+# h is degenerate, so the H verdict of every function is not determined
+DEGENERATE = {
+    "schema_version": 1,
+    "name": "degenerate",
+    "chart": ["q1", "q2", "p1", "p2"],
+    "oracle": {"seed": 5, "samples": 16},
+    "definitions": {"forms": {"h": "q1*dp1^dq1", "H": "dq1^dq2^dp1"}},
+    "structure": {"type": "graph", "h": "h", "H": "H", "sign": "+"},
+    "checks": [
+        {"name": "undetermined", "op": "h_admissible", "f": "q1"},
+        {"name": "closure", "op": "theorem_closure", "f": "q1", "g": "p1"}
+    ],
+}
+
+
 class TestBuiltins:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_all_builtins_pass(self, name):
@@ -173,22 +188,29 @@ class TestScenarioFiles:
         assert run_scenario(path).exit_code == 1
 
     def test_not_determined_verdict_is_inconclusive(self, tmp_path):
-        data = {
-            "schema_version": 1,
-            "name": "degenerate",
-            "chart": ["q1", "q2", "p1", "p2"],
-            "oracle": {"seed": 5, "samples": 16},
-            "definitions": {"forms": {"h": "q1*dp1^dq1",
-                                      "H": "dq1^dq2^dp1"}},
-            "structure": {"type": "graph", "h": "h", "H": "H", "sign": "+"},
-            "checks": [
-                {"name": "undetermined", "op": "h_admissible", "f": "q1"}
-            ],
-        }
+        path = write_scenario(tmp_path, DEGENERATE)
+        report = run_scenario(path)
+        for check in report.checks:
+            assert check.verdict == "INCONCLUSIVE"
+            assert check.detail == ("verdict not determined: degenerate "
+                                    "structure: Hamiltonian field not "
+                                    "unique")
+            assert check.witness is None and check.residual_max is None
+        assert report.exit_code == 2
+
+    @pytest.mark.parametrize("structure", [
+        {"type": "graph", "h": "H"},
+        {"type": "graph", "h": "h", "H": "h"}], ids=["h-a-3-form",
+                                                     "H-a-2-form"])
+    def test_a_named_form_of_the_wrong_degree_is_an_error_row(
+            self, tmp_path, capsys, structure):
+        data = _with(DEGENERATE, "structure", structure)
         path = write_scenario(tmp_path, data)
         report = run_scenario(path)
-        assert report.checks[0].verdict == "INCONCLUSIVE"
-        assert report.exit_code == 2
+        assert [c.verdict for c in report.checks] == ["ERROR", "ERROR"]
+        assert "FormSyntaxError" in report.checks[0].detail
+        assert main(["check", path]) == 2
+        assert "[ERROR" in capsys.readouterr().out
 
     @pytest.mark.parametrize("section, expect, verdict", [
         ("A", True, "PASS"), ("A", False, "FAIL"),
@@ -316,6 +338,8 @@ class TestScenarioFiles:
         ({"op": "pairing_zero", "a": "A", "b": "A3"}, None),
         ({"op": "image_under_d", "sections": ["A"], "H": "0"}, None),
         ({"op": ["poisson_bracket"], "f": "q1", "g": "p1"}, None),
+        ({"op": "poisson_bracket", "f": "q1", "g": "p1",
+          "expect": "\u00b2"}, None),
     ], ids=["check-not-an-object", "expression-is-a-list",
             "graph-op-on-an-algebra", "cartan-kernel-on-a-graph",
             "cartan-table-on-a-graph", "algebra-missing",
@@ -329,7 +353,7 @@ class TestScenarioFiles:
             "symplectic-graph-expect-null", "abelian-over-the-bound",
             "dim-over-the-bound", "admissible-pair-level-3-on-a-3-form",
             "pairing-zero-of-levels-2-and-3", "image-under-d-with-H-0",
-            "op-a-list"])
+            "op-a-list", "expect-a-superscript-digit"])
     def test_malformed_check_is_an_error_row(self, tmp_path, check,
                                              algebra):
         # L is so3, a lie_algebra structure with the given fields, or a
@@ -453,6 +477,10 @@ class TestRejectedInput:
         _with(MINIMAL, "oracle", {"box": {"q1": [True, 2]}}),
         _with(MINIMAL, "oracle", {"box": {"x": [1, 2]}}),
         _with(MINIMAL, "oracle", {"box": {"q1": "12"}}),
+        _with(MINIMAL, "definitions", {"forms": MINIMAL["definitions"][
+            "forms"], "exprs": {"a": "\u00b2"}}),
+        _with(MINIMAL, "definitions", {"forms": {"omega": "dp1^dq1",
+                                                 "dq1": "2*dq1"}}),
     ], ids=["repeated-coordinates", "17-coordinates", "top-level-array",
             "non-numeric-samples", "one-ended-box", "chart-a-string",
             "checks-an-object", "definitions-an-array", "forms-an-array",
@@ -460,7 +488,8 @@ class TestRejectedInput:
             "section-an-array", "structures-an-array", "boolean-samples",
             "seed-a-string", "fractional-func-degree", "rel-tol-a-string",
             "boolean-box-endpoint", "box-of-a-non-coordinate",
-            "box-a-string"])
+            "box-a-string", "expr-a-superscript-digit",
+            "form-named-like-a-covector"])
     def test_malformed_scenario_file_is_an_error(self, tmp_path, capsys,
                                                   data):
         with pytest.raises(ScenarioError):

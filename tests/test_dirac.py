@@ -8,14 +8,16 @@ from itertools import permutations
 import pytest
 
 from twistdirac import dirac
-from twistdirac.symexpr import (Chart, OracleConfig, Pow, Prod, Rat, Sum,
-                                is_zero, parse_expr, simplify)
+from twistdirac.symexpr import (Chart, ChartMismatchError, OracleConfig, Pow,
+                                Prod, Rat, Sum, is_zero, parse_expr,
+                                simplify)
 from twistdirac.exterior import (KForm, VectorField, ext_d, form_is_zero,
                                  interior, parse_form, vf_bracket,
                                  vf_is_zero)
 from twistdirac.courant import GenSection
 from twistdirac.dirac import (NondegeneracyError, SolveError,
                               TwistNotClosedError, TwistedGraph,
+                              VerdictNotDeterminedError,
                               check_image_under_d, check_poiss_brak_adm,
                               check_symplgraph, check_theorem, graph_section,
                               hamiltonian_vf, is_H_admissible,
@@ -68,6 +70,12 @@ class TestTwistedGraph:
         with pytest.raises(TwistNotClosedError):
             TwistedGraph(phase, omega, bad, cfg=cfg)
 
+    @pytest.mark.parametrize("twist", [None, "dh"])
+    def test_h_from_another_chart_is_rejected(self, twist):
+        a, b = Chart("A", ["x", "y"]), Chart("B", ["x", "y"])
+        with pytest.raises(ChartMismatchError):
+            TwistedGraph(a, parse_form("dy^dx", b), twist)
+
     def test_non_integrable_when_twist_disagrees(self, coordinate_twisted):
         assert not coordinate_twisted.integrable
 
@@ -111,6 +119,11 @@ class TestHamiltonianSolve:
         Xc = hamiltonian_vf(conformal, f)
         scale = Pow(1 + phase["q1"], Fraction(-1))
         assert vf_is_zero(Xc - Xo.scale(scale), cfg).zero
+
+    def test_function_from_another_chart_is_rejected(self, darboux):
+        other = Chart("other", ["q1", "q2"])
+        with pytest.raises(ChartMismatchError):
+            hamiltonian_vf(darboux, other["q1"])
 
     def test_residual_contract(self, phase, conformal, cfg):
         for i in range(5):
@@ -407,6 +420,15 @@ class TestAdmissibility:
         report = is_H_admissible(D, phase["q1"], "q1")
         assert report.courant_admissible
         assert report.h_admissible is None
+        assert report.detail == \
+            "degenerate structure: Hamiltonian field not unique"
+        report = is_H_admissible(D, phase["p2"], "p2")
+        assert not report.courant_admissible
+        assert report.hamiltonian_field is None
+        assert report.detail == "not admissible (Courant)"
+        with pytest.raises(VerdictNotDeterminedError,
+                           match="Hamiltonian field not unique"):
+            check_theorem(D, phase["q1"], phase["p1"])
 
     def test_flip_preserves_verdicts(self, phase, omega, cfg):
         H = KForm.basis(phase, ["q1", "q2", "q3"])

@@ -3,7 +3,8 @@
 import pytest
 
 from twistdirac.symexpr import (Chart, ChartMismatchError, OracleConfig,
-                                Rat, eval_expr, is_zero, simplify)
+                                Rat, eval_expr, is_zero, parse_expr,
+                                simplify)
 from twistdirac.exterior import (FormSyntaxError, KForm, VectorField, ext_d,
                                  form_is_zero, interior, lie_derivative,
                                  parse_form, parse_vector_field, vf_apply,
@@ -60,6 +61,30 @@ class TestWedge:
         other = Chart("other", ["u", "v"])
         with pytest.raises(ChartMismatchError):
             wedge(KForm.covector(phase, "q1"), KForm.covector(other, "u"))
+
+
+class TestBasis:
+    # the phase coordinates q1, q2, q3, p1, p2, p3 are mask bits 0 to 5
+    @pytest.mark.parametrize("coords, coeff, degree, coeffs", [
+        (["q2", "q1", "q3"], "q1", 3, {0b111: "-q1"}),
+        (["q3", "q2", "q1"], None, 3, {0b111: "-1"}),
+        (["p1", "q2", "q1", "q3"], "2", 4, {0b1111: "2"}),
+        (["q1", "q2", "q1"], "q2", 3, {}),
+        ([3, 0], "q2", 2, {0b1001: "-q2"}),
+        ([0, "q2"], None, 2, {0b11: "1"}),
+        (["q2", "q1"], "0", 2, {}),
+        ([], "q1", 0, {0: "q1"})],
+        ids=["permuted", "reversed", "even-permutation", "repeated",
+             "integer-coordinates", "integer-and-name", "zero-coefficient",
+             "no-coordinates"])
+    def test_basis_is_the_form_built_by_hand(self, phase, coords, coeff,
+                                             degree, coeffs):
+        got = KForm.basis(phase, coords) if coeff is None else \
+            KForm.basis(phase, coords, parse_expr(coeff, phase))
+        expected = KForm(phase, degree, {m: parse_expr(t, phase)
+                                         for m, t in coeffs.items()})
+        assert got.degree == degree
+        assert got.polys == expected.polys
 
 
 class TestExtD:

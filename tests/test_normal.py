@@ -269,3 +269,37 @@ def test_integral_fraction_coefficients_get_the_int_verdict(text):
     as_fractions = {m: Fraction(c) for m, c in p.items()}
     assert is_zero(as_fractions, OracleConfig(), PLANE) == \
         is_zero(p, OracleConfig(), PLANE)
+
+
+# both a function atom and a coordinate with a fractional exponent, so
+# the monomial order needs its key function
+MIXED = [
+    ("F(x)*x^(1/2) + y", "F(x) + x^(1/2)*y^2"),
+    ("x^(3/2)*F(y)^2 - 3*x*y + 1", "F(y)*x^(1/2) - 2*y^3 + F(x)"),
+    ("F(x)*x^2*y^(1/3) - 5", "x^(1/2)*F(y) + x*y"),
+]
+
+
+@pytest.mark.parametrize("a, b", MIXED, ids=[a for a, _ in MIXED])
+def test_exact_division_over_function_atoms_and_fractional_exponents(a, b):
+    a, b = (to_poly(parse_expr(t, PLANE)) for t in (a, b))
+    assert try_divide(p_mul(a, b), b) == a
+    assert try_divide(p_mul(a, b), a) == b
+
+
+@pytest.mark.parametrize("text, unit, lead", [
+    # the highest total degree leads
+    ("-2*F(x)*x^(1/2) + 4*y", -2, "F(x)*x^(1/2)"),
+    # equal degrees: the function atom's exponent decides
+    ("3*x^(1/2)*y - F(x)*x^(1/2)", -1, "F(x)*x^(1/2)"),
+    # equal degrees and tails: the coordinate exponents decide
+    ("2*F(y)*y^2*x^(1/2) - 6*F(y)*x^(5/2)", -2, "F(y)*x^(5/2)"),
+    ("2*F(x)*x*y^2 - 10*F(x)*x^2*y", -2, "F(x)*x^2*y")])
+def test_normalize_sum_over_function_atoms_and_fractional_exponents(
+        text, unit, lead):
+    p = to_poly(parse_expr(text, PLANE))
+    got, norm = normalize_sum(p)
+    assert got == unit
+    assert {m: c * unit for m, c in norm.items()} == p
+    (lead_m,) = to_poly(parse_expr(lead, PLANE))
+    assert norm[lead_m] > 0

@@ -494,6 +494,16 @@ class TestGrammar:
             parse_expr("q1 +\n* q2", phase)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text", ["2*\u00b2", "q1^\u00b2", "\u2460"])
+    def test_a_digit_that_is_not_decimal_is_a_parse_error(self, phase,
+                                                          text):
+        # superscript two and circled one are digits, not decimals
+        with pytest.raises(ParseError):
+            parse_expr(text, phase)
+
+    def test_decimal_digits_of_any_script_are_numbers(self, phase):
+        assert parse_expr("\u0661\u0662", phase) == Rat(12)
+
     def test_primes_mark_derivatives(self, phase):
         e = parse_expr("V''(q1)", phase)
         assert e.kind == "func" and e.order == 2
