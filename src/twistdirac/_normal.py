@@ -16,13 +16,14 @@ and cancelled by exact multivariate division when the division is exact.
 
 A monomial packs the nonnegative integer exponents of the chart's
 coordinates into one int (Monagan & Pearce 2007, packed exponent
-vectors): one field per coordinate, coordinate 0 in the most significant
-one, and the total degree in a field above them all.  Multiplying such
-monomials is an int addition, the graded-lexicographic order is int
-comparison, and hashing runs in C.  A monomial of total degree up to
-``_NARROW_CAP`` uses narrow fields; a larger one uses the wide layout,
-which sits above every narrow int, so the order still holds, and a
-field overflow is detected instead of carried.  Every other factor lives
+vectors): one 32-bit field per coordinate, coordinate 0 in the most
+significant one, and the total degree in a field above them all.
+Multiplying such monomials is an int addition, the graded-lexicographic
+order is int comparison, and hashing runs in C.  The total coordinate
+degree is capped at ``_CAP`` (2^31 - 1), so no field reaches its top
+bit: sums of fields never carry, and that bit is a guard that makes
+exact division one subtraction.  A product, power or pack past the cap
+raises ``SymExprError`` instead of carrying.  Every other factor lives
 in a tail of (atom, exponent) pairs sorted by the atom's ``_key``:
 function applications, power and radical atoms, and coordinates whose
 exponent is negative or fractional.  A monomial is the packed int when
@@ -68,32 +69,30 @@ from math import gcd, isqrt
 from . import symexpr
 
 MAX_COORDS = 16         # coordinate fields in a packed monomial
-_W = 12                 # narrow field width in bits; the top bit is a guard
+_W = 32                 # field width in bits; the top bit is a guard
 _DEG = 1 << (MAX_COORDS * _W)
-_NARROW_CAP = (1 << (_W - 1)) - 1
-_NARROW_LIMIT = (_NARROW_CAP + 1) * _DEG     # every narrow monomial is below
+_CAP = (1 << (_W - 1)) - 1                   # the largest total degree
+_LIMIT = (_CAP + 1) * _DEG                   # every monomial is below
 _GUARDS = sum(1 << (i * _W + _W - 1) for i in range(MAX_COORDS))
 _FIELD = (1 << _W) - 1
 _COORD = tuple(_DEG + (1 << ((MAX_COORDS - 1 - i) * _W))
                for i in range(MAX_COORDS))
-_WW = 64                # wide field width in bits
-_WIDE_DEG = 1 << (MAX_COORDS * _WW)
-_WIDE_CAP = (1 << (_WW - 1)) - 1
-_WIDE = 1 << ((MAX_COORDS + 1) * _WW)        # marks the wide layout
 
 ONE_M = 0
 _ONE = 1
 
 
+def _too_high(deg):
+    """The error for a monomial of total coordinate degree deg > _CAP."""
+    return symexpr.SymExprError(
+        f"coordinate degree {deg} exceeds the engine's limit {_CAP}")
+
+
 def _exponents(P):
     """The (index, exponent) pairs of a packed monomial, by index."""
-    if P >= _WIDE:
-        P, w, deg = P - _WIDE, _WW, _WIDE_DEG
-    else:
-        w, deg = _W, _DEG
-    rest = P % deg
+    rest = P % _DEG
     out = []
-    shift = (MAX_COORDS - 1) * w
+    shift = (MAX_COORDS - 1) * _W
     i = 0
     while rest:
         e = rest >> shift
@@ -101,7 +100,7 @@ def _exponents(P):
             out.append((i, e))
             rest -= e << shift
         i += 1
-        shift -= w
+        shift -= _W
     return out
 
 
@@ -109,48 +108,31 @@ def _pack(pairs):
     """The packed monomial of (index, exponent) pairs with distinct
     indices and exponents that are ints >= 0."""
     deg = sum(e for _, e in pairs)
-    if deg <= _NARROW_CAP:
-        return sum(e * _COORD[i] for i, e in pairs)
-    if deg > _WIDE_CAP:
-        raise symexpr.SymExprError(
-            f"coordinate degree {deg} exceeds the engine's limit {_WIDE_CAP}")
-    m = _WIDE + deg * _WIDE_DEG
-    for i, e in pairs:
-        m += e << ((MAX_COORDS - 1 - i) * _WW)
-    return m
+    if deg > _CAP:
+        raise _too_high(deg)
+    return sum(e * _COORD[i] for i, e in pairs)
 
 
 def _exponent_of(P, i):
-    if P >= _WIDE:
-        return ((P - _WIDE) >> ((MAX_COORDS - 1 - i) * _WW)) % (1 << _WW)
     return (P >> ((MAX_COORDS - 1 - i) * _W)) & _FIELD
 
 
 def _packed_mul(P1, P2):
+    # two fields below 2^31 add without a carry, so the total degree
+    # field holds the sum of the degrees
     m = P1 + P2
-    if m < _NARROW_LIMIT:
-        return m
-    exps = dict(_exponents(P1))
-    for i, e in _exponents(P2):
-        exps[i] = exps.get(i, 0) + e
-    return _pack(list(exps.items()))
+    if m >= _LIMIT:
+        raise _too_high(m // _DEG)
+    return m
 
 
 def _packed_quo(M, D):
     """M / D for packed monomials, or None when D does not divide M."""
-    if M < _NARROW_LIMIT and D < _NARROW_LIMIT:
-        # a guard bit survives the subtraction exactly where M's field is
-        # at least D's
-        if ((M | _GUARDS) - D) & _GUARDS != _GUARDS:
-            return None
-        return M - D
-    exps = dict(_exponents(M))
-    for i, e in _exponents(D):
-        k = exps.get(i, 0) - e
-        if k < 0:
-            return None
-        exps[i] = k
-    return _pack([(i, e) for i, e in exps.items() if e])
+    # a guard bit survives the subtraction exactly where M's field is at
+    # least D's
+    if ((M | _GUARDS) - D) & _GUARDS != _GUARDS:
+        return None
+    return M - D
 
 
 def _split(m):
@@ -390,8 +372,8 @@ def p_mul(a, b):
                 continue
         for m2, c2 in b.items():
             m = P1 + m2
-            if m >= _NARROW_LIMIT:
-                m = _packed_mul(P1, m2)
+            if m >= _LIMIT:
+                raise _too_high(m // _DEG)
             if t1:
                 m = (m, t1)
             c = c2 if c1 is _ONE else c1 if c2 is _ONE else c1 * c2
@@ -495,10 +477,11 @@ def p_pow(p, e, chart):
     if len(p) == 1:
         (m, c), = p.items()
         if type(m) is int and e.denominator == 1 and e > 0:
-            # a narrow product of degree below the cap has no carries
+            # a power of degree up to the cap has no carries; past it, the
+            # total degree field is at least the degree
             power = m * e
-            if power >= _NARROW_LIMIT:
-                power = _pack([(i, k * e) for i, k in _exponents(m)])
+            if power >= _LIMIT:
+                raise _too_high(m // _DEG * e)
             return {power: _coeff(c ** e)}
         out = rational_pow(c, e)
         for a, ae in _factors(m, chart):
@@ -562,8 +545,7 @@ def to_poly(e):
             else:
                 break
         else:
-            if m < _NARROW_LIMIT:
-                return {m: _coeff(c)} if c else {}
+            return {m: _coeff(c)} if c else {}
         out = p_const(1)
         for a in e.args:
             out = p_mul(out, to_poly(a))
@@ -587,7 +569,7 @@ def p_diff(p, v):
     unit = _COORD[vi]
     shift = (MAX_COORDS - 1 - vi) * _W
     for m, c in p.items():
-        if type(m) is int and m < _NARROW_LIMIT:
+        if type(m) is int:
             k = (m >> shift) & _FIELD
             if k:
                 m -= unit

@@ -52,12 +52,15 @@ class ScenarioError(SymExprError):
     pass
 
 
+_JSON_TYPES = {list: "array", dict: "object", str: "string"}
+
+
 def _json(value, kind, what):
-    """value, when it has the JSON type kind (list or dict); ScenarioError
-    otherwise."""
+    """value, when it has the JSON type kind (list, dict, or str for a
+    name); ScenarioError naming what otherwise."""
     if not isinstance(value, kind):
-        name = "an array" if kind is list else "an object"
-        raise ScenarioError(f"{what} must be a JSON {name}, got {value!r}")
+        raise ScenarioError(
+            f"{what} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
 
@@ -348,7 +351,7 @@ class ScenarioRun:
                     f"name one with --structure or the check's "
                     f"'structure' field")
             name = names[0] if len(names) == 1 else "main"
-        if name not in self._structures:
+        if _json(name, str, "structure") not in self._structures:
             try:
                 spec = self._structure_specs[name]
             except KeyError:
@@ -375,7 +378,7 @@ class ScenarioRun:
                 twist = self._parse_form_spec(twist_spec, degree=3,
                                               label="H")
             sign_text = self.sign_override or spec.get("sign", "+")
-            sign = {"+": 1, "-": -1}.get(sign_text)
+            sign = {"+": 1, "-": -1}.get(_json(sign_text, str, "sign"))
             if sign is None:
                 raise ScenarioError(f"invalid sign {sign_text!r}")
             try:
@@ -490,7 +493,7 @@ def _op_poisson_pair(run, spec):
 
 
 def _op_admissible_pair(run, spec):
-    sec = run.sections[spec["section"]]
+    sec = run.sections[_json(spec["section"], str, "section")]
     H = run._parse_form_spec(spec["H"], degree=sec.level + 1, label="H") \
         if "H" in spec else run.structure(spec.get("structure")).H
     expect = _flag(spec, "expect")
@@ -499,13 +502,15 @@ def _op_admissible_pair(run, spec):
 
 
 def _op_pairing_zero(run, spec):
-    verdict = pairing_is_zero(run.sections[spec["a"]],
-                              run.sections[spec["b"]], run.cfg)
+    verdict = pairing_is_zero(run.sections[_json(spec["a"], str, "a")],
+                              run.sections[_json(spec["b"], str, "b")],
+                              run.cfg)
     return _word(verdict.zero), verdict, ""
 
 
 def _op_image_under_d(run, spec):
-    secs = [run.sections[name] for name in spec["sections"]]
+    secs = [run.sections[_json(name, str, "an entry of sections")]
+            for name in _json(spec["sections"], list, "sections")]
     if not secs:
         raise ScenarioError("image_under_d needs at least one section")
     H = run._parse_form_spec(spec["H"], label="H") if "H" in spec \

@@ -63,6 +63,15 @@ def _check_levels(A, B):
     return A.level
 
 
+def _level_two(op, A, *others):
+    """The level checks of A against each of others; LevelError naming
+    op unless that level is 2."""
+    for B in others:
+        _check_levels(A, B)
+    if A.level != 2:
+        raise LevelError(f"{op} is a level-2 operation, got level {A.level}")
+
+
 def _check_twist(A, H):
     if H.degree != A.level + 1:
         raise LevelError(
@@ -96,10 +105,7 @@ def pairing_is_zero(A, B, cfg=OracleConfig()):
 def courant_bracket(A, B):
     """Skew bracket at level 2:
     ([X, Y], L_X eta - L_Y xi - d(i_X eta - i_Y xi)/2)."""
-    n = _check_levels(A, B)
-    if n != 2:
-        raise LevelError(f"the skew bracket is a level-2 operation, "
-                         f"got level {n}")
+    _level_two("the skew bracket", A, B)
     X, xi = A.X, A.alpha
     Y, eta = B.X, B.alpha
     half = Rat(Fraction(1, 2))
@@ -110,10 +116,7 @@ def courant_bracket(A, B):
 
 def dorfman_bracket(A, B):
     """Non-skew bracket at level 2: ([X, Y], L_X eta - i_Y d xi)."""
-    n = _check_levels(A, B)
-    if n != 2:
-        raise LevelError(f"the Dorfman bracket is a level-2 operation, "
-                         f"got level {n}")
+    _level_two("the Dorfman bracket", A, B)
     form = lie_derivative(A.X, B.alpha) - interior(B.X, ext_d(A.alpha))
     return GenSection(vf_bracket(A.X, B.X), form).simplified()
 
@@ -122,9 +125,7 @@ def twisted_courant_bracket(A, B, H):
     """Level-2 skew bracket with the twist term -i_Y i_X H added to the
     form part; H need not be closed here (structure constructors enforce
     closedness where it matters)."""
-    n = _check_levels(A, B)
-    if n != 2:
-        raise LevelError("the twisted bracket is a level-2 operation")
+    _level_two("the twisted bracket", A, B)
     _check_twist(A, H)
     plain = courant_bracket(A, B)
     twist = interior(B.X, interior(A.X, H))
@@ -161,9 +162,7 @@ def courant_tensor(A, B, C, H):
     -i_{X_C} i_{X_B} i_{X_A} H and the cyclic Poisson sums match the
     contraction of the twisting form.
     """
-    n = _check_levels(A, C)
-    if _check_levels(A, B) != 2 or n != 2:
-        raise LevelError("the tensor is a level-2 operation")
+    _level_two("the tensor", A, B, C)
     _check_twist(A, H)
     br = twisted_courant_bracket(A, B, H)
     return (interior(C.X, br.alpha) + interior(br.X, C.alpha)).scalar_value()

@@ -1025,7 +1025,10 @@ class ExprParser:
             self.ts.next()
             num = self._signed_int()
             self.ts.expect_op("/")
+            _, _, line, col = self.ts.peek()
             den = self._signed_int(allow_sign=False)
+            if not den:
+                raise ParseError("zero denominator in an exponent", line, col)
             self.ts.expect_op(")")
             return Fraction(num, den)
         return Fraction(self._signed_int())

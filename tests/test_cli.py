@@ -340,6 +340,16 @@ class TestScenarioFiles:
         ({"op": ["poisson_bracket"], "f": "q1", "g": "p1"}, None),
         ({"op": "poisson_bracket", "f": "q1", "g": "p1",
           "expect": "\u00b2"}, None),
+        ({"op": "poisson_bracket", "f": "q1", "g": "p1",
+          "expect": "q1^(2/0)"}, None),
+        ({"op": "poisson_bracket", "structure": ["main"], "f": "q1",
+          "g": "p1"}, None),
+        ({"op": "nondegenerate", "structure": "L"},
+         {"type": "graph", "h": "dp1^dq1", "sign": ["+"]}),
+        ({"op": "admissible_pair", "section": ["A"], "expect": True}, None),
+        ({"op": "pairing_zero", "a": {"A": 1}, "b": "A"}, None),
+        ({"op": "image_under_d", "sections": [["A"]]}, None),
+        ({"op": "courant_admissible", "f": "q1^2147483648"}, None),
     ], ids=["check-not-an-object", "expression-is-a-list",
             "graph-op-on-an-algebra", "cartan-kernel-on-a-graph",
             "cartan-table-on-a-graph", "algebra-missing",
@@ -353,7 +363,10 @@ class TestScenarioFiles:
             "symplectic-graph-expect-null", "abelian-over-the-bound",
             "dim-over-the-bound", "admissible-pair-level-3-on-a-3-form",
             "pairing-zero-of-levels-2-and-3", "image-under-d-with-H-0",
-            "op-a-list", "expect-a-superscript-digit"])
+            "op-a-list", "expect-a-superscript-digit",
+            "expect-a-zero-exponent-denominator", "structure-a-list",
+            "sign-a-list", "section-a-list", "pairing-name-an-object",
+            "sections-entry-a-list", "degree-past-the-engine-limit"])
     def test_malformed_check_is_an_error_row(self, tmp_path, check,
                                              algebra):
         # L is so3, a lie_algebra structure with the given fields, or a

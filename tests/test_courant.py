@@ -6,10 +6,10 @@ from twistdirac.symexpr import Rat, is_zero, simplify
 from twistdirac.exterior import (KForm, VectorField, ext_d, form_is_zero,
                                  interior, lie_derivative, vf_apply,
                                  vf_bracket, vf_is_zero)
-from twistdirac.courant import (GenSection, courant_bracket, courant_tensor,
-                                derived_bracket, derived_bracket_skew,
-                                dorfman_bracket, pairing,
-                                twisted_courant_bracket)
+from twistdirac.courant import (GenSection, LevelError, courant_bracket,
+                                courant_tensor, derived_bracket,
+                                derived_bracket_skew, dorfman_bracket,
+                                pairing, twisted_courant_bracket)
 from twistdirac.randgen import (rand_kform, rand_poly, rand_section,
                                 rand_vector_field, rng_for)
 
@@ -105,6 +105,22 @@ class TestClassicalBrackets:
             exact = ext_d(KForm.scalar(phase, pairing(A, B)))
             assert vf_is_zero(d.X - c.X, cfg).zero, i
             assert form_is_zero(d.alpha - c.alpha - exact, cfg).zero, i
+
+    @pytest.mark.parametrize("op, name", [
+        (lambda A, B, H: courant_bracket(A, B), "the skew bracket"),
+        (lambda A, B, H: dorfman_bracket(A, B), "the Dorfman bracket"),
+        (twisted_courant_bracket, "the twisted bracket"),
+        (lambda A, B, H: courant_tensor(A, B, A, H), "the tensor"),
+    ], ids=["courant", "dorfman", "twisted", "tensor"])
+    def test_level_3_sections_are_rejected(self, phase, op, name):
+        rng = rng_for(95, "level3")
+        A = rand_section(rng, phase, level=3)
+        B = rand_section(rng, phase, level=3)
+        with pytest.raises(LevelError) as err:
+            op(A, B, KForm.zero(phase, 4))
+        assert str(err.value) == \
+            f"{name} is a level-2 operation, got level 3"
+
 
 
 class TestTwistedBracket:

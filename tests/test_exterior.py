@@ -291,6 +291,12 @@ class TestFormLiterals:
         with pytest.raises(ParseError):
             parse_form(text, phase)
 
+    def test_a_zero_exponent_denominator_is_a_parse_error(self, phase):
+        from twistdirac.symexpr import ParseError
+        with pytest.raises(ParseError) as err:
+            parse_form("q1^(1/0)*dq1", phase)
+        assert err.value.col == 7
+
     @pytest.mark.parametrize("text, build", [
         ("dp1^dq1 + dp2^dq2 + dp3^dq3", standard_omega),
         ("(1 + q1)*omega",

@@ -10,11 +10,11 @@ import pytest
 
 from twistdirac import _normal
 from twistdirac._normal import (normalize_sum, p_const, p_diff, p_mul,
-                                rational_pow, sorted_terms, to_poly,
+                                p_pow, rational_pow, sorted_terms, to_poly,
                                 try_divide)
 from twistdirac.symexpr import (Chart, EvaluationSingularityError,
-                                OracleConfig, Pow, Rat, diff, eval_expr,
-                                is_zero, parse_expr, sample_point,
+                                OracleConfig, Pow, Rat, SymExprError, diff,
+                                eval_expr, is_zero, parse_expr, sample_point,
                                 simplify)
 
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
@@ -100,9 +100,8 @@ def test_threads_expanding_the_same_atoms_agree():
 
 PLANE = Chart("plane", ["x", "y"])
 
-# (input, its simplified form): exponents past a narrow packed field (at
-# most 2047 in all), and coordinate exponents that move between the
-# packed part and the tail
+# (input, its simplified form): large exponents, and coordinate exponents
+# that move between the packed part and the tail
 MONOMIALS = [
     ("x^70000*y - y*x^70000", "0"),
     ("x^4096*x^4096", "x^8192"),
@@ -143,6 +142,32 @@ def test_derivatives_across_the_packed_layouts():
         "2*x*y + 2048*x^2047"
     assert str(simplify(diff(parse_expr("x^(1/2)*y^3000", PLANE), y))) == \
         "3000*x^(1/2)*y^2999"
+
+
+# a total coordinate degree of 2^31 - 1 is the engine's limit; these
+# inputs need no sampling, which could not finish at such a degree
+def test_the_largest_coordinate_degree_is_a_monomial():
+    assert str(simplify(parse_expr("x^2147483647", PLANE))) == \
+        "x^2147483647"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: to_poly(parse_expr("x^2147483648", PLANE)),
+    lambda: to_poly(parse_expr("x^2147483647*x", PLANE)),
+    lambda: to_poly(parse_expr("x^2147483647*x^(1/2)*x^(1/2)", PLANE)),
+    lambda: p_mul(to_poly(parse_expr("x^2147483647", PLANE)),
+                  to_poly(parse_expr("x", PLANE))),
+    lambda: p_mul(to_poly(parse_expr("x^2147483647*V(y)", PLANE)),
+                  to_poly(parse_expr("x*W(y)", PLANE))),
+    lambda: p_pow(to_poly(parse_expr("x^65536", PLANE)), Fraction(32768),
+                  PLANE),
+], ids=["power", "product", "tail-product", "p_mul", "p_mul-of-tails",
+        "p_pow"])
+def test_a_coordinate_degree_past_the_limit_is_an_error(build):
+    with pytest.raises(SymExprError) as err:
+        build()
+    assert str(err.value) == \
+        "coordinate degree 2147483648 exceeds the engine's limit 2147483647"
 
 
 def test_a_monomial_over_every_coordinate_of_the_largest_chart():

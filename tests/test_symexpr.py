@@ -501,6 +501,13 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_expr(text, phase)
 
+    @pytest.mark.parametrize("text", ["q1^(2/0)", "q1^(0/0)"])
+    def test_a_zero_exponent_denominator_is_a_parse_error(self, phase,
+                                                          text):
+        with pytest.raises(ParseError) as err:
+            parse_expr(text, phase)
+        assert (err.value.line, err.value.col) == (1, 7)
+
     def test_decimal_digits_of_any_script_are_numbers(self, phase):
         assert parse_expr("\u0661\u0662", phase) == Rat(12)
 
