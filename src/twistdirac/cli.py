@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .symexpr import (Chart, OracleConfig, ParseError, SymExprError,
-                      is_zero, parse_expr, simplify)
+                      _number, _rat_str, _witness_str, is_zero, parse_expr,
+                      simplify)
 from .exterior import parse_form, parse_vector_field, vf_apply
 from .courant import GenSection, pairing_is_zero
 from . import dirac
@@ -76,7 +77,7 @@ class CheckResult:
     def to_dict(self, include_timing=True):
         out = {"name": self.name, "verdict": self.verdict}
         if self.witness is not None:
-            out["witness"] = {k: str(v) for k, v in sorted(
+            out["witness"] = {k: _rat_str(v) for k, v in sorted(
                 self.witness.items())}
         if self.residual_max is not None:
             out["residual_max"] = self.residual_max
@@ -135,9 +136,8 @@ class Report:
                 line += f"  |residual| = {c.residual_max:.3g}"
             lines.append(line)
             if c.witness:
-                pt = ", ".join(f"{k}={v}" for k, v in
-                               sorted(c.witness.items()))
-                lines.append(f"                 witness: {pt}")
+                lines.append(f"                 witness: "
+                             f"{_witness_str(c.witness)}")
             if c.detail:
                 lines.append(f"                 {c.detail}")
         counts = {}
@@ -169,7 +169,7 @@ def load_scenario_data(source):
             raise ScenarioError(f"cannot read {source!r}: {exc}")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # malformed, or an int past the digit limit
         raise ScenarioError(f"invalid JSON in {source!r}: {exc}")
     if not isinstance(data, dict):
         raise ScenarioError(f"{source!r} must hold a JSON object")
@@ -396,7 +396,7 @@ class ScenarioRun:
                 return liealg.so3()
             if spec.startswith("abelian(") and spec.endswith(")") \
                     and spec[8:-1].isdecimal():
-                return liealg.abelian(int(spec[8:-1]))
+                return liealg.abelian(int(_number(spec[8:-1])))
             raise ScenarioError(f"unknown builtin algebra {spec!r}")
         spec = _json(spec, dict, "algebra")
         try:
@@ -536,13 +536,13 @@ def _op_cartan_kernel(run, spec):
     detail = f"kernel dimension = {len(kernel)}"
     if kernel:
         detail += "; basis: " + "; ".join(
-            "(" + ", ".join(str(x) for x in vec) + ")" for vec in kernel)
+            "(" + ", ".join(map(_rat_str, vec)) + ")" for vec in kernel)
     return _word(len(kernel) == expect), None, detail
 
 
 def _op_cartan_table(run, spec):
     L = run.structure(spec.get("structure"), "lie_algebra")
-    rows = [f"T({i},{j},{k}) = {v}"
+    rows = [f"T({i},{j},{k}) = {_rat_str(v)}"
             for (i, j, k), v in liealg.cartan_3form(L).table()]
     detail = "; ".join(rows) if rows else "no triples"
     nonzero = spec.get("nonzero")
@@ -555,7 +555,7 @@ def _op_cartan_table(run, spec):
     l, m, n = nonzero
     value = liealg.triple_contraction(L, l, m, n)
     return (_word(value != 0), None,
-            f"{detail}; contraction({l},{m},{n}) = {value}")
+            f"{detail}; contraction({l},{m},{n}) = {_rat_str(value)}")
 
 
 CHECK_OPS = {

@@ -42,8 +42,9 @@ from math import prod
 from ._normal import (ONE_M, from_poly, normal, p_add_inplace, p_const,
                       p_mul, p_pow, to_poly)
 from .symexpr import (OracleConfig, OracleInconclusiveError, Prod, Rat, Sum,
-                      SymExprError, ZeroVerdict, _merge_charts, as_expr,
-                      is_zero, oracle_function_env, sampled_sums)
+                      SymExprError, ZeroVerdict, _merge_charts,
+                      _witness_str, as_expr, is_zero, oracle_function_env,
+                      sampled_sums)
 from .exterior import (KForm, VectorField, ext_d, form_is_zero, interior,
                        lie_derivative, vf_apply, vf_bracket, vf_is_zero,
                        apply_poly)
@@ -102,9 +103,7 @@ class AdmissibilityReport:
         else:
             lines.append(f"  H-admissible: {self.h_admissible}")
             if self.witness:
-                pt = ", ".join(f"{k}={v}" for k, v in
-                               sorted(self.witness.items()))
-                lines.append(f"  witness: {pt} "
+                lines.append(f"  witness: {_witness_str(self.witness)} "
                              f"(|residual| = {self.magnitude:.3g})")
         return "\n".join(lines)
 

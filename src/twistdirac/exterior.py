@@ -23,8 +23,8 @@ from fractions import Fraction
 from ._normal import (from_poly, normal, p_add_inplace, p_const, p_diff,
                       p_mul, to_poly)
 from .symexpr import (Chart, Expr, ExprParser, OracleConfig, Pow, Rat,
-                      SymExprError, TokenStream, ZeroVerdict, _merge_charts,
-                      as_expr, is_zero, parse_expr, tokenize)
+                      SymExprError, ZeroVerdict, _merge_charts, _sum_str,
+                      as_expr, is_zero, parse_expr)
 
 __all__ = [
     "Chart", "VectorField", "KForm", "wedge", "ext_d",
@@ -110,7 +110,8 @@ class VectorField:
         for name, p in zip(self.chart.coords, self.polys):
             q = normal(p)
             if q:
-                parts.append(f"({from_poly(q, self.chart)})*d/d{name}")
+                parts.append(f"({from_poly(q, self.chart)})*"
+                             f"{_field_label(name)}")
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -210,13 +211,9 @@ class KForm:
                      {m: normal(p) for m, p in self.polys.items()})
 
     def __str__(self):
-        terms = self.terms()
-        if not terms:
-            return "0"
         parts = []
-        for mask, cs in terms:
-            basis = "^".join(f"d{self.chart.coords[i]}"
-                             for i in _mask_indices(mask))
+        for mask, cs in self.terms():
+            basis = _form_label(self.chart, mask)
             if self.degree == 0:
                 parts.append(str(cs))
             elif cs.kind == "rat" and cs.value == 1:
@@ -228,10 +225,7 @@ class KForm:
                 if cs.kind == "sum":
                     s = f"({s})"
                 parts.append(f"{s}*{basis}")
-        joined = parts[0]
-        for p in parts[1:]:
-            joined += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return joined
+        return _sum_str(parts)
 
     def __repr__(self):
         return f"<KForm deg={self.degree} {self}>"
@@ -244,6 +238,16 @@ def _mask_indices(mask):
         out.append(i)
         mask &= mask - 1
     return out
+
+
+def _form_label(chart, mask):
+    """The basis element of mask: "dq1^dp1", "" for a function."""
+    return "^".join(f"d{chart.coords[i]}" for i in _mask_indices(mask))
+
+
+def _field_label(name):
+    """The basis field of a component: "d/dq1"."""
+    return f"d/d{name}"
 
 
 def wedge(a, b):
@@ -337,15 +341,14 @@ def form_is_zero(a, cfg=OracleConfig()):
     ZeroVerdict with one child per coefficient, labelled by its basis
     element ("dq1^dp1", "1" for a function)."""
     return ZeroVerdict.combine(
-        ("^".join(f"d{a.chart.coords[i]}" for i in _mask_indices(mask))
-         or "1", is_zero(p, cfg, a.chart))
+        (_form_label(a.chart, mask) or "1", is_zero(p, cfg, a.chart))
         for mask, p in sorted(a.polys.items()))
 
 
 def vf_is_zero(X, cfg=OracleConfig()):
     """Zero-test every component of a vector field: one child per
     component, labelled "d/dq1"."""
-    return ZeroVerdict.combine((f"d/d{name}", is_zero(p, cfg, X.chart))
+    return ZeroVerdict.combine((_field_label(name), is_zero(p, cfg, X.chart))
                                for name, p in zip(X.chart.coords, X.polys))
 
 
@@ -363,8 +366,8 @@ class _FormParser(ExprParser):
     it by one, and ``^`` after a form wedges.  Scalars stay expressions;
     a purely scalar literal is one expression."""
 
-    def __init__(self, stream, chart, names, form_names):
-        super().__init__(stream, chart, names)
+    def __init__(self, text, chart, names, form_names):
+        super().__init__(text, chart, names)
         self.form_names = form_names or {}
 
     def resolve_ident(self, name, line, col):
@@ -392,7 +395,7 @@ class _FormParser(ExprParser):
     def mul(self, left, right):
         if isinstance(left, KForm):
             if isinstance(right, KForm):
-                self.ts.error("use '^' to wedge basis covectors")
+                self.error("use '^' to wedge basis covectors")
             return left.scale(right)
         if isinstance(right, KForm):
             return right.scale(left)
@@ -400,7 +403,7 @@ class _FormParser(ExprParser):
 
     def div(self, left, right):
         if isinstance(right, KForm):
-            self.ts.error("cannot divide by a form")
+            self.error("cannot divide by a form")
         if isinstance(left, KForm):
             return left.scale(Pow(right, Fraction(-1)))
         return super().div(left, right)
@@ -410,12 +413,12 @@ class _FormParser(ExprParser):
             return super().power(base)
         right = self.parse_factor()
         if not isinstance(right, KForm):
-            self.ts.error("'^' in a form literal must join basis covectors")
+            self.error("'^' in a form literal must join basis covectors")
         return wedge(base, right)
 
     def apply(self, name, order, arg):
         if isinstance(arg, KForm):
-            self.ts.error(f"the argument of {name!r} must be a scalar")
+            self.error(f"the argument of {name!r} must be a scalar")
         return super().apply(name, order, arg)
 
     def _as_form(self, value):
@@ -429,8 +432,7 @@ def parse_form(text, chart, degree=None, names=None, form_names=None):
     A literal that is purely scalar is a degree-0 form; ``degree``
     disambiguates the all-zero literal.
     """
-    result = _FormParser(TokenStream(tokenize(text)), chart, names,
-                         form_names).parse_all()
+    result = _FormParser(text, chart, names, form_names).parse_all()
     if not isinstance(result, KForm):
         result = KForm.scalar(chart, result)
     if result.is_structurally_zero() and degree is not None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .symexpr import Chart, SymExprError
+from .symexpr import Chart, SymExprError, _rat_str
 
 __all__ = [
     "LieAlgebraError", "LieAlgebraData", "CartanThreeForm", "cartan_3form",
@@ -137,7 +137,7 @@ class LieAlgebraData:
 def _check_dim(dim):
     if dim > LieAlgebraData.MAX_DIM:
         raise LieAlgebraError(
-            f"Lie algebra dimension {dim} exceeds limit "
+            f"Lie algebra dimension {_rat_str(dim)} exceeds limit "
             f"{LieAlgebraData.MAX_DIM}")
 
 

@@ -9,6 +9,12 @@ text grammar used by scenario files.
 Expressions are immutable; every operation is a pure function.  Trees
 are the parse and print form: ``simplify``, ``diff`` and ``is_zero`` work
 on the normal-form polynomials of ``_normal``.
+
+Every engine text is written here, and every number read: rationals in
+trees, witness points, Lie-algebra values and signed sums (forms print
+their terms through the same join).  Numbers go through ``Decimal``, so
+a number of any length is read and printed exactly; ``int`` and ``str``
+stop at Python's integer string limit of 4300 digits.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, inf, isfinite, lcm
 
@@ -341,7 +348,7 @@ class PolyFunc:
         return self.eval_deriv(0, x)
 
     def __repr__(self):
-        return f"PolyFunc({[str(c) for c in self.coeffs]})"
+        return f"PolyFunc({[_rat_str(c) for c in self.coeffs]})"
 
 
 def _derivative_coeffs(coeffs):
@@ -351,11 +358,22 @@ def _derivative_coeffs(coeffs):
 
 def _horner_forms(coeffs):
     """Coefficients highest degree first, as floats and as integers over
-    their common denominator, with that denominator."""
+    their common denominator, with that denominator.  A coefficient
+    beyond float range is a float inf, so a float evaluation through it
+    makes its point singular (see _enter); exact evaluation uses the
+    integers only."""
     exact = coeffs[::-1]
     den = lcm(*(c.denominator for c in exact))
-    return (tuple(float(c) for c in exact),
+    return (tuple(map(_to_float, exact)),
             tuple(c.numerator * (den // c.denominator) for c in exact), den)
+
+
+def _to_float(v):
+    """An exact number as a float; inf or -inf beyond float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return inf if v > 0 else -inf
 
 
 # A compiled expression is a straight-line program: a list of
@@ -549,10 +567,13 @@ class _Program:
 
 
 def _enter(v):
-    """A number as a register: a float stays a float, any other number
-    becomes an exact pair."""
+    """A number as a register: a finite float stays a float, any other
+    number becomes an exact pair.  An infinite or nan float makes the
+    point singular."""
     if type(v) is not Fraction:
         if isinstance(v, float):
+            if not isfinite(v):
+                raise EvaluationSingularityError("a value beyond float range")
             return float(v)
         v = Fraction(v)
     return v.numerator, v.denominator
@@ -608,6 +629,7 @@ def simplify(e):
 _DEFAULT_INTERVAL = (Fraction(1, 4), Fraction(2))
 MAX_RESAMPLE = 10       # draws per sample point before the oracle gives up
 MAX_SAMPLES = 4096      # sample points per zero test, 32 times the default
+MAX_FUNC_DEGREE = 96    # function symbol degree, 32 times the default
 
 
 @dataclass(frozen=True)
@@ -619,11 +641,12 @@ class OracleConfig:
     scenarios away from their singular loci.  Settings under which a
     Zero verdict would hold vacuously (no samples, a negative function
     degree, a tolerance that is negative, infinite or nan, an interval
-    whose lo is not below its hi) are rejected with ValueError, and so is
-    a sample count above MAX_SAMPLES, which would make one zero test
-    grind instead of answering.  Each config keeps the sample points it
-    has drawn (see sample_point); the table is not a setting, so it takes
-    no part in equality, and replace() starts a new one.
+    whose lo is not below its hi) are rejected with ValueError, and so are
+    a sample count above MAX_SAMPLES and a function degree above
+    MAX_FUNC_DEGREE, which would make one zero test grind instead of
+    answering.  Each config keeps the sample points it has drawn (see
+    sample_point); the table is not a setting, so it takes no part in
+    equality, and replace() starts a new one.
     """
 
     seed: int = 0
@@ -639,9 +662,9 @@ class OracleConfig:
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}, "
                              f"got {self.samples}")
-        if self.func_degree < 0:
-            raise ValueError(
-                f"func_degree must be >= 0, got {self.func_degree}")
+        if not 0 <= self.func_degree <= MAX_FUNC_DEGREE:
+            raise ValueError(f"func_degree must be between 0 and "
+                             f"{MAX_FUNC_DEGREE}, got {self.func_degree}")
         for name in ("abs_tol", "rel_tol"):
             tol = getattr(self, name)
             if not (isfinite(tol) and tol >= 0):
@@ -714,8 +737,8 @@ class ZeroVerdict:
             return f"NonZero at {label}: {child}"
         if self.magnitude is None:
             return "NonZero"
-        pt = ", ".join(f"{n}={v}" for n, v in (self.witness or ()))
-        return f"NonZero(|value|={self.magnitude:.3g} at {pt})"
+        return (f"NonZero(|value|={self.magnitude:.3g} at "
+                f"{_witness_str(self.witness or ())})")
 
 
 def _sample_rng(cfg, tag):
@@ -865,14 +888,10 @@ def is_zero(e, cfg=OracleConfig(), chart=None):
     func_env = None if rational else tuple(sorted(env.items()))
     for point, total, tol in sampled_sums(p, cfg, env, chart):
         if abs(total) > tol:
-            try:
-                magnitude = float(abs(total))
-            except OverflowError:
-                magnitude = inf
             return ZeroVerdict(
                 zero=False, exact=rational,
                 witness=tuple(sorted(point.items())),
-                magnitude=magnitude, func_env=func_env)
+                magnitude=_to_float(abs(total)), func_env=func_env)
     if rational:
         raise OracleInconclusiveError(
             "nonzero normal form but no nonzero sample point found")
@@ -892,97 +911,69 @@ def tokenize(text):
     IDENT values are (name, prime_count).
     """
     tokens = []
-    line, col = 1, 1
+    line, line_start = 1, 0
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
+        col = i - line_start + 1
+        j = i + 1
         if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdecimal():
-            j = i
+            line, line_start = line + 1, j
+        elif ch.isdecimal():
             seen_dot = False
             while j < n and (text[j].isdecimal()
                              or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    seen_dot = True
+                seen_dot = seen_dot or text[j] == "."
                 j += 1
-            tokens.append(("NUM", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+            tokens.append(("NUM", text[i:j], line, col))
+        elif ch.isalpha() or ch == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            primes = 0
+            name_end = j
             while j < n and text[j] == "'":
-                primes += 1
                 j += 1
-            tokens.append(("IDENT", (text[i:j - primes] if primes
-                                     else text[i:j], primes),
-                           line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(("OP", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("END", None, line, col))
+            tokens.append(("IDENT", (text[i:name_end], j - name_end),
+                           line, col))
+        elif ch in _OPS:
+            tokens.append(("OP", ch, line, col))
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        i = j
+    tokens.append(("END", None, line, n - line_start + 1))
     return tokens
 
 
-class TokenStream:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "END":
-            self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, value, line, col = self.peek()
-        if kind != "OP" or value != op:
-            raise ParseError(f"expected {op!r}", line, col)
-        return self.next()
-
-    def error(self, message):
-        _, _, line, col = self.peek()
-        raise ParseError(message, line, col)
-
-
 class ExprParser:
-    """Recursive-descent parser for the scalar expression grammar.
+    """Recursive-descent parser for the scalar expression grammar, over
+    the tokens of one text.
 
     Nodes are built through add, neg, mul, div, power and apply, so a
     subclass can parse the same grammar into other values (form
     literals, in exterior)."""
 
-    def __init__(self, stream, chart, names=None):
-        self.ts = stream
+    def __init__(self, text, chart, names=None):
+        self.tokens = tokenize(text)
+        self.pos = 0
         self.chart = chart
         self.names = names or {}
 
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def expect_op(self, op):
+        kind, value, line, col = self.peek()
+        if kind != "OP" or value != op:
+            raise ParseError(f"expected {op!r}", line, col)
+        self.pos += 1
+
+    def error(self, message):
+        _, _, line, col = self.peek()
+        raise ParseError(message, line, col)
+
     def parse_all(self):
-        """The whole token stream as one expression."""
+        """The whole text as one expression."""
         e = self.parse_expr()
-        kind, _, line, col = self.ts.peek()
+        kind, _, line, col = self.peek()
         if kind != "END":
             raise ParseError("unexpected trailing input", line, col)
         return e
@@ -990,9 +981,9 @@ class ExprParser:
     def parse_expr(self):
         left = self.parse_term()
         while True:
-            kind, value, _, _ = self.ts.peek()
+            kind, value, _, _ = self.peek()
             if kind == "OP" and value in "+-":
-                self.ts.next()
+                self.pos += 1
                 right = self.parse_term()
                 left = self.add(left, right if value == "+"
                                 else self.neg(right))
@@ -1002,9 +993,9 @@ class ExprParser:
     def parse_term(self):
         left = self.parse_factor()
         while True:
-            kind, value, _, _ = self.ts.peek()
+            kind, value, _, _ = self.peek()
             if kind == "OP" and value in "*/":
-                self.ts.next()
+                self.pos += 1
                 right = self.parse_factor()
                 left = self.mul(left, right) if value == "*" \
                     else self.div(left, right)
@@ -1013,51 +1004,51 @@ class ExprParser:
 
     def parse_factor(self):
         base = self.parse_base()
-        kind, value, _, _ = self.ts.peek()
+        kind, value, _, _ = self.peek()
         if kind == "OP" and value == "^":
-            self.ts.next()
+            self.pos += 1
             return self.power(base)
         return base
 
     def parse_exponent(self):
-        kind, value, line, col = self.ts.peek()
+        kind, value, line, col = self.peek()
         if kind == "OP" and value == "(":
-            self.ts.next()
+            self.pos += 1
             num = self._signed_int()
-            self.ts.expect_op("/")
-            _, _, line, col = self.ts.peek()
+            self.expect_op("/")
+            _, _, line, col = self.peek()
             den = self._signed_int(allow_sign=False)
             if not den:
                 raise ParseError("zero denominator in an exponent", line, col)
-            self.ts.expect_op(")")
-            return Fraction(num, den)
-        return Fraction(self._signed_int())
+            self.expect_op(")")
+            return num / den
+        return self._signed_int()
 
     def _signed_int(self, allow_sign=True):
         sign = 1
-        kind, value, line, col = self.ts.peek()
+        kind, value, line, col = self.peek()
         if allow_sign and kind == "OP" and value == "-":
-            self.ts.next()
+            self.pos += 1
             sign = -1
-            kind, value, line, col = self.ts.peek()
+            kind, value, line, col = self.peek()
         if kind != "NUM" or "." in value:
             raise ParseError("expected an integer exponent", line, col)
-        self.ts.next()
-        return sign * int(value)
+        self.pos += 1
+        return sign * _number(value)
 
     def parse_base(self):
-        kind, value, line, col = self.ts.peek()
+        kind, value, line, col = self.peek()
         if kind == "NUM":
-            self.ts.next()
-            return Rat(Fraction(value))
+            self.pos += 1
+            return Rat(_number(value))
         if kind == "IDENT":
-            self.ts.next()
+            self.pos += 1
             name, primes = value
-            nk, nv, _, _ = self.ts.peek()
+            nk, nv, _, _ = self.peek()
             if nk == "OP" and nv == "(":
-                self.ts.next()
+                self.pos += 1
                 arg = self.parse_expr()
-                self.ts.expect_op(")")
+                self.expect_op(")")
                 return self.apply(name, primes, arg)
             if primes:
                 raise ParseError(
@@ -1065,14 +1056,14 @@ class ExprParser:
                     f"application", line, col)
             return self.resolve_ident(name, line, col)
         if kind == "OP" and value == "(":
-            self.ts.next()
+            self.pos += 1
             inner = self.parse_expr()
-            self.ts.expect_op(")")
+            self.expect_op(")")
             return inner
         if kind == "OP" and value == "-":
-            self.ts.next()
+            self.pos += 1
             return self.neg(self.parse_factor())
-        self.ts.error("expected a number, identifier or parenthesis")
+        self.error("expected a number, identifier or parenthesis")
 
     def resolve_ident(self, name, line, col):
         if name in self.chart.coords:
@@ -1103,40 +1094,56 @@ class ExprParser:
         return Func(name, order, arg)
 
 
+def _number(digits):
+    """Decimal digits with an optional point as an exact Fraction;
+    Decimal reads any number of digits, where int() stops at 4300."""
+    return Fraction(Decimal(digits))
+
+
 def parse_expr(text, chart, names=None):
     """Parse the expression grammar; idents resolve to chart coordinates
     or previously defined names, and an ident before '(' is a function
     symbol (primes mark derivative order)."""
-    return ExprParser(TokenStream(tokenize(text)), chart, names).parse_all()
+    return ExprParser(text, chart, names).parse_all()
 
 
 # printer ------------------------------------------------------------------
 
 
-def _frac_str(v):
-    return str(v.numerator) if v.denominator == 1 else \
-        f"{v.numerator}/{v.denominator}"
+def _rat_str(v):
+    """A rational, an int or a Fraction, as text, exactly: str(Decimal)
+    has no digit limit, where str(int) has."""
+    num = str(Decimal(v.numerator))
+    return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
 
 
-def _exp_str(e):
-    if e.denominator == 1:
-        return str(e.numerator)
-    return f"({e.numerator}/{e.denominator})"
+def _witness_str(witness):
+    """A witness point, a dict or (coord, value) pairs, as
+    "p1=3/4, q1=1/2", in coordinate order."""
+    return ", ".join(f"{name}={_rat_str(v)}"
+                     for name, v in sorted(dict(witness).items()))
 
 
-def _atom_str(e):
-    s = expr_to_str(e)
-    if e.kind in ("rat", "var", "func") and not s.startswith("-"):
-        return s
-    return f"({s})"
+def _sum_str(texts):
+    """Term texts as one sum: " - " before a term that starts with "-",
+    " + " before any other, "0" for no terms."""
+    if not texts:
+        return "0"
+    return texts[0] + "".join(f" - {s[1:]}" if s.startswith("-")
+                              else f" + {s}" for s in texts[1:])
 
 
 def _pow_str(base, exp):
+    """base^exp, or the base alone when exp is 1; a power needs no
+    parentheses then."""
+    s = expr_to_str(base)
+    if s.startswith("-") or base.kind in ("sum", "prod") \
+            or base.kind == "pow" and exp != 1:
+        s = f"({s})"
     if exp == 1:
-        return _atom_str(base) if base.kind in ("sum", "prod") else \
-            expr_to_str(base) if not expr_to_str(base).startswith("-") else \
-            f"({expr_to_str(base)})"
-    return f"{_atom_str(base)}^{_exp_str(exp)}"
+        return s
+    e = _rat_str(exp)
+    return f"{s}^{e}" if exp.denominator == 1 else f"{s}^({e})"
 
 
 def expr_to_str(e):
@@ -1144,7 +1151,7 @@ def expr_to_str(e):
     exponents printed as divisions)."""
     kind = e.kind
     if kind == "rat":
-        return _frac_str(e.value)
+        return _rat_str(e.value)
     if kind == "var":
         return e.name
     if kind == "func":
@@ -1169,7 +1176,7 @@ def expr_to_str(e):
             if coeff == -1 and (nums or dens):
                 prefix = "-"
             elif coeff != 1 or not (nums or dens):
-                s = _frac_str(abs(coeff))
+                s = _rat_str(abs(coeff))
                 prefix = ("-" if coeff < 0 else "") + s
                 if nums or dens:
                     prefix += "*"
@@ -1178,18 +1185,7 @@ def expr_to_str(e):
             body += "/" + d
         return prefix + body
     if kind == "sum":
-        if not e.args:
-            return "0"
-        parts = []
-        for i, a in enumerate(e.args):
-            s = expr_to_str(a)
-            if i == 0:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(f" - {s[1:]}")
-            else:
-                parts.append(f" + {s}")
-        return "".join(parts)
+        return _sum_str([expr_to_str(a) for a in e.args])
     raise TypeError(f"unknown node kind {kind!r}")
 
 

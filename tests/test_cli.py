@@ -1,6 +1,7 @@
 """Scenario loading, the check registry, report rendering, and the CLI."""
 
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -38,8 +39,9 @@ def _with(data, key, value):
 
 
 def write_scenario(tmp_path, data, name="scen.json"):
+    """data as a JSON file; a str is written as it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return str(path)
 
 
@@ -136,6 +138,20 @@ class TestScenarioFiles:
                              "f": "q", "g": "0", "expect": expect}])
         report = run_scenario(write_scenario(tmp_path, data))
         assert [c.verdict for c in report.checks] == [verdict]
+
+    def test_numbers_past_the_int_digit_limit_give_a_report_row(self,
+                                                                tmp_path):
+        # 15000*2^15000 has 4520 digits; str(int) stops at 4300
+        data = _with(MINIMAL, "checks", [
+            {"name": "long", "op": "poisson_bracket", "f": "(2*q1)^15000",
+             "g": "p1", "expect": "15000*2^15000*q1^14999"}])
+        report = run_scenario(write_scenario(tmp_path, data))
+        check, = report.checks
+        assert check.verdict == "PASS"
+        coeff, rest = check.detail.removeprefix("{f,g} = ").split("*")
+        assert (len(coeff), rest) == (4520, "q1^14999")
+        assert Fraction(Decimal(coeff)) == 15000 * 2 ** 15000
+        assert json.loads(report.to_json()) == report.to_dict()
 
     def test_unknown_op_is_error(self, tmp_path):
         data = json.loads(json.dumps(MINIMAL))
@@ -330,6 +346,8 @@ class TestScenarioFiles:
         ({"op": "cartan_kernel", "structure": "L",
           "expect_dimension": 17}, {"algebra": "abelian(17)"}),
         ({"op": "cartan_kernel", "structure": "L",
+          "expect_dimension": 17}, {"algebra": f"abelian({'9' * 5000})"}),
+        ({"op": "cartan_kernel", "structure": "L",
           "expect_dimension": 17}, {"algebra": {
               "dim": 17, "brackets": [],
               "metric": [[int(i == j) for j in range(17)]
@@ -361,6 +379,7 @@ class TestScenarioFiles:
             "nondegenerate-expect-a-string",
             "symplectic-graph-expect-a-string", "integrable-expect-zero",
             "symplectic-graph-expect-null", "abelian-over-the-bound",
+            "abelian-past-the-int-digit-limit",
             "dim-over-the-bound", "admissible-pair-level-3-on-a-3-form",
             "pairing-zero-of-levels-2-and-3", "image-under-d-with-H-0",
             "op-a-list", "expect-a-superscript-digit",
@@ -494,6 +513,7 @@ class TestRejectedInput:
             "forms"], "exprs": {"a": "\u00b2"}}),
         _with(MINIMAL, "definitions", {"forms": {"omega": "dp1^dq1",
                                                  "dq1": "2*dq1"}}),
+        json.dumps(MINIMAL).replace('"seed": 5', '"seed": ' + "9" * 5000),
     ], ids=["repeated-coordinates", "17-coordinates", "top-level-array",
             "non-numeric-samples", "one-ended-box", "chart-a-string",
             "checks-an-object", "definitions-an-array", "forms-an-array",
@@ -502,7 +522,7 @@ class TestRejectedInput:
             "seed-a-string", "fractional-func-degree", "rel-tol-a-string",
             "boolean-box-endpoint", "box-of-a-non-coordinate",
             "box-a-string", "expr-a-superscript-digit",
-            "form-named-like-a-covector"])
+            "form-named-like-a-covector", "seed-past-the-int-digit-limit"])
     def test_malformed_scenario_file_is_an_error(self, tmp_path, capsys,
                                                   data):
         with pytest.raises(ScenarioError):

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from twistdirac.symexpr import (MAX_SAMPLES, Chart, ChartMismatchError,
+from twistdirac.symexpr import (MAX_FUNC_DEGREE, MAX_SAMPLES, Chart,
+                                ChartMismatchError,
                                 EvaluationSingularityError, Func,
                                 MissingFunctionError, OracleConfig,
                                 OracleInconclusiveError, ParseError,
@@ -387,6 +388,17 @@ class TestFloatRange:
         assert eval_expr(e, v.witness_point, dict(v.func_env)) != 0
         assert str(v).startswith("NonZero(|value|=inf at x=")
 
+    def test_a_derivative_beyond_float_range_gets_a_verdict(self):
+        # V is drawn at degree 171, so its 171st derivative is 171! times
+        # the top coefficient: exact, but beyond float range as a float
+        e = parse_expr("V" + "'" * 171 + "(x)", self.PLANE)
+        v = is_zero(e)
+        assert not v.zero and v.magnitude == math.inf
+        env = dict(v.func_env)
+        assert eval_expr(e, v.witness_point, env) > 0
+        with pytest.raises(EvaluationSingularityError):
+            eval_expr(e, {"x": 0.5}, env)
+
 
 class TestSimplify:
     def test_collect(self, phase):
@@ -511,6 +523,17 @@ class TestGrammar:
     def test_decimal_digits_of_any_script_are_numbers(self, phase):
         assert parse_expr("\u0661\u0662", phase) == Rat(12)
 
+    def test_numbers_past_the_int_digit_limit_are_exact(self, phase):
+        # str(int) and int(str) stop at 4300 digits
+        nines = "9" * 5000
+        e = parse_expr(nines, phase)
+        assert e == Rat(10 ** 5000 - 1) and str(e) == nines
+        e = parse_expr(nines[:2500] + "." + nines[2500:], phase)
+        assert e == Rat(10 ** 5000 - 1, 10 ** 2500)
+        assert str(e) == f"{nines}/1{'0' * 2500}"
+        e = parse_expr(f"q1^{nines}", phase)
+        assert e.exp == 10 ** 5000 - 1 and str(e) == f"q1^{nines}"
+
     def test_primes_mark_derivatives(self, phase):
         e = parse_expr("V''(q1)", phase)
         assert e.kind == "func" and e.order == 2
@@ -557,11 +580,13 @@ class TestOracleConfig:
         {"abs_tol": float("nan")}, {"abs_tol": float("inf")},
         {"rel_tol": float("nan")}, {"rel_tol": float("inf")},
         {"abs_tol": -1e-9}, {"rel_tol": -1e-9}, {"box": {"x": (1, 1)}},
-        {"box": {"x": (2, 1)}}, {"samples": MAX_SAMPLES + 1}])
+        {"box": {"x": (2, 1)}}, {"samples": MAX_SAMPLES + 1},
+        {"func_degree": MAX_FUNC_DEGREE + 1}])
     def test_settings_that_make_zero_vacuous_are_rejected(self, setting):
         # no samples, function symbols that vanish identically, or a
         # tolerance every total passes would each give a Zero for free;
-        # more than MAX_SAMPLES points would make one zero test grind
+        # more than MAX_SAMPLES points, or functions of a degree above
+        # MAX_FUNC_DEGREE, would make one zero test grind
         with pytest.raises(ValueError):
             OracleConfig(**setting)
 
