@@ -26,11 +26,14 @@ exact division one subtraction.  A product, power or pack past the cap
 raises ``SymExprError`` instead of carrying.  Every other factor lives
 in a tail of (atom, exponent) pairs sorted by the atom's ``_key``:
 function applications, power and radical atoms, and coordinates whose
-exponent is negative or fractional.  A monomial is the packed int when
-its tail is empty and the pair (packed int, tail) otherwise, so each
-monomial has one key; ``ONE_M`` (0) is the constant monomial.  Tail
-exponents are nonzero ints or Fractions (an integral Fraction compares and
-hashes equal to its int).  A packed int does not know its chart, so
+exponent is negative or fractional, which sort after the other atoms.
+A monomial is the packed int when its tail is empty and the pair (packed
+int, tail) otherwise, so each monomial has one key; ``ONE_M`` (0) is the
+constant monomial.  One reader (``_spell``) gives a monomial's coordinate
+exponents by index wherever they sit, and one writer (``_mono_of``) is
+the only code that chooses the packed part or the tail.  Tail exponents
+are nonzero ints or Fractions (an integral Fraction compares and hashes
+equal to its int).  A packed int does not know its chart, so
 ``from_poly``, ``sorted_terms`` and ``p_pow`` take the chart from the
 caller.  A polynomial is a dict mapping monomials to nonzero rational
 coefficients; polynomials are shared, so no operation mutates an
@@ -47,12 +50,10 @@ the same values and hashes, so results are the same.
 Exact division (``try_divide``) and ``normalize_sum`` need the
 graded-lexicographic order over every atom.  Packed ints compare in it
 themselves; once a tail appears, one key function (``_vectorizer``)
-spells a monomial out as its total degree, its tail exponents and every
-coordinate exponent.  ``try_divide`` caches that key per call.  Few
-lookups hit on short divisions, but each step of a long one takes the
-largest monomial of the whole remainder again, and without the cache
-long exact divisions of polynomials with function atoms ran several
-times slower.
+spells a monomial out as its total degree, its other atoms' exponents
+and its exponents of the coordinates in use.  ``try_divide`` caches that
+key per call: each step of a long division takes the largest monomial
+of the whole remainder again.
 
 An atom keeps its own expansion: ``_atom_poly`` stores ``to_poly(atom)``
 on the node the first time it is asked for, so the expansion lives as
@@ -61,6 +62,7 @@ long as the node does.  The module itself holds no state.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -77,6 +79,8 @@ _GUARDS = sum(1 << (i * _W + _W - 1) for i in range(MAX_COORDS))
 _FIELD = (1 << _W) - 1
 _COORD = tuple(_DEG + (1 << ((MAX_COORDS - 1 - i) * _W))
                for i in range(MAX_COORDS))
+# the coordinate fields of a packed int, _W = 32, below its degree field
+_FIELDS = struct.Struct(f">4x{MAX_COORDS}I")
 
 ONE_M = 0
 _ONE = 1
@@ -88,20 +92,9 @@ def _too_high(deg):
         f"coordinate degree {deg} exceeds the engine's limit {_CAP}")
 
 
-def _exponents(P):
-    """The (index, exponent) pairs of a packed monomial, by index."""
-    rest = P % _DEG
-    out = []
-    shift = (MAX_COORDS - 1) * _W
-    i = 0
-    while rest:
-        e = rest >> shift
-        if e:
-            out.append((i, e))
-            rest -= e << shift
-        i += 1
-        shift -= _W
-    return out
+def _fields(P):
+    """The coordinate exponents of a packed monomial, by index."""
+    return _FIELDS.unpack(P.to_bytes(_FIELDS.size, "big"))
 
 
 def _pack(pairs):
@@ -111,10 +104,6 @@ def _pack(pairs):
     if deg > _CAP:
         raise _too_high(deg)
     return sum(e * _COORD[i] for i, e in pairs)
-
-
-def _exponent_of(P, i):
-    return (P >> ((MAX_COORDS - 1 - i) * _W)) & _FIELD
 
 
 def _packed_mul(P1, P2):
@@ -144,15 +133,39 @@ def _mono(P, tail):
     return (P, tuple(tail)) if tail else P
 
 
-def _mono_of(pairs):
-    """The monomial of (atom, exponent) pairs with distinct atoms, sorted
-    by atom key."""
-    packed, tail = [], []
-    for a, e in pairs:
-        if a.kind == "var" and e > 0 and e.denominator == 1:
-            packed.append((a.index, int(e)))
-        else:
-            tail.append((a, e))
+def _spell(m):
+    """A monomial read as (its MAX_COORDS coordinate exponents by index,
+    packed and tail alike; the {index: atom} of its tail coordinates; its
+    other (atom, exponent) pairs in key order).  m may also pair a packed
+    int with a tail that repeats a coordinate of it: the exponents add."""
+    if type(m) is int:
+        return _fields(m), {}, ()
+    P, tail = m
+    j = len(tail)
+    while j and tail[j - 1][0].kind == "var":
+        j -= 1
+    if j == len(tail):
+        return _fields(P), {}, tail
+    coords = list(_fields(P))
+    xs = {}
+    for a, e in tail[j:]:
+        i = a.index
+        xs[i] = a
+        coords[i] += e
+    return coords, xs, tail[:j]
+
+
+def _mono_of(coords, xs, others):
+    """The monomial of the parts _spell reads; xs needs the atoms only of
+    the coordinates that go to the tail: those whose exponent is not a
+    positive integer."""
+    packed, tail = [], list(others)
+    for i, e in enumerate(coords):
+        if e:
+            if e > 0 and e.denominator == 1:
+                packed.append((i, int(e)))
+            else:
+                tail.append((xs[i], e))
     return _mono(_pack(packed), tail)
 
 
@@ -162,21 +175,16 @@ def _atom_term(a, e, c=_ONE):
 
 
 def _factors(m, chart):
-    """The (atom, exponent) pairs of a monomial, sorted by atom key."""
-    P, tail = _split(m)
-    if not P:
-        return tail
-    if chart is None:
-        raise ValueError("a polynomial over coordinates needs its chart")
-    xs = chart.vars()
-    packed = tuple((xs[i], e) for i, e in _exponents(P))
-    j = 0
-    while j < len(tail) and tail[j][0].kind != "var":
-        j += 1
-    if j == len(tail):
-        return tail + packed
-    return tail[:j] + tuple(sorted(tail[j:] + packed,
-                                   key=lambda t: t[0].index))
+    """The (atom, exponent) pairs of a monomial, sorted by atom key;
+    chart names its packed coordinates."""
+    coords, xs, others = _spell(m)
+    if m if type(m) is int else m[0]:
+        if chart is None:
+            raise ValueError("a polynomial over coordinates needs its chart")
+        pairs = zip(chart.vars(), coords)
+    else:
+        pairs = ((xs.get(i), e) for i, e in enumerate(coords))
+    return others + tuple([(a, e) for a, e in pairs if e])
 
 
 def tail_atoms(p):
@@ -311,26 +319,21 @@ def term_mul(m1, c1, m2, c2):
             j += 1
     merged.extend(t1[i:])
     merged.extend(t2[j:])
+    coords = None
+    if merged and merged[-1][0].kind == "var":
+        # the other factor may hold a tail coordinate in its packed part
+        coords, xs, merged = _spell((P, merged))
     out = []
     for a, e in merged:
         kind = a.kind
-        if kind == "var":
-            # the other factor may hold this coordinate in its packed part
-            k = _exponent_of(P, a.index)
-            if k:
-                P = _packed_quo(P, _pack([(a.index, k)]))
-                e = e + k
-            if e > 0 and e.denominator == 1:
-                P = _packed_mul(P, _pack([(a.index, int(e))]))
-            elif e:
-                out.append((a, e))
-        elif e.denominator == 1 and (kind == "rat"
-                                     or (kind == "sum" and e > 0)
-                                     or _even_root(a)):
+        if e.denominator == 1 and (kind == "rat"
+                                   or (kind == "sum" and e > 0)
+                                   or _even_root(a)):
             folds.append((a, int(e)))
         else:
             out.append((a, e))
-    base = {_mono(P, out): coeff if type(coeff) is int else _coeff(coeff)}
+    m = _mono(P, out) if coords is None else _mono_of(coords, xs, out)
+    base = {m: coeff if type(coeff) is int else _coeff(coeff)}
     for a, n in folds:
         if a.kind == "rat":
             base = p_mul(base, rational_pow(a.value, n))
@@ -411,19 +414,22 @@ def _vectorizer(*polys):
                     key=lambda a: a._key)
     pos = {a: i for i, a in enumerate(others)}
     zero = (0,) * len(others)
+    # the key spells the coordinates from the first to the last in use; a
+    # field of the OR of the packed parts is nonzero where some part's is
+    fields = 0
+    for p in polys:
+        for m in p:
+            fields |= m if type(m) is int else m[0]
+    used = [i for i, e in enumerate(_fields(fields)) if e] + \
+        [a.index for a in tails if a.kind == "var"]
+    lo, hi = min(used, default=0), max(used, default=-1) + 1
 
     def vec(m):
-        P, tail = _split(m)
+        coords, _, rest = _spell(m)
         v = list(zero)
-        xs = [0] * MAX_COORDS
-        for i, e in _exponents(P):
-            xs[i] = e
-        for a, e in tail:
-            if a.kind == "var":
-                xs[a.index] = e
-            else:
-                v[pos[a]] = e
-        return (sum(v) + sum(xs), *v, *xs)
+        for a, e in rest:
+            v[pos[a]] = e
+        return (sum(v) + sum(coords), *v, *coords[lo:hi])
     return vec
 
 
@@ -456,7 +462,7 @@ def _atom_pow(a, k, e):
         return _atom_term(symexpr.Pow(a, k), e)
     if ne.denominator == 1 and (a.kind in ("sum", "rat") or _even_root(a)):
         return p_pow(_atom_poly(a), ne, a.chart)
-    return {_mono_of([(a, ne)]): _ONE}
+    return {_mono_of(*_spell((ONE_M, ((a, ne),)))): _ONE}
 
 
 def p_pow(p, e, chart):
@@ -574,6 +580,7 @@ def p_diff(p, v):
             if k:
                 m -= unit
                 c = c if k == 1 else c * k
+                # a tail can cancel into this key, as F(x)/F'(x) does
                 old = out.get(m)
                 if old is not None:
                     c = old + c
@@ -582,8 +589,8 @@ def p_diff(p, v):
                         continue
                 out[m] = c if type(c) is int else _coeff(c)
             continue
-        P, tail = _split(m)
-        k = _exponent_of(P, vi)
+        P, tail = m
+        k = (P >> shift) & _FIELD
         if k:
             p_add_inplace(out, {_mono(_packed_quo(P, unit), tail):
                                 c if k == 1 else c * k})
@@ -619,27 +626,17 @@ def _mono_quo(m, d):
     """m / d for monomials, or None when some exponent of d exceeds m's."""
     if type(m) is int and type(d) is int:
         return _packed_quo(m, d)
-    coords, xs, others = {}, {}, {}
-    for mono, sign in ((m, 1), (d, -1)):
-        P, tail = _split(mono)
-        for i, e in _exponents(P):
-            coords[i] = coords.get(i, 0) + sign * e
-        for a, e in tail:
-            if a.kind == "var":
-                xs[a.index] = a
-                coords[a.index] = coords.get(a.index, 0) + sign * e
-            else:
-                others[a] = others.get(a, 0) + sign * e
-    if any(e < 0 for e in coords.values()) or \
-            any(e < 0 for e in others.values()):
+    mcoords, xs, rest = _spell(m)
+    dcoords, dxs, drest = _spell(d)
+    coords = [a - b for a, b in zip(mcoords, dcoords)]
+    others = dict(rest)
+    for a, e in drest:
+        others[a] = others.get(a, 0) - e
+    if any(e < 0 for e in coords) or any(e < 0 for e in others.values()):
         return None
-    # nonnegative now: integral coordinate exponents are packed
-    tail = sorted(((a, e) for a, e in others.items() if e),
-                  key=lambda t: t[0]._key)
-    tail += [(xs[i], e) for i, e in sorted(coords.items())
-             if e.denominator != 1]
-    return _mono(_pack([(i, int(e)) for i, e in coords.items()
-                        if e and e.denominator == 1]), tail)
+    return _mono_of(coords, {**dxs, **xs},
+                    sorted(((a, e) for a, e in others.items() if e),
+                           key=lambda t: t[0]._key))
 
 
 def _pure_nonneg(p):
@@ -758,8 +755,10 @@ def combined_fraction(p):
                 unit, norm = normalize_sum(q)
                 if len(norm) == 1:
                     (m, c), = norm.items()
-                    inv = _mono_of([(ia, -ie)
-                                    for ia, ie in _factors(m, a.chart)])
+                    coords, _, others = _spell(m)
+                    inv = _mono_of([-e for e in coords],
+                                   a.chart and a.chart.vars(),
+                                   [(b, -e) for b, e in others])
                     return {inv: _div(1, unit * c)}, {}
                 atom = from_poly(norm, a.chart)
                 return p_const(_div(1, unit)), {atom: 1}

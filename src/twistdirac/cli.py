@@ -27,9 +27,10 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from math import isfinite
 
 from . import __version__
-from .symexpr import (Chart, OracleConfig, ParseError, SymExprError,
+from .symexpr import (Chart, OracleConfig, ParseError, Rat, SymExprError,
                       _number, _rat_str, _witness_str, is_zero, parse_expr,
                       simplify)
 from .exterior import parse_form, parse_vector_field, vf_apply
@@ -65,6 +66,21 @@ def _json(value, kind, what):
     return value
 
 
+def _expr(value, what, chart, names):
+    """The expression of a JSON value: a string is parsed, a finite number
+    read exactly; ScenarioError naming what for any other value."""
+    if isinstance(value, str):
+        try:
+            return parse_expr(value, chart, names)
+        except ParseError as exc:
+            raise ScenarioError(f"in {what}: {exc}")
+    if type(value) is int or type(value) is float and isfinite(value):
+        # a float by its shortest repr, so 1e-05 is 1/100000
+        return Rat(value if type(value) is int else _number(repr(value)))
+    raise ScenarioError(
+        f"{what} must be a string or a finite number, got {value!r}")
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -80,7 +96,9 @@ class CheckResult:
             out["witness"] = {k: _rat_str(v) for k, v in sorted(
                 self.witness.items())}
         if self.residual_max is not None:
-            out["residual_max"] = self.residual_max
+            # JSON has no infinity: a residual beyond float range is "inf"
+            out["residual_max"] = self.residual_max \
+                if isfinite(self.residual_max) else "inf"
         if self.detail:
             out["detail"] = self.detail
         if include_timing:
@@ -124,7 +142,7 @@ class Report:
 
     def to_json(self, include_timing=True):
         return json.dumps(self.to_dict(include_timing), sort_keys=True,
-                          indent=2)
+                          indent=2, allow_nan=False)
 
     def render_text(self):
         lines = [f"scenario: {self.scenario}   "
@@ -271,10 +289,8 @@ class ScenarioRun:
             for key in ("exprs", "forms", "sections"))
         for name, text in exprs.items():
             self._check_name(name)
-            try:
-                self.exprs[name] = parse_expr(text, self.chart, self.exprs)
-            except ParseError as exc:
-                raise ScenarioError(f"in expression {name!r}: {exc}")
+            self.exprs[name] = _expr(text, f"expression {name!r}",
+                                     self.chart, self.exprs)
         for name, spec in forms.items():
             self._check_name(name)
             # a form literal reads d<coord> as the covector, so a form of
@@ -287,8 +303,10 @@ class ScenarioRun:
             spec = _json(spec, dict, f"section {name!r}")
             try:
                 X = parse_vector_field(
-                    _json(spec["X"], dict, f"section {name!r} X"),
-                    self.chart, self.exprs)
+                    {coord: _expr(text, f"section {name!r} X {coord!r}",
+                                  self.chart, self.exprs) for coord, text in
+                     _json(spec["X"], dict, f"section {name!r} X").items()},
+                    self.chart)
                 alpha = self._parse_form_spec(spec["alpha"],
                                               label=f"{name}.alpha")
             except KeyError as exc:
@@ -316,17 +334,10 @@ class ScenarioRun:
             raise ScenarioError(f"in {label}: {exc}")
 
     def expr(self, spec, label="expression"):
-        if isinstance(spec, (int, float)):
-            return parse_expr(str(spec), self.chart)
-        if not isinstance(spec, str):
-            raise ScenarioError(
-                f"{label} must be a string or a number, got {spec!r}")
-        if spec in self.exprs:
+        """A defined expression by name, or the expression of spec."""
+        if isinstance(spec, str) and spec in self.exprs:
             return self.exprs[spec]
-        try:
-            return parse_expr(spec, self.chart, self.exprs)
-        except ParseError as exc:
-            raise ScenarioError(f"in {label}: {exc}")
+        return _expr(spec, label, self.chart, self.exprs)
 
     # -- structures --------------------------------------------------------
 

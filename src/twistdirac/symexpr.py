@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, inf, isfinite, lcm
+from math import gcd, inf, isfinite, lcm, ulp
 
 from ._normal import (MAX_COORDS, canon_expr, combined_fraction, from_poly,
                       has_packed, iroot, is_rational_function, p_diff,
@@ -630,6 +630,7 @@ _DEFAULT_INTERVAL = (Fraction(1, 4), Fraction(2))
 MAX_RESAMPLE = 10       # draws per sample point before the oracle gives up
 MAX_SAMPLES = 4096      # sample points per zero test, 32 times the default
 MAX_FUNC_DEGREE = 96    # function symbol degree, 32 times the default
+_MAX_DRAWN_DEGREE = 4 * MAX_FUNC_DEGREE   # the most oracle_function_env draws
 
 
 @dataclass(frozen=True)
@@ -642,7 +643,8 @@ class OracleConfig:
     Zero verdict would hold vacuously (no samples, a negative function
     degree, a tolerance that is negative, infinite or nan, an interval
     whose lo is not below its hi) are rejected with ValueError, and so are
-    a sample count above MAX_SAMPLES and a function degree above
+    a sample count or function degree that is not an int (a bool is
+    not), a sample count above MAX_SAMPLES and a function degree above
     MAX_FUNC_DEGREE, which would make one zero test grind instead of
     answering.  Each config keeps the sample points it has drawn (see
     sample_point); the table is not a setting, so it takes no part in
@@ -659,12 +661,12 @@ class OracleConfig:
                           compare=False)
 
     def __post_init__(self):
-        if not 1 <= self.samples <= MAX_SAMPLES:
-            raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}, "
-                             f"got {self.samples}")
-        if not 0 <= self.func_degree <= MAX_FUNC_DEGREE:
-            raise ValueError(f"func_degree must be between 0 and "
-                             f"{MAX_FUNC_DEGREE}, got {self.func_degree}")
+        for name, lo, hi in (("samples", 1, MAX_SAMPLES),
+                             ("func_degree", 0, MAX_FUNC_DEGREE)):
+            value = getattr(self, name)
+            if type(value) is not int or not lo <= value <= hi:
+                raise ValueError(f"{name} must be an int between {lo} and "
+                                 f"{hi}, got {value!r}")
         for name in ("abs_tol", "rel_tol"):
             tol = getattr(self, name)
             if not (isfinite(tol) and tol >= 0):
@@ -780,7 +782,8 @@ def oracle_function_env(cfg, e):
     the sampled test can see it (Schwartz-Zippel); a fixed degree would
     pass every identity that holds for the polynomials of that degree.
     Coefficients are drawn in order, so the first func_degree + 1 do not
-    depend on the degree.
+    depend on the degree.  A degree above _MAX_DRAWN_DEGREE is a
+    SymExprError: a lower one could pass a nonzero e as zero.
     """
     args, order = {}, {}
     stack = tail_atoms(e) if isinstance(e, dict) else [e]
@@ -795,10 +798,15 @@ def oracle_function_env(cfg, e):
             stack.extend(x.args)
         elif kind == "pow":
             stack.append(x.base)
-    return {name: PolyFunc.random(
-                _sample_rng(cfg, f"fn:{name}"),
-                max(cfg.func_degree, len(args[name]) * (order[name] + 1) - 1))
-            for name in sorted(args)}
+    env = {}
+    for name in sorted(args):
+        degree = max(cfg.func_degree, len(args[name]) * (order[name] + 1) - 1)
+        if degree > _MAX_DRAWN_DEGREE:
+            raise SymExprError(
+                f"function {name!r} needs degree {degree}, above the "
+                f"limit {_MAX_DRAWN_DEGREE}")
+        env[name] = PolyFunc.random(_sample_rng(cfg, f"fn:{name}"), degree)
+    return env
 
 
 def sampled_sums(e, cfg, func_env, chart=None):
@@ -865,7 +873,8 @@ def is_zero(e, cfg=OracleConfig(), chart=None):
     symbols instantiated as seeded random polynomials.  Either way the
     normal form's terms are compiled once and run at every point.
     Identical seed and config give identical verdicts.  A NonZero total
-    beyond float range has magnitude inf.
+    beyond float range has magnitude inf, and one below it the smallest
+    positive float.
     """
     if not isinstance(e, dict):
         e = as_expr(e)
@@ -891,7 +900,8 @@ def is_zero(e, cfg=OracleConfig(), chart=None):
             return ZeroVerdict(
                 zero=False, exact=rational,
                 witness=tuple(sorted(point.items())),
-                magnitude=_to_float(abs(total)), func_env=func_env)
+                magnitude=_to_float(abs(total)) or ulp(0.0),
+                func_env=func_env)
     if rational:
         raise OracleInconclusiveError(
             "nonzero normal form but no nonzero sample point found")

@@ -1,6 +1,7 @@
 """Scenario loading, the check registry, report rendering, and the CLI."""
 
 import json
+import math
 from decimal import Decimal
 
 import pytest
@@ -29,6 +30,10 @@ MINIMAL = {
          "f": "q1", "g": "p1", "expect": "1"}
     ],
 }
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def _with(data, key, value):
@@ -153,6 +158,37 @@ class TestScenarioFiles:
         assert Fraction(Decimal(coeff)) == 15000 * 2 ** 15000
         assert json.loads(report.to_json()) == report.to_dict()
 
+    @pytest.mark.parametrize("f, expect, residual, written", [
+        # 15000*2^15000*q1^14999 is below 1e-600 for q1 <= 9/20
+        ("(2*q1)^15000", "0", math.ulp(0.0), math.ulp(0.0)),
+        ("q1", "V" + "'" * 171 + "(q1)", math.inf, "inf")],
+        ids=["below-float-range", "beyond-float-range"])
+    def test_a_residual_outside_float_range_is_reported(
+            self, tmp_path, capsys, f, expect, residual, written):
+        data = _with(MINIMAL, "checks", [
+            {"name": "far", "op": "poisson_bracket", "f": f, "g": "p1",
+             "expect": expect}])
+        data["oracle"]["box"] = {"q1": ["1/4", "9/20"]}
+        path = write_scenario(tmp_path, data)
+        check, = run_scenario(path).checks
+        assert (check.verdict, check.residual_max) == ("FAIL", residual)
+        assert main(["check", path, "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out,
+                            parse_constant=_reject_constant)
+        assert report["checks"][0]["residual_max"] == written
+
+    def test_numbers_in_definitions_are_read_exactly(self, tmp_path):
+        data = json.loads(json.dumps(MINIMAL))
+        data["definitions"].update(
+            exprs={"c": 0.5, "n": 2},
+            sections={"A": {"X": {"p1": 1e-5}, "alpha": "dq1"}})
+        data["checks"] = [
+            {"op": "poisson_bracket", "f": "c*q1", "g": "n*p1",
+             "expect": 1},
+            {"op": "admissible_pair", "section": "A", "expect": True}]
+        report = run_scenario(write_scenario(tmp_path, data))
+        assert [c.verdict for c in report.checks] == ["PASS", "PASS"]
+
     def test_unknown_op_is_error(self, tmp_path):
         data = json.loads(json.dumps(MINIMAL))
         data["checks"].append({"op": "nonsense"})
@@ -214,17 +250,18 @@ class TestScenarioFiles:
             assert check.witness is None and check.residual_max is None
         assert report.exit_code == 2
 
-    @pytest.mark.parametrize("structure", [
-        {"type": "graph", "h": "H"},
-        {"type": "graph", "h": "h", "H": "h"}], ids=["h-a-3-form",
-                                                     "H-a-2-form"])
+    @pytest.mark.parametrize("structure, error", [
+        ({"type": "graph", "h": "H"}, "FormSyntaxError"),
+        ({"type": "graph", "h": "h", "H": "h"}, "FormSyntaxError"),
+        ({"type": "graph", "h": "h", "H": "q1*dq2^dp1^dp2"},
+         "not closed")], ids=["h-a-3-form", "H-a-2-form", "H-not-closed"])
     def test_a_named_form_of_the_wrong_degree_is_an_error_row(
-            self, tmp_path, capsys, structure):
+            self, tmp_path, capsys, structure, error):
         data = _with(DEGENERATE, "structure", structure)
         path = write_scenario(tmp_path, data)
         report = run_scenario(path)
         assert [c.verdict for c in report.checks] == ["ERROR", "ERROR"]
-        assert "FormSyntaxError" in report.checks[0].detail
+        assert error in report.checks[0].detail
         assert main(["check", path]) == 2
         assert "[ERROR" in capsys.readouterr().out
 
@@ -292,7 +329,7 @@ class TestScenarioFiles:
 
     @pytest.mark.parametrize("f, g, expect", [
         ("q1", "p1", 1), (3, "p1", 0), ("1.5*q1", "p1", "3/2"),
-        (0.5, "q1", 0)])
+        (0.5, "q1", 0), ("q1/100000", "p1", 1e-5), ("q1", "p1", 1.0)])
     def test_numeric_and_decimal_expressions(self, tmp_path, f, g, expect):
         data = json.loads(json.dumps(MINIMAL))
         data["checks"][0].update(f=f, g=g, expect=expect)
@@ -368,6 +405,27 @@ class TestScenarioFiles:
         ({"op": "pairing_zero", "a": {"A": 1}, "b": "A"}, None),
         ({"op": "image_under_d", "sections": [["A"]]}, None),
         ({"op": "courant_admissible", "f": "q1^2147483648"}, None),
+        ({"op": "poisson_bracket", "f": "q1", "g": "p1", "expect": True},
+         None),
+        ({"op": "poisson_bracket", "f": "q1", "g": "p1", "expect": None},
+         None),
+        ({"op": "poisson_bracket", "f": "q1", "g": "p1", "expect": [1]},
+         None),
+        ({"op": "poisson_bracket", "f": "q1", "g": "p1",
+          "expect": {"q1": 1}}, None),
+        ({"op": "poisson_bracket", "f": "q1", "g": "p1",
+          "expect": math.inf}, None),
+        ({"op": "poisson_bracket", "f": "q1", "g": "p1",
+          "expect": math.nan}, None),
+        ({"op": "poisson_bracket", "f": "q1", "g": "p1",
+          "expect": "V" + "'" * 400 + "(q1)"}, None),
+        ({"op": "nondegenerate", "structure": "nope"}, None),
+        ({"op": "nondegenerate", "structure": "L"},
+         {"type": "graph", "h": "dp1^dq1", "sign": "*"}),
+        ({"op": "nondegenerate", "structure": "L"}, {"type": "group"}),
+        ({"op": "cartan_kernel", "structure": "L", "expect_dimension": 0},
+         {"algebra": {"dim": 2, "brackets": [5], "metric": [[1, 0],
+                                                          [0, 1]]}}),
     ], ids=["check-not-an-object", "expression-is-a-list",
             "graph-op-on-an-algebra", "cartan-kernel-on-a-graph",
             "cartan-table-on-a-graph", "algebra-missing",
@@ -385,7 +443,11 @@ class TestScenarioFiles:
             "op-a-list", "expect-a-superscript-digit",
             "expect-a-zero-exponent-denominator", "structure-a-list",
             "sign-a-list", "section-a-list", "pairing-name-an-object",
-            "sections-entry-a-list", "degree-past-the-engine-limit"])
+            "sections-entry-a-list", "degree-past-the-engine-limit",
+            "expect-true", "expect-null", "expect-an-array",
+            "expect-an-object", "expect-infinity", "expect-nan",
+            "derivative-past-the-drawn-degree-limit", "unknown-structure",
+            "bad-sign", "unknown-structure-type", "bracket-not-a-list"])
     def test_malformed_check_is_an_error_row(self, tmp_path, check,
                                              algebra):
         # L is so3, a lie_algebra structure with the given fields, or a
@@ -514,6 +576,29 @@ class TestRejectedInput:
         _with(MINIMAL, "definitions", {"forms": {"omega": "dp1^dq1",
                                                  "dq1": "2*dq1"}}),
         json.dumps(MINIMAL).replace('"seed": 5', '"seed": ' + "9" * 5000),
+        {k: v for k, v in MINIMAL.items() if k != "chart"},
+        _with(MINIMAL, "definitions", {"forms": MINIMAL["definitions"][
+            "forms"], "sections": {"A": {"alpha": "dq1"}}}),
+        _with(MINIMAL, "definitions", {"exprs": {"omega": "q1"},
+                                       "forms": {"omega": "dp1^dq1"}}),
+        _with(MINIMAL, "definitions", {"forms": {"omega": "dp1^"}}),
+        _with(MINIMAL, "definitions", {"forms": MINIMAL["definitions"][
+            "forms"], "exprs": {"a": True}}),
+        _with(MINIMAL, "definitions", {"forms": MINIMAL["definitions"][
+            "forms"], "exprs": {"a": None}}),
+        _with(MINIMAL, "definitions", {"forms": MINIMAL["definitions"][
+            "forms"], "exprs": {"a": [2]}}),
+        _with(MINIMAL, "definitions", {"forms": MINIMAL["definitions"][
+            "forms"], "exprs": {"a": {"q1": 2}}}),
+        _with(MINIMAL, "definitions", {"forms": MINIMAL["definitions"][
+            "forms"], "exprs": {"a": math.inf}}),
+        _with(MINIMAL, "definitions", {"forms": MINIMAL["definitions"][
+            "forms"], "sections": {"A": {"X": {"p1": False},
+                                         "alpha": "dq1"}}}),
+        _with(MINIMAL, "definitions", {"forms": MINIMAL["definitions"][
+            "forms"], "sections": {"A": {"X": {"p1": math.nan},
+                                         "alpha": "dq1"}}}),
+        _with(MINIMAL, "oracle", {"func_degree": True}),
     ], ids=["repeated-coordinates", "17-coordinates", "top-level-array",
             "non-numeric-samples", "one-ended-box", "chart-a-string",
             "checks-an-object", "definitions-an-array", "forms-an-array",
@@ -522,7 +607,11 @@ class TestRejectedInput:
             "seed-a-string", "fractional-func-degree", "rel-tol-a-string",
             "boolean-box-endpoint", "box-of-a-non-coordinate",
             "box-a-string", "expr-a-superscript-digit",
-            "form-named-like-a-covector", "seed-past-the-int-digit-limit"])
+            "form-named-like-a-covector", "seed-past-the-int-digit-limit",
+            "no-chart", "section-without-X", "duplicate-definition",
+            "form-parse-error", "expr-a-boolean", "expr-null",
+            "expr-an-array", "expr-an-object", "expr-infinity",
+            "section-X-a-boolean", "section-X-nan", "boolean-func-degree"])
     def test_malformed_scenario_file_is_an_error(self, tmp_path, capsys,
                                                   data):
         with pytest.raises(ScenarioError):

@@ -76,6 +76,19 @@ class TestTwistedGraph:
         with pytest.raises(ChartMismatchError):
             TwistedGraph(a, parse_form("dy^dx", b), twist)
 
+    @pytest.mark.parametrize("h, twist, sign, message", [
+        ("dq1", None, 1, "h must be a 2-form"),
+        ("dp1^dq1", None, 0, "sign convention must be +1 or -1"),
+        ("dp1^dq1", "dq1^dp1", 1, "the twisting form must be a 3-form")],
+        ids=["h-a-1-form", "sign-0", "twist-a-2-form"])
+    def test_malformed_arguments_are_rejected(self, phase, h, twist, sign,
+                                              message):
+        if twist is not None:
+            twist = parse_form(twist, phase)
+        with pytest.raises(ValueError) as info:
+            TwistedGraph(phase, parse_form(h, phase), twist, sign)
+        assert str(info.value) == message
+
     def test_non_integrable_when_twist_disagrees(self, coordinate_twisted):
         assert not coordinate_twisted.integrable
 

@@ -117,6 +117,23 @@ class TestConstruction:
         with pytest.raises(LieAlgebraError, match="exceeds limit 16"):
             make()
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: LieAlgebraData(2, [], [[1, 0], [0, 1]]),
+         "structure constant tensor has wrong size"),
+        (lambda: LieAlgebraData.from_brackets(2, [], [[1], [0, 1]]),
+         "metric row has length 1, expected 2"),
+        (lambda: LieAlgebraData.from_brackets(2, [], [[1, 0]]),
+         "metric has 1 rows, expected 2"),
+        (lambda: LieAlgebraData.from_brackets(2, [(1, 3, [0, 0])],
+                                              [[1, 0], [0, 1]]),
+         "bracket indices (1,3) out of range for dimension 2")],
+        ids=["structure-planes", "metric-row-length", "metric-rows",
+             "bracket-index"])
+    def test_tables_of_the_wrong_shape_are_rejected(self, make, message):
+        with pytest.raises(LieAlgebraError) as info:
+            make()
+        assert str(info.value) == message
+
     def test_scaled_metric_accepted(self):
         g = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
         L = LieAlgebraData(3, so3().structure, g)

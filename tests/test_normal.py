@@ -129,7 +129,9 @@ def test_a_laurent_monomial_cancels_exactly():
 @pytest.mark.parametrize("left, right, product", [
     ("x^(1/2)", "x^(1/2)", "x"), ("x^-1", "x^2", "x"),
     ("x^(-3/2)*y", "x^2", "x^(1/2)*y"), ("x^4096", "x^4096", "x^8192"),
-    ("x^2047", "x", "x^2048"), ("x^2048", "x^-1", "x^2047")])
+    ("x^2047", "x", "x^2048"), ("x^2048", "x^-1", "x^2047"),
+    ("x^-1*F(y)", "x^2*F(y)", "x*F(y)^2"),
+    ("x^(1/2)*y^-1*F(y)", "x^(1/2)*y", "x*F(y)")])
 def test_a_monomial_has_one_key(left, right, product):
     got = p_mul(to_poly(parse_expr(left, PLANE)),
                 to_poly(parse_expr(right, PLANE)))
@@ -142,6 +144,9 @@ def test_derivatives_across_the_packed_layouts():
         "2*x*y + 2048*x^2047"
     assert str(simplify(diff(parse_expr("x^(1/2)*y^3000", PLANE), y))) == \
         "3000*x^(1/2)*y^2999"
+    # the tail of F/F' cancels to the constant that x's derivative adds to
+    assert str(diff(parse_expr("F(x)/F'(x) + x", PLANE), x)) == \
+        "2 - F(x)*F''(x)/F'(x)^2"
 
 
 # a total coordinate degree of 2^31 - 1 is the engine's limit; these

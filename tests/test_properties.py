@@ -238,10 +238,7 @@ def _reference_of(p):
     out = {}
     for m, c in p.items():
         assert type(m) is int, m
-        exps = [0] * CHART.dim
-        for i, k in _normal._exponents(m):
-            exps[i] = k
-        out[tuple(exps)] = Fraction(c)
+        out[_normal._fields(m)[:CHART.dim]] = Fraction(c)
     return out
 
 

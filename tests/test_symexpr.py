@@ -12,8 +12,9 @@ from twistdirac.symexpr import (MAX_FUNC_DEGREE, MAX_SAMPLES, Chart,
                                 EvaluationSingularityError, Func,
                                 MissingFunctionError, OracleConfig,
                                 OracleInconclusiveError, ParseError,
-                                PolyFunc, Pow, Prod, Rat, Sum, diff,
-                                eval_expr, is_zero, parse_expr,
+                                PolyFunc, Pow, Prod, Rat, Sum,
+                                SymExprError, diff, eval_expr, is_zero,
+                                parse_expr,
                                 sample_point, sampled_sums, simplify)
 from twistdirac.randgen import rand_expr, rand_poly, rng_for
 
@@ -399,6 +400,16 @@ class TestFloatRange:
         with pytest.raises(EvaluationSingularityError):
             eval_expr(e, {"x": 0.5}, env)
 
+    def test_a_derivative_past_the_drawn_degree_limit_is_an_error(self):
+        # drawn at degree 4 * MAX_FUNC_DEGREE, V^(k) is nonzero; at a lower
+        # degree it would vanish, so past that limit there is no verdict
+        limit = 4 * MAX_FUNC_DEGREE
+        assert not is_zero(parse_expr("V" + "'" * limit + "(x)",
+                                      self.PLANE)).zero
+        with pytest.raises(SymExprError, match=f"'V' needs degree "
+                           f"{limit + 1}, above the limit {limit}"):
+            is_zero(parse_expr("V" + "'" * (limit + 1) + "(x)", self.PLANE))
+
 
 class TestSimplify:
     def test_collect(self, phase):
@@ -581,7 +592,8 @@ class TestOracleConfig:
         {"rel_tol": float("nan")}, {"rel_tol": float("inf")},
         {"abs_tol": -1e-9}, {"rel_tol": -1e-9}, {"box": {"x": (1, 1)}},
         {"box": {"x": (2, 1)}}, {"samples": MAX_SAMPLES + 1},
-        {"func_degree": MAX_FUNC_DEGREE + 1}])
+        {"func_degree": MAX_FUNC_DEGREE + 1}, {"samples": True},
+        {"samples": 2.5}, {"func_degree": 2.5}, {"func_degree": False}])
     def test_settings_that_make_zero_vacuous_are_rejected(self, setting):
         # no samples, function symbols that vanish identically, or a
         # tolerance every total passes would each give a Zero for free;
