@@ -199,29 +199,18 @@ def load_scenario_data(source):
 
 def _oracle_config(oracle, coords, seed, samples, tol):
     """OracleConfig from a scenario's oracle block and the overrides; a
-    setting that neither gives keeps OracleConfig's default.  TypeError or
-    ValueError for a malformed block or setting: seed, samples and
-    func_degree must be JSON integers, the tolerances JSON numbers, and the
-    box must map chart coordinates to [lo, hi] pairs."""
+    setting that neither gives keeps OracleConfig's default.  The block
+    must be an object whose box names chart coordinates; OracleConfig
+    checks every setting's type and range.  TypeError or ValueError for
+    a malformed block or setting."""
     oracle = _json(oracle, dict, "oracle")
-    settings = {}
-    for name, kind in (("seed", int), ("samples", int), ("func_degree", int),
-                       ("abs_tol", float), ("rel_tol", float)):
-        if name not in oracle:
-            continue
-        value = oracle[name]
-        if isinstance(value, bool) or not isinstance(value, (int, kind)):
-            what = "an integer" if kind is int else "a number"
-            raise TypeError(f"{name} must be {what}, got {value!r}")
-        settings[name] = kind(value)
+    settings = {name: oracle[name] for name in
+                ("seed", "samples", "func_degree", "abs_tol", "rel_tol")
+                if name in oracle}
     settings["box"] = box = _json(oracle.get("box", {}), dict, "oracle box")
-    for name, interval in box.items():
+    for name in box:
         if name not in coords:
             raise ValueError(f"box entry {name!r} is not a chart coordinate")
-        if not (isinstance(interval, list) and len(interval) == 2) \
-                or any(isinstance(end, bool) for end in interval):
-            raise TypeError(
-                f"box of {name!r} must be a [lo, hi] pair, got {interval!r}")
     if seed is None:
         seed = os.environ.get(SEED_ENV_VAR)
     if seed is not None:

@@ -5,13 +5,28 @@ of the structure are the pairs (X, sign * i_X h); a function f is admissible
 when df = sign * i_{X_f} h is solvable for a vector field X_f, and
 H-admissible when additionally i_{X_f} H vanishes identically.
 
-Each TwistedGraph runs one exact Gauss-Jordan elimination of the
-coefficient matrix when it is built.  It yields the rank, the determinant
-(the signed product of the pivots, unexpanded; simplify(D.det) expands
-it), the inverse and a transform that turns every Hamiltonian solve, on
-degenerate structures too, into one matrix-vector product; every solve is
-then verified by a residual zero-test.  A constant determinant decides
-nondegeneracy exactly, without sampling.
+Each TwistedGraph prepares its solves once, when it is built, on one of
+two routes.  A structure on a chart of even dimension 2n whose h is not
+one polynomial times a constant form, and whose power h^n does not
+vanish, takes the Pfaffian route: it keeps the coefficients of h^(n-1)
+(the Pfaffian minors) and -n/T, T = [h^n] the top coefficient, and
+solves by {f, g} h^n = n df ^ dg ^ h^(n-1) (Cannas da Silva, LNM 1764):
+
+    X_f^k = -n/T * sum_j [dx_j ^ dx_k ^ h^(n-1)] * sign * d_j f.
+
+Its determinant is Pf^2 = T^2/(n!)^2, kept as Prod(Rat(1/(n!)^2), T, T),
+and its rank is the dimension.  Every other structure (odd dimension, a
+vanishing power of h, or a conformally constant form phi * C) runs one
+exact Gauss-Jordan elimination of the coefficient matrix instead.  It
+yields the rank, the determinant (the signed product of the pivots,
+unexpanded) and a transform that turns every solve, on degenerate
+structures too, into one matrix-vector product.  Conformally constant
+forms keep elimination because it prints their fields in lowest terms
+(over phi), where the Pfaffian formula would print them over phi^n
+until the normal form can cancel by a polynomial gcd.  On both routes
+simplify(D.det) expands the determinant, a constant determinant decides
+nondegeneracy exactly, without sampling, and every solve is verified by
+a residual zero-test.
 
 Each structure solves a function once.  A table on the instance, keyed
 by the function's tree (as_expr(f)), keeps X_f and its residual verdict;
@@ -37,17 +52,19 @@ preserves admissibility verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import prod
+from math import factorial, prod
 
-from ._normal import (ONE_M, from_poly, normal, p_add_inplace, p_const,
-                      p_mul, p_pow, to_poly)
+from ._normal import (ONE_M, combined_fraction, from_poly,
+                      is_rational_function, normal, normalize_sum,
+                      p_add_inplace, p_const, p_mul, p_pow, recompose,
+                      to_poly)
 from .symexpr import (OracleConfig, OracleInconclusiveError, Prod, Rat, Sum,
                       SymExprError, ZeroVerdict, _merge_charts,
                       _witness_str, as_expr, is_zero, oracle_function_env,
                       sampled_sums)
-from .exterior import (KForm, VectorField, ext_d, form_is_zero, interior,
-                       lie_derivative, vf_apply, vf_bracket, vf_is_zero,
-                       apply_poly)
+from .exterior import (KForm, VectorField, _merge_sign, apply_poly, ext_d,
+                       form_is_zero, interior, lie_derivative, vf_apply,
+                       vf_bracket, vf_is_zero, wedge)
 from .courant import (GenSection, _check_twist, derived_bracket,
                       pairing_is_zero, twisted_courant_bracket)
 
@@ -113,8 +130,9 @@ class TwistedGraph:
 
     The twist may be given as a 3-form, as the string "dh" (use the exterior
     derivative of h), or omitted (zero twist).  Construction verifies that
-    the twist is closed, eliminates the coefficient matrix of h (see
-    _eliminate), samples its determinant for nondegeneracy, and records
+    the twist is closed, prepares the solves on the Pfaffian route (see
+    _pfaffian) or else by eliminating the coefficient matrix of h (see
+    _eliminate), samples the determinant for nondegeneracy, and records
     the integrability verdict (dh - H = 0).
     """
 
@@ -139,14 +157,78 @@ class TwistedGraph:
         if not closed.zero:
             raise TwistNotClosedError(
                 f"the twisting 3-form is not closed: {closed}")
-        self._eliminate()
+        # the coefficients of h^(n-1) on the Pfaffian route, else None
+        self._minors = None
+        if not self._pfaffian():
+            self._eliminate()
         self.nondegenerate = self._det_nonvanishing()
         # as_expr(f) -> (X_f, residual verdict), as _solve_verified returns
         self._solved = {}
         self.integrable = form_is_zero(ext_d(self.h) - self.H, cfg).zero
 
+    def _pfaffian(self):
+        """Prepare the Pfaffian route, or return False and set nothing.
+
+        The route needs an even dimension 2n, coefficients that are not
+        all constant multiples of one polynomial, and T = [h^n] not
+        identically zero; the wedge powers stop at the first that
+        vanishes.  It keeps the coefficients of h^(n-1), which are not
+        normalised here, and -n/T, sets the rank to 2n and the
+        determinant to Pf^2 = T^2/(n!)^2: a Rat when T is constant,
+        otherwise Prod(Rat(1/(n!)^2), T, T).
+        """
+        dim = self.chart.dim
+        units = [normalize_sum(c)[1] for c in self.h.polys.values()]
+        if dim % 2 or all(u == units[0] for u in units):
+            return False
+        n = dim // 2
+        low = KForm.scalar(self.chart, 1)
+        for _ in range(n - 1):
+            low = wedge(low, self.h)
+            if low.is_structurally_zero():
+                return False
+        num, dens = combined_fraction(
+            wedge(low, self.h).polys.get((1 << dim) - 1, {}))
+        if not num:
+            return False
+        T = recompose(num, dens)
+        if not is_rational_function(num, dens) and \
+                is_zero(T, self.cfg, self.chart).zero:
+            return False
+        self._minors = low.polys
+        self._scale = p_mul(p_const(-n), p_pow(T, -1, self.chart))
+        self._pivot_cols = list(range(dim))
+        square = factorial(n) ** 2
+        if _is_constant(T):
+            self.det = Rat(T[ONE_M] ** 2, square)
+        else:
+            tree = from_poly(T, self.chart)
+            self.det = Prod(Rat(1, square), tree, tree)
+        return True
+
+    def _pfaffian_component(self, k, vec, sign):
+        """Component k of sign * (M^T)^-1 vec on the Pfaffian route: -n/T
+        times the sum over j of [dx_j ^ dx_k ^ h^(n-1)] * sign * vec_j,
+        normalised once.  The bracket is the coefficient of h^(n-1) on the
+        complement of {j, k}, signed to sort dx_j ^ dx_k before it (none
+        when j == k: h^(n-1) has no coefficient on the full mask)."""
+        full = (1 << self.chart.dim) - 1
+        acc = {}
+        for j, v in enumerate(vec):
+            rest = full ^ (1 << j) ^ (1 << k)
+            minor = self._minors.get(rest)
+            if v and minor:
+                s = sign * _merge_sign(1 << j, 1 << k) * \
+                    _merge_sign(full ^ rest, rest)
+                p_add_inplace(acc, p_mul(minor, v), None if s > 0 else -1)
+        return normal(p_mul(acc, self._scale)) if acc else {}
+
     def _eliminate(self):
-        """Gauss-Jordan elimination on (M^T | I), once per structure.
+        """Gauss-Jordan elimination on (M^T | I), once per structure, for
+        the structures the Pfaffian route does not take: an odd dimension,
+        a vanishing power of h (below full rank), or a conformally
+        constant h = phi * C, whose fields come out over phi in lowest
+        terms here.
 
         Pivots are taken column by column, rational entries first, then
         the first entry the zero-test oracle finds nonzero.  Records the
@@ -209,8 +291,10 @@ class TwistedGraph:
 
     def _det_nonvanishing(self):
         """True when |det| clears the tolerance at every sample point; a
-        constant det is decided exactly, as sampling would with tolerance
-        0, and draws no point."""
+        constant det (a Rat on either route) is decided exactly, as
+        sampling would with tolerance 0, and draws no point.  On the
+        Pfaffian route the sampled tree is Prod(Rat(1/(n!)^2), T, T), and T
+        is evaluated once per point."""
         if isinstance(self.det, Rat):
             return self.det.value != 0
         env = oracle_function_env(self.cfg, self.det)
@@ -221,11 +305,21 @@ class TwistedGraph:
             return False
 
     def inverse_matrix(self):
-        """Exact inverse of the coefficient matrix M: the transpose of the
-        elimination transform E, since E = (M^T)^-1 at full rank."""
+        """Exact inverse of the coefficient matrix M.  On the Pfaffian
+        route each entry is built on demand, (M^-1)_ij = -n/T times the
+        top coefficient of dx_i ^ dx_j ^ h^(n-1); after elimination it is
+        the transpose of the transform E, since E = (M^T)^-1 at full
+        rank."""
         if not self.nondegenerate:
             raise NondegeneracyError("h is degenerate on the sampling box")
         dim = self.chart.dim
+        if self._minors is not None:
+            # row i of M^-1 is column i of (M^T)^-1, its image of e_i
+            units = [[p_const(1 if k == i else 0) for k in range(dim)]
+                     for i in range(dim)]
+            return [[from_poly(self._pfaffian_component(j, e, 1),
+                               self.chart) for j in range(dim)]
+                    for e in units]
         return [[from_poly(self._transform[j][i], self.chart)
                  for j in range(dim)]
                 for i in range(dim)]
@@ -272,25 +366,32 @@ def _solve_verified(D, f):
 
 
 def _solve(D, f):
-    """The solve behind _solve_verified.  X_f is the elimination transform
-    applied to sign * grad f: rows past the rank must vanish, pivot rows
-    give the pivot components, and free components are zero."""
+    """The solve behind _solve_verified, from sign * grad f.  On the
+    Pfaffian route X_f^k is -n/T times the sum over j of the minor
+    [dx_j ^ dx_k ^ h^(n-1)] times sign * d_j f, normalised once per
+    component.  Otherwise X_f is the elimination transform applied to
+    sign * grad f: rows past the rank must vanish, pivot rows give the
+    pivot components, and free components are zero."""
     df = ext_d(KForm.scalar(D.chart, f))
-    grad = [normal(df.polys.get(1 << i, {})) for i in range(D.chart.dim)]
-    sign = -1 if D.sign < 0 else None
-    b = []
-    for row in D._transform:
-        acc = {}
-        for e, g in zip(row, grad):
-            if e and g:
-                p_add_inplace(acc, p_mul(e, g), sign)
-        b.append(normal(acc))
-    rank = len(D._pivot_cols)
-    if any(not is_zero(x, D.cfg, D.chart).zero for x in b[rank:]):
-        return None, None
-    comps = [{}] * D.chart.dim
-    for col, x in zip(D._pivot_cols, b):
-        comps[col] = x
+    dim = D.chart.dim
+    grad = [normal(df.polys.get(1 << i, {})) for i in range(dim)]
+    if D._minors is not None:
+        comps = [D._pfaffian_component(k, grad, D.sign) for k in range(dim)]
+    else:
+        sign = -1 if D.sign < 0 else None
+        b = []
+        for row in D._transform:
+            acc = {}
+            for e, g in zip(row, grad):
+                if e and g:
+                    p_add_inplace(acc, p_mul(e, g), sign)
+            b.append(normal(acc))
+        rank = len(D._pivot_cols)
+        if any(not is_zero(x, D.cfg, D.chart).zero for x in b[rank:]):
+            return None, None
+        comps = [{}] * dim
+        for col, x in zip(D._pivot_cols, b):
+            comps[col] = x
     X = VectorField(D.chart, comps)
     return X, form_is_zero(df - graph_section(D, X).alpha, D.cfg)
 

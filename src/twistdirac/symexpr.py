@@ -24,7 +24,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, inf, isfinite, lcm, ulp
+from math import gcd, inf, isfinite, lcm, nan, ulp
+from numbers import Real
 
 from ._normal import (MAX_COORDS, canon_expr, combined_fraction, from_poly,
                       has_packed, iroot, is_rational_function, p_diff,
@@ -637,14 +638,18 @@ _MAX_DRAWN_DEGREE = 4 * MAX_FUNC_DEGREE   # the most oracle_function_env draws
 class OracleConfig:
     """Deterministic sampling configuration for the zero-test oracle.
 
-    The box maps coordinate names to closed rational intervals; unlisted
+    The box maps coordinate names to closed rational intervals, each a
+    (lo, hi) pair of numbers or strings such as "1/4"; unlisted
     coordinates use the default interval [1/4, 2] which keeps the built-in
-    scenarios away from their singular loci.  Settings under which a
-    Zero verdict would hold vacuously (no samples, a negative function
-    degree, a tolerance that is negative, infinite or nan, an interval
-    whose lo is not below its hi) are rejected with ValueError, and so are
-    a sample count or function degree that is not an int (a bool is
-    not), a sample count above MAX_SAMPLES and a function degree above
+    scenarios away from their singular loci.  Every setting is checked
+    here, once, and a bad one raises ValueError: the seed, the sample
+    count and the function degree must be ints (a bool is not), the
+    tolerances real numbers (a bool is not; they are kept as floats),
+    and each box entry a pair whose ends are not bools.  So are the
+    settings under which a Zero verdict would hold vacuously (no samples,
+    a negative function degree, a tolerance that is negative, infinite,
+    nan or beyond float range, an interval whose lo is not below its hi),
+    and a sample count above MAX_SAMPLES or a function degree above
     MAX_FUNC_DEGREE, which would make one zero test grind instead of
     answering.  Each config keeps the sample points it has drawn (see
     sample_point); the table is not a setting, so it takes no part in
@@ -661,6 +666,8 @@ class OracleConfig:
                           compare=False)
 
     def __post_init__(self):
+        if type(self.seed) is not int:
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         for name, lo, hi in (("samples", 1, MAX_SAMPLES),
                              ("func_degree", 0, MAX_FUNC_DEGREE)):
             value = getattr(self, name)
@@ -669,12 +676,25 @@ class OracleConfig:
                                  f"{hi}, got {value!r}")
         for name in ("abs_tol", "rel_tol"):
             tol = getattr(self, name)
-            if not (isfinite(tol) and tol >= 0):
+            real = isinstance(tol, Real) and not isinstance(tol, bool)
+            try:
+                value = float(tol) if real else nan
+            except OverflowError:
+                value = inf
+            if not (isfinite(value) and value >= 0):
                 raise ValueError(
-                    f"{name} must be finite and >= 0, got {tol!r}")
+                    f"{name} must be a finite number >= 0, got {tol!r}")
+            object.__setattr__(self, name, value)
+        box = dict(self.box)
+        for name, interval in box.items():
+            if not (isinstance(interval, (tuple, list))
+                    and len(interval) == 2) \
+                    or any(isinstance(end, bool) for end in interval):
+                raise ValueError(f"the interval of {name} must be a "
+                                 f"[lo, hi] pair, got {interval!r}")
         norm = tuple(sorted(
             (name, (Fraction(lo), Fraction(hi)))
-            for name, (lo, hi) in dict(self.box).items()))
+            for name, (lo, hi) in box.items()))
         for name, (lo, hi) in norm:
             if not lo < hi:
                 raise ValueError(

@@ -542,6 +542,24 @@ class TestRejectedInput:
         assert main(["check", write_scenario(tmp_path, data)]) == 2
         assert capsys.readouterr().err.startswith("error: invalid oracle")
 
+    @pytest.mark.parametrize("oracle", [{"seed": True}, {"seed": 2.5},
+                                        {"seed": "4"}, {"abs_tol": False},
+                                        {"rel_tol": [1e-9]},
+                                        {"box": {"q": [1, False]}}])
+    def test_mistyped_oracle_settings_are_errors(self, tmp_path, capsys,
+                                                 oracle):
+        data = _with(FUNCTION_BRACKET, "oracle", oracle)
+        assert main(["check", write_scenario(tmp_path, data)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: invalid oracle settings")
+
+    def test_an_integer_tolerance_is_reported_as_a_float(self, tmp_path):
+        data = _with(FUNCTION_BRACKET, "oracle", {"abs_tol": 0,
+                                                  "rel_tol": 1})
+        report = run_scenario(write_scenario(tmp_path, data))
+        assert type(report.cfg.abs_tol) is float and report.cfg.abs_tol == 0
+        assert type(report.cfg.rel_tol) is float and report.cfg.rel_tol == 1
+
     @pytest.mark.parametrize("data", [
         _with(MINIMAL, "chart", ["q1", "q1"]),
         _with(MINIMAL, "chart", [f"x{i}" for i in range(17)]),

@@ -228,7 +228,8 @@ class TestElimination:
                                         Rat((-1) ** (i + j), 16))
         D = TwistedGraph(chart, h, "dh", cfg=cfg)
         assert D.nondegenerate
-        # the determinant stays the signed product of the pivots
+        # both forms take the Pfaffian route, where the determinant is
+        # Prod(Rat(1/(n!)^2), T, T) with T the top coefficient of h^n
         assert D.det.kind == "prod" and D.det.args[0].kind == "rat"
         verdict = is_zero(D.det - leibniz_det(D.h), cfg)
         assert verdict.zero and verdict.exact
@@ -257,6 +258,118 @@ class TestElimination:
             hamiltonian_vf(D, kernel_touching)
         with pytest.raises(NondegeneracyError):
             D.inverse_matrix()
+
+
+# non-conformal forms with a non-constant Pfaffian: polynomial, function
+# atom and 1/(...) coefficients at dim 4 and 6
+PFAFFIAN_FORMS = [
+    (("q1", "q2", "p1", "p2"),
+     "dp1^dq1 + dp2^dq2 + q2*dq1^dq2 + V(q1)*dp2^dp1"),
+    (("q1", "q2", "p1", "p2"),
+     "dp1^dq1 + dp2^dq2 + 1/(1 + q1)*dq1^dq2 + p1*dp2^dp1"),
+    (("q1", "q2", "q3", "p1", "p2", "p3"),
+     "dp1^dq1 + dp2^dq2 + dp3^dq3 + q3*dq1^dq2 + 1/(2 + p1)*dp2^dp3"
+     " + p2/2*dq3^dp1"),
+    (("q1", "q2", "q3", "p1", "p2", "p3"),
+     "dp1^dq1 + dp2^dq2 + dp3^dq3 + V(q2)*dq1^dq3 - q1/4*dp1^dp2"
+     " + 1/2*dq2^dp3"),
+]
+
+
+class TestPfaffianRoute:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("coords, text", PFAFFIAN_FORMS,
+                             ids=["poly-V4", "inverse-sum4", "inverse-sum6",
+                                  "V6"])
+    def test_inverse_det_and_solves_are_exact(self, cfg, coords, text,
+                                              sign):
+        chart = Chart("pf", list(coords))
+        D = TwistedGraph(chart, parse_form(text, chart), "dh", sign=sign,
+                         cfg=cfg)
+        assert D._minors is not None
+        assert D.nondegenerate and D.integrable
+        assert D.det.kind == "prod" and D.det.args[1] is D.det.args[2]
+        verdict = is_zero(D.det - leibniz_det(D.h), cfg)
+        assert verdict.zero and verdict.exact
+        inv, M = D.inverse_matrix(), coefficient_matrix(D.h)
+        dim = chart.dim
+        for i in range(dim):
+            for j in range(dim):
+                entry = Sum(*[Prod(inv[i][k], M[k][j]) for k in range(dim)])
+                verdict = is_zero(entry - Rat(1 if i == j else 0), cfg)
+                assert verdict.zero and verdict.exact, (i, j)
+        for text in ("q1", "p2", "q1*p2 + q2^2", "V(p1)*q2"):
+            X, residual = dirac._solve_verified(D, parse_expr(text, chart))
+            assert residual.zero and residual.exact, text
+
+    def test_dense_dim8_solve(self, cfg):
+        chart = Chart("dense8",
+                      [f"{c}{i}" for c in "qp" for i in range(1, 5)])
+        D = TwistedGraph(chart, dense_graph(chart), "dh", cfg=cfg)
+        assert D._minors is not None and D.nondegenerate
+        X, residual = dirac._solve_verified(D, chart["q1"])
+        assert residual.zero and residual.exact
+
+
+def _omega_plus(chart, coeffs):
+    """standard_omega plus c dx_i^dx_j for each ((i, j), c)."""
+    h = standard_omega(chart)
+    for pair, c in coeffs:
+        h = h + KForm.basis(chart, pair, c)
+    return h
+
+
+class TestRouteSelection:
+    def test_constant_forms_draw_no_point(self, phase):
+        # omega plus a constant on every pair is a constant multiple of 1
+        # and is eliminated; dim-4 omega plus q2 dq1^dq2 is not conformal,
+        # but its Pfaffian is the constant 1: both det are Rat
+        cfg = OracleConfig(seed=3)
+        pairs = [((i, j), Rat((-1) ** (i + j), 8))
+                 for i in range(6) for j in range(i + 1, 6)]
+        constant = TwistedGraph(phase, _omega_plus(phase, pairs), cfg=cfg)
+        assert constant._minors is None
+        chart = Chart("pf", ["q1", "q2", "p1", "p2"])
+        flat = TwistedGraph(chart, _omega_plus(chart, [((0, 1),
+                                                        chart["q2"])]),
+                            "dh", cfg=cfg)
+        assert flat._minors is not None
+        for D in (constant, flat):
+            assert D.det.kind == "rat" and D.det.value != 0
+            assert D.nondegenerate
+        assert flat.det == Rat(1)
+        assert not cfg._points
+
+    @pytest.mark.parametrize("which", ["square-vanishes4", "rank-four6"])
+    def test_rank_deficient_forms_are_eliminated(self, phase, cfg, which):
+        if which == "square-vanishes4":
+            # dq1 ^ (q1 dq2 + dp1): not conformal, h^2 = 0, rank 2
+            chart = Chart("pf", ["q1", "q2", "p1", "p2"])
+            h = parse_form("q1*dq1^dq2 + dq1^dp1", chart)
+            rank, good, bad = 2, "q1*q2 + p1", "p2"
+        else:
+            chart = phase
+            h = rank_four_graph(phase)
+            rank, good, bad = 4, "q1*p2 + q2^2", "q1*p2 + q3"
+        D = TwistedGraph(chart, h, "dh", cfg=cfg)
+        assert D._minors is None
+        assert len(D._pivot_cols) == rank
+        assert not D.nondegenerate and D.det == Rat(0)
+        good, bad = parse_expr(good, chart), parse_expr(bad, chart)
+        assert is_courant_admissible(D, good)[0]
+        assert is_courant_admissible(D, bad) == (False, None)
+        with pytest.raises(VerdictNotDeterminedError,
+                           match="Hamiltonian field not unique"):
+            check_theorem(D, good, good)
+        with pytest.raises(VerdictNotDeterminedError,
+                           match="not admissible"):
+            check_theorem(D, bad, good)
+
+    def test_conformal_fields_print_over_the_factor(self, phase, conformal):
+        assert conformal._minors is None
+        X = hamiltonian_vf(conformal, parse_expr("q1*p2 + p1", phase))
+        assert str(X) == ("(-1/(1 + q1))*d/dq1 + (-q1/(1 + q1))*d/dq2"
+                          " + (p2/(1 + q1))*d/dp1")
 
 
 @pytest.fixture

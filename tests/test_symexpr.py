@@ -602,6 +602,23 @@ class TestOracleConfig:
         with pytest.raises(ValueError):
             OracleConfig(**setting)
 
+    @pytest.mark.parametrize("setting", [
+        {"seed": "4"}, {"seed": True}, {"seed": 2.5}, {"seed": None},
+        {"abs_tol": True}, {"rel_tol": False}, {"abs_tol": "1e-9"},
+        {"rel_tol": None}, {"abs_tol": 10 ** 400},
+        {"rel_tol": Fraction(10 ** 400)}, {"box": {"x": (True, 2)}},
+        {"box": {"x": (0, True)}}, {"box": {"x": "12"}},
+        {"box": {"x": (1, 2, 3)}}])
+    def test_settings_of_the_wrong_type_are_rejected(self, setting):
+        with pytest.raises(ValueError):
+            OracleConfig(**setting)
+
+    @pytest.mark.parametrize("tol", [0, 1, Fraction(1, 10 ** 6), 1e-9])
+    def test_tolerances_are_kept_as_floats(self, tol):
+        cfg = OracleConfig(abs_tol=tol, rel_tol=tol)
+        assert type(cfg.abs_tol) is float and cfg.abs_tol == float(tol)
+        assert type(cfg.rel_tol) is float and cfg.rel_tol == float(tol)
+
     def test_box_controls_sampling(self, phase):
         cfg = OracleConfig(seed=1, box={"q1": (Fraction(3), Fraction(4))})
         point = sample_point(cfg, phase.coords, 0)
