@@ -1,7 +1,7 @@
 """Internal canonical-form engine: the coefficient representation.
 
-Form coefficients, vector-field components and the entries of every
-elimination are sparse sum-of-monomials polynomials over "atoms":
+Form coefficients, vector-field components and the minors of every
+Hamiltonian solve are sparse sum-of-monomials polynomials over "atoms":
 coordinates, function applications, and irreducible power bases (sums
 raised to negative or fractional exponents, non-perfect rational radicals,
 and even powers under a root, which keep their sign).  Expression trees

@@ -5,28 +5,25 @@ of the structure are the pairs (X, sign * i_X h); a function f is admissible
 when df = sign * i_{X_f} h is solvable for a vector field X_f, and
 H-admissible when additionally i_{X_f} H vanishes identically.
 
-Each TwistedGraph prepares its solves once, when it is built, on one of
-two routes.  A structure on a chart of even dimension 2n whose h is not
-one polynomial times a constant form, and whose power h^n does not
-vanish, takes the Pfaffian route: it keeps the coefficients of h^(n-1)
-(the Pfaffian minors) and -n/T, T = [h^n] the top coefficient, and
-solves by {f, g} h^n = n df ^ dg ^ h^(n-1) (Cannas da Silva, LNM 1764):
+Each TwistedGraph prepares its solves once, when it is built, on one
+route.  It writes h = u * B: when every coefficient of h is a constant
+multiple of one non-constant polynomial, u is that polynomial and B is
+constant; otherwise u = 1 and B = h.  It takes the wedge powers of B
+until one vanishes.  The rank is 2r for the largest power B^r with a
+nonzero coefficient; the first such mask is the support S, and
+T = [B^r]_S = r! * Pf(B_SS).  On S, {f, g} h^r = r df ^ dg ^ h^(r-1)
+(Cannas da Silva, LNM 1764) gives
 
-    X_f^k = -n/T * sum_j [dx_j ^ dx_k ^ h^(n-1)] * sign * d_j f.
+    X_f^k = -r/(u * T) * sum_{j in S} [dx_j ^ dx_k ^ B^(r-1)]_S
+            * sign * d_j f,
 
-Its determinant is Pf^2 = T^2/(n!)^2, kept as Prod(Rat(1/(n!)^2), T, T),
-and its rank is the dimension.  Every other structure (odd dimension, a
-vanishing power of h, or a conformally constant form phi * C) runs one
-exact Gauss-Jordan elimination of the coefficient matrix instead.  It
-yields the rank, the determinant (the signed product of the pivots,
-unexpanded) and a transform that turns every solve, on degenerate
-structures too, into one matrix-vector product.  Conformally constant
-forms keep elimination because it prints their fields in lowest terms
-(over phi), where the Pfaffian formula would print them over phi^n
-until the normal form can cancel by a polynomial gcd.  On both routes
-simplify(D.det) expands the determinant, a constant determinant decides
-nondegeneracy exactly, without sampling, and every solve is verified by
-a residual zero-test.
+and X_f is zero off S.  Below full rank f is admissible exactly when
+df ^ h^r = 0, which the solve tests first.  Taking u out before the
+powers prints the fields of a conformal form u * C over u.  At full rank
+the determinant is Pf(h)^2 = u^(2n) * T^2/(n!)^2, kept unexpanded, and
+Rat(0) below it; simplify(D.det) expands it, a constant determinant
+decides nondegeneracy exactly, without sampling, and every solve is
+verified by a residual zero-test.
 
 Each structure solves a function once.  A table on the instance, keyed
 by the function's tree (as_expr(f)), keeps X_f and its residual verdict;
@@ -52,7 +49,7 @@ preserves admissibility verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import factorial, prod
+from math import factorial
 
 from ._normal import (ONE_M, combined_fraction, from_poly,
                       is_rational_function, normal, normalize_sum,
@@ -130,10 +127,9 @@ class TwistedGraph:
 
     The twist may be given as a 3-form, as the string "dh" (use the exterior
     derivative of h), or omitted (zero twist).  Construction verifies that
-    the twist is closed, prepares the solves on the Pfaffian route (see
-    _pfaffian) or else by eliminating the coefficient matrix of h (see
-    _eliminate), samples the determinant for nondegeneracy, and records
-    the integrability verdict (dh - H = 0).
+    the twist is closed, prepares the solves from the principal Pfaffians
+    of h on a support (see _prepare), samples the determinant for
+    nondegeneracy, and records the integrability verdict (dh - H = 0).
     """
 
     def __init__(self, chart, h, twist=None, sign=1, cfg=OracleConfig()):
@@ -157,144 +153,88 @@ class TwistedGraph:
         if not closed.zero:
             raise TwistNotClosedError(
                 f"the twisting 3-form is not closed: {closed}")
-        # the coefficients of h^(n-1) on the Pfaffian route, else None
-        self._minors = None
-        if not self._pfaffian():
-            self._eliminate()
+        self._prepare()
         self.nondegenerate = self._det_nonvanishing()
         # as_expr(f) -> (X_f, residual verdict), as _solve_verified returns
         self._solved = {}
         self.integrable = form_is_zero(ext_d(self.h) - self.H, cfg).zero
 
-    def _pfaffian(self):
-        """Prepare the Pfaffian route, or return False and set nothing.
+    def _prepare(self):
+        """Split h = u * B, take the wedge powers of B, and keep what the
+        solves need: the support S (`_support`, a mask), the coefficients
+        of B^(r-1) (`_minors`), the form B^r (`_top`) and -r/(u * T)
+        (`_scale`).
 
-        The route needs an even dimension 2n, coefficients that are not
-        all constant multiples of one polynomial, and T = [h^n] not
-        identically zero; the wedge powers stop at the first that
-        vanishes.  It keeps the coefficients of h^(n-1), which are not
-        normalised here, and -n/T, sets the rank to 2n and the
-        determinant to Pf^2 = T^2/(n!)^2: a Rat when T is constant,
-        otherwise Prod(Rat(1/(n!)^2), T, T).
+        u is the common polynomial when every coefficient of h is a
+        constant multiple of one non-constant polynomial that is not zero
+        (one with atoms goes through is_zero), and B is then constant;
+        otherwise u = 1 and B = h.  The powers stop at the first that
+        vanishes structurally.  r is the largest power with a nonzero
+        coefficient, S its mask (see _pivot) and T = [B^r]_S =
+        r! * Pf(B_SS); the rank is 2r = |S|.  The determinant is
+        Pf(h)^2 = u^(2n) * T^2/(n!)^2 at full rank, unexpanded: a Rat when
+        u = 1 and T is constant, else a Prod of one Rat, 2n copies of u
+        and T twice when T is not constant; Rat(0) below full rank.
         """
-        dim = self.chart.dim
-        units = [normalize_sum(c)[1] for c in self.h.polys.values()]
-        if dim % 2 or all(u == units[0] for u in units):
-            return False
-        n = dim // 2
-        low = KForm.scalar(self.chart, 1)
-        for _ in range(n - 1):
-            low = wedge(low, self.h)
-            if low.is_structurally_zero():
-                return False
-        num, dens = combined_fraction(
-            wedge(low, self.h).polys.get((1 << dim) - 1, {}))
-        if not num:
-            return False
-        T = recompose(num, dens)
-        if not is_rational_function(num, dens) and \
-                is_zero(T, self.cfg, self.chart).zero:
-            return False
-        self._minors = low.polys
-        self._scale = p_mul(p_const(-n), p_pow(T, -1, self.chart))
-        self._pivot_cols = list(range(dim))
-        square = factorial(n) ** 2
-        if _is_constant(T):
-            self.det = Rat(T[ONE_M] ** 2, square)
+        chart, dim = self.chart, self.chart.dim
+        parts = [normalize_sum(c) for c in self.h.polys.values()]
+        u = parts[0][1] if parts else p_const(1)
+        # a u with atoms may still be zero: _pivot tests it as a pivot
+        if not _is_constant(u) and all(n == u for _, n in parts) \
+                and _pivot({0: u}, self.cfg, chart):
+            B = KForm(chart, 2, {mask: p_const(unit) for mask, (unit, _)
+                                 in zip(self.h.polys, parts)})
         else:
-            tree = from_poly(T, self.chart)
-            self.det = Prod(Rat(1, square), tree, tree)
-        return True
+            u, B = p_const(1), self.h
+        powers = [KForm.scalar(chart, 1)]
+        while not powers[-1].is_structurally_zero():
+            powers.append(wedge(powers[-1], B))
+        r = len(powers) - 2
+        while not (pivot := _pivot(powers[r].polys, self.cfg, chart)):
+            r -= 1      # B^0 = 1 always has a pivot
+        S, T = pivot
+        self._support = S
+        self._minors = powers[r - 1].polys if r else {}
+        self._top = powers[r]
+        self._scale = p_mul(p_const(-r), p_pow(p_mul(u, T), -1, chart))
+        if 2 * r < dim:
+            self.det = Rat(0)
+            return
+        square = factorial(r) ** 2
+        if _is_constant(T):
+            lead, trees = Rat(T[ONE_M] ** 2, square), []
+        else:
+            tree = from_poly(T, chart)
+            lead, trees = Rat(1, square), [tree, tree]
+        if not _is_constant(u):
+            trees = [from_poly(u, chart)] * dim + trees
+        self.det = Prod(lead, *trees) if trees else lead
 
-    def _pfaffian_component(self, k, vec, sign):
-        """Component k of sign * (M^T)^-1 vec on the Pfaffian route: -n/T
-        times the sum over j of [dx_j ^ dx_k ^ h^(n-1)] * sign * vec_j,
-        normalised once.  The bracket is the coefficient of h^(n-1) on the
-        complement of {j, k}, signed to sort dx_j ^ dx_k before it (none
-        when j == k: h^(n-1) has no coefficient on the full mask)."""
-        full = (1 << self.chart.dim) - 1
+    def _component(self, k, vec, sign):
+        """Component k of a solve of M^T X = sign * vec on the support S:
+        -r/(u * T) times the sum over j in S of [dx_j ^ dx_k ^ B^(r-1)]_S
+        * sign * vec_j, normalised once, and zero off S.  The bracket is
+        the coefficient of B^(r-1) on S minus {j, k}, signed to sort
+        dx_j ^ dx_k before it.  B^(r-1) has none when j == k or j is off
+        S: the mask would have 2r bits, not 2r - 2."""
+        S = self._support
+        if not S >> k & 1:
+            return {}
         acc = {}
         for j, v in enumerate(vec):
-            rest = full ^ (1 << j) ^ (1 << k)
+            rest = S ^ (1 << j) ^ (1 << k)
             minor = self._minors.get(rest)
             if v and minor:
                 s = sign * _merge_sign(1 << j, 1 << k) * \
-                    _merge_sign(full ^ rest, rest)
+                    _merge_sign(S ^ rest, rest)
                 p_add_inplace(acc, p_mul(minor, v), None if s > 0 else -1)
         return normal(p_mul(acc, self._scale)) if acc else {}
 
-    def _eliminate(self):
-        """Gauss-Jordan elimination on (M^T | I), once per structure, for
-        the structures the Pfaffian route does not take: an odd dimension,
-        a vanishing power of h (below full rank), or a conformally
-        constant h = phi * C, whose fields come out over phi in lowest
-        terms here.
-
-        Pivots are taken column by column, rational entries first, then
-        the first entry the zero-test oracle finds nonzero.  Records the
-        pivot columns (their count is the rank), the transform E with
-        E M^T in reduced row echelon form (pivot rows first, in column
-        order) and the determinant: the signed product of the pivots,
-        unexpanded, as a Prod of one Rat (the sign times the constant
-        pivots) and the non-constant pivots, a bare Rat when every pivot
-        is constant, Rat(0) below full rank; simplify(D.det) expands it.
-        """
-        dim = self.chart.dim
-        rows = [[{}] * dim + [p_const(1 if k == i else 0) for k in range(dim)]
-                for i in range(dim)]
-        for mask, c in self.h.polys.items():
-            # M[lo][hi] = h(d/dx_lo, d/dx_hi) = c, so M^T[hi][lo] = c
-            lo = (mask & -mask).bit_length() - 1
-            hi = mask.bit_length() - 1
-            rows[hi][lo] = c
-            rows[lo][hi] = {m: -v for m, v in c.items()}
-        pivot_rows = {}
-        pivots = []
-        for col in range(dim):
-            candidates = sorted(
-                (not _is_constant(rows[r][col]), r) for r in range(dim)
-                if r not in pivot_rows.values() and rows[r][col])
-            chosen = next((r for symbolic, r in candidates
-                           if not symbolic
-                           or not is_zero(rows[r][col], self.cfg,
-                                          self.chart).zero),
-                          None)
-            if chosen is None:
-                continue
-            pivot = rows[chosen][col]
-            pivots.append(pivot)
-            pivot_rows[col] = chosen
-            inv_p = p_pow(pivot, -1, self.chart)
-            rows[chosen] = [normal(p_mul(e, inv_p)) if e else e
-                            for e in rows[chosen]]
-            for r in range(dim):
-                factor = rows[r][col]
-                if r == chosen or not factor:
-                    continue
-                rows[r] = [normal(p_add_inplace(dict(a), p_mul(factor, b), -1))
-                           if b else a
-                           for a, b in zip(rows[r], rows[chosen])]
-        order = list(pivot_rows.values())
-        if len(order) < dim:
-            self.det = Rat(0)
-        else:
-            swaps = sum(a > b for i, a in enumerate(order)
-                        for b in order[i + 1:])
-            lead = prod((p[ONE_M] for p in pivots if _is_constant(p)),
-                        start=-1 if swaps & 1 else 1)
-            trees = [from_poly(p, self.chart) for p in pivots
-                     if not _is_constant(p)]
-            self.det = Prod(Rat(lead), *trees) if trees else Rat(lead)
-        order += [r for r in range(dim) if r not in order]
-        self._pivot_cols = list(pivot_rows)
-        self._transform = [rows[r][dim:] for r in order]
-
     def _det_nonvanishing(self):
         """True when |det| clears the tolerance at every sample point; a
-        constant det (a Rat on either route) is decided exactly, as
-        sampling would with tolerance 0, and draws no point.  On the
-        Pfaffian route the sampled tree is Prod(Rat(1/(n!)^2), T, T), and T
-        is evaluated once per point."""
+        constant det (a Rat) is decided exactly, as sampling would with
+        tolerance 0, and draws no point.  The factors u and T of a Prod
+        determinant are each evaluated once per point."""
         if isinstance(self.det, Rat):
             return self.det.value != 0
         env = oracle_function_env(self.cfg, self.det)
@@ -305,24 +245,35 @@ class TwistedGraph:
             return False
 
     def inverse_matrix(self):
-        """Exact inverse of the coefficient matrix M.  On the Pfaffian
-        route each entry is built on demand, (M^-1)_ij = -n/T times the
-        top coefficient of dx_i ^ dx_j ^ h^(n-1); after elimination it is
-        the transpose of the transform E, since E = (M^T)^-1 at full
-        rank."""
+        """Exact inverse of the coefficient matrix M, each entry built
+        from the minors when called: (M^-1)_ij = -n/(u * T) times the top
+        coefficient of dx_i ^ dx_j ^ B^(n-1)."""
         if not self.nondegenerate:
             raise NondegeneracyError("h is degenerate on the sampling box")
         dim = self.chart.dim
-        if self._minors is not None:
-            # row i of M^-1 is column i of (M^T)^-1, its image of e_i
-            units = [[p_const(1 if k == i else 0) for k in range(dim)]
-                     for i in range(dim)]
-            return [[from_poly(self._pfaffian_component(j, e, 1),
-                               self.chart) for j in range(dim)]
-                    for e in units]
-        return [[from_poly(self._transform[j][i], self.chart)
+        # row i of M^-1 is column i of (M^T)^-1, its image of e_i
+        units = [[p_const(1 if k == i else 0) for k in range(dim)]
+                 for i in range(dim)]
+        return [[from_poly(self._component(j, e, 1), self.chart)
                  for j in range(dim)]
-                for i in range(dim)]
+                for e in units]
+
+
+def _pivot(coeffs, cfg, chart):
+    """(mask, normal form) of the first nonzero coefficient in mask
+    order, or None when every coefficient is zero.  A rational normal
+    form decides, anything else goes through is_zero.  On a power B^r
+    of the rank, the first mask is the set of pivot columns that
+    elimination of the coefficient matrix would choose, column by
+    column: the lexicographically first basis of its columns."""
+    for mask in sorted(coeffs):
+        num, dens = combined_fraction(coeffs[mask])
+        if num:
+            T = recompose(num, dens)
+            if is_rational_function(num, dens) or \
+                    not is_zero(T, cfg, chart).zero:
+                return mask, T
+    return None
 
 
 def _is_constant(p):
@@ -366,33 +317,21 @@ def _solve_verified(D, f):
 
 
 def _solve(D, f):
-    """The solve behind _solve_verified, from sign * grad f.  On the
-    Pfaffian route X_f^k is -n/T times the sum over j of the minor
-    [dx_j ^ dx_k ^ h^(n-1)] times sign * d_j f, normalised once per
-    component.  Otherwise X_f is the elimination transform applied to
-    sign * grad f: rows past the rank must vanish, pivot rows give the
-    pivot components, and free components are zero."""
+    """The solve behind _solve_verified, from sign * grad f: X_f^k is
+    -r/(u * T) times the sum over j in the support S of the minor
+    [dx_j ^ dx_k ^ B^(r-1)]_S times sign * d_j f, normalised once per
+    component, and zero off S.  Below full rank f is admissible exactly
+    when df ^ h^r = 0; each coefficient of df ^ B^r is tested in turn,
+    and the first nonzero one makes the system inconsistent."""
     df = ext_d(KForm.scalar(D.chart, f))
     dim = D.chart.dim
+    if D._support.bit_count() < dim and any(
+            not is_zero(c, D.cfg, D.chart).zero
+            for c in wedge(df, D._top).polys.values()):
+        return None, None
     grad = [normal(df.polys.get(1 << i, {})) for i in range(dim)]
-    if D._minors is not None:
-        comps = [D._pfaffian_component(k, grad, D.sign) for k in range(dim)]
-    else:
-        sign = -1 if D.sign < 0 else None
-        b = []
-        for row in D._transform:
-            acc = {}
-            for e, g in zip(row, grad):
-                if e and g:
-                    p_add_inplace(acc, p_mul(e, g), sign)
-            b.append(normal(acc))
-        rank = len(D._pivot_cols)
-        if any(not is_zero(x, D.cfg, D.chart).zero for x in b[rank:]):
-            return None, None
-        comps = [{}] * dim
-        for col, x in zip(D._pivot_cols, b):
-            comps[col] = x
-    X = VectorField(D.chart, comps)
+    X = VectorField(D.chart, [D._component(k, grad, D.sign)
+                              for k in range(dim)])
     return X, form_is_zero(df - graph_section(D, X).alpha, D.cfg)
 
 

@@ -1208,9 +1208,11 @@ def expr_to_str(e):
             elif coeff != 1 or not (nums or dens):
                 s = _rat_str(abs(coeff))
                 prefix = ("-" if coeff < 0 else "") + s
-                if nums or dens:
+                if nums:
                     prefix += "*"
-        body = "*".join(nums) if nums else ("1" if dens else "")
+        # the coefficient is the numerator when there is no other
+        body = "*".join(nums) if nums else \
+            ("1" if dens and prefix in ("", "-") else "")
         for d in dens:
             body += "/" + d
         return prefix + body

@@ -71,6 +71,34 @@ def admissible_pair(rng, chart, level, twist, graph=None):
     return GenSection(X, alpha.simplified())
 
 
+def fraction_solve(A, b):
+    """One solution x of A x = b over Fractions, or None when the system
+    is inconsistent.  Gauss-Jordan elimination takes its pivots column by
+    column, the first nonzero entry in each, and sets every unknown
+    without a pivot to zero."""
+    rows = [[Fraction(v) for v in row] + [Fraction(c)]
+            for row, c in zip(A, b)]
+    n = len(rows[0]) - 1
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [a - row[col] * c for a, c in zip(row, rows[r])]
+        pivots.append(col)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * n
+    for row, col in zip(rows, pivots):
+        x[col] = row[-1]
+    return x
+
+
 def _mask_indices(mask):
     out = []
     while mask:

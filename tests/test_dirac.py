@@ -1,5 +1,6 @@
 """Twisted graphs: solving, admissibility, and the proposition checks."""
 
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -9,8 +10,8 @@ import pytest
 
 from twistdirac import dirac
 from twistdirac.symexpr import (Chart, ChartMismatchError, OracleConfig, Pow,
-                                Prod, Rat, Sum, is_zero, parse_expr,
-                                simplify)
+                                Prod, Rat, Sum, diff, eval_expr, is_zero,
+                                parse_expr, simplify)
 from twistdirac.exterior import (KForm, VectorField, ext_d, form_is_zero,
                                  interior, parse_form, vf_bracket,
                                  vf_is_zero)
@@ -25,7 +26,7 @@ from twistdirac.dirac import (NondegeneracyError, SolveError,
                               jacobi_defect, poisson_bracket)
 from twistdirac.randgen import rand_poly, rand_vector_field, rng_for
 
-from helpers import admissible_pair, standard_omega
+from helpers import admissible_pair, fraction_solve, standard_omega
 
 
 @pytest.fixture
@@ -213,8 +214,9 @@ def rank_four_graph(chart):
     return h
 
 
-class TestElimination:
-    @pytest.mark.parametrize("which", ["dense4", "conformal6"])
+class TestInverseAndRank:
+    @pytest.mark.parametrize("which", ["dense4", "conformal6",
+                                       "pure-conformal6"])
     def test_inverse_times_matrix_is_identity(self, phase, cfg, which):
         if which == "dense4":
             chart = Chart("dense", ["q1", "q2", "p1", "p2"])
@@ -222,14 +224,14 @@ class TestElimination:
         else:
             chart = phase
             h = standard_omega(phase).scale(1 + phase["q1"])
-            for i in range(6):
+            for i in range(6 if which == "conformal6" else 0):
                 for j in range(i + 1, 6):
                     h = h + KForm.basis(phase, [i, j],
                                         Rat((-1) ** (i + j), 16))
         D = TwistedGraph(chart, h, "dh", cfg=cfg)
         assert D.nondegenerate
-        # both forms take the Pfaffian route, where the determinant is
-        # Prod(Rat(1/(n!)^2), T, T) with T the top coefficient of h^n
+        # h = u * B: the determinant is a Prod of one Rat, 2n copies of u
+        # (pure-conformal6) and T twice when T = [B^n] is not constant
         assert D.det.kind == "prod" and D.det.args[0].kind == "rat"
         verdict = is_zero(D.det - leibniz_det(D.h), cfg)
         assert verdict.zero and verdict.exact
@@ -258,6 +260,71 @@ class TestElimination:
             hamiltonian_vf(D, kernel_touching)
         with pytest.raises(NondegeneracyError):
             D.inverse_matrix()
+
+
+# rank-deficient forms with what the construction says of their functions:
+# (coordinates, h, admissible functions, one inadmissible function)
+DEFICIENT_FORMS = [
+    # dim 3: h = dx ^ d(y + 2z + yz), kernel (2 + y) d/dy - (1 + z) d/dz
+    (("x", "y", "z"), "(1 + z)*dx^dy + (2 + y)*dx^dz",
+     ["x^2", "x*(y + 2*z + y*z)", "(y + 2*z + y*z)^2"], "y"),
+    # dim 5: a linear coefficient on every pair of x1..x4, kernel d/dx5
+    (("x1", "x2", "x3", "x4", "x5"),
+     "(1 + x5/2)*dx1^dx2 + (2 - x3/4)*dx1^dx3 + (3/2 + x1/4)*dx1^dx4"
+     " + (1/2 - x4/2)*dx2^dx3 + (1 + x2/4)*dx2^dx4 + (2 + x5/4)*dx3^dx4",
+     ["x1", "x2*x3 - x4^2", "x1*x4 + x3"], "x1*x5"),
+    # dim 4: conformal, rank 2, kernel d/dq2 and d/dp2
+    (("q1", "q2", "p1", "p2"), "(1 + q1)*dq1^dp1",
+     ["q1*p1", "p1^2 + q1"], "q1 + p2"),
+]
+
+
+class TestRankDeficientSolves:
+    """Odd and rank-deficient forms against an exact Gaussian solve of
+    M^T X = sign * grad f at seeded rational points: admissibility is its
+    consistency there, and X_f is its solution, free unknowns zero."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("coords, text, good, bad", DEFICIENT_FORMS,
+                             ids=["linear3", "linear5", "conformal4"])
+    def test_fields_and_verdicts_match_a_fraction_solve(
+            self, cfg, coords, text, good, bad, sign):
+        chart = Chart("deficient", list(coords))
+        D = TwistedGraph(chart, parse_form(text, chart), "dh", sign=sign,
+                         cfg=cfg)
+        assert not D.nondegenerate and D.det == Rat(0)
+        M = coefficient_matrix(D.h)
+        rng = random.Random(f"deficient:{text}")
+        points = [{c: Fraction(rng.randint(1, 40), rng.randint(1, 9))
+                   for c in coords} for _ in range(3)]
+        for f_text in good + [bad]:
+            f = parse_expr(f_text, chart)
+            ok, X = is_courant_admissible(D, f)
+            assert ok == (f_text != bad), f_text
+            for point in points:
+                A = [[eval_expr(M[i][j], point) for i in range(chart.dim)]
+                     for j in range(chart.dim)]
+                grad = [sign * eval_expr(diff(f, v), point)
+                        for v in chart.vars()]
+                x = fraction_solve(A, grad)
+                if not ok:
+                    assert x is None, (f_text, point)
+                    continue
+                assert [eval_expr(c, point) for c in X.comps] == x, \
+                    (f_text, point)
+        assert X is None
+        with pytest.raises(NondegeneracyError):
+            hamiltonian_vf(D, parse_expr(bad, chart))
+
+    def test_a_factor_that_vanishes_on_the_box_is_not_taken_out(self, cfg):
+        # (q1^2)^(1/2) - q1 is zero for q1 > 0, so h is zero there: taken
+        # out as u, it would leave a constant B of rank 2 and X_q1 over u
+        chart = Chart("c", ["q1", "p1"])
+        D = TwistedGraph(chart, parse_form("((q1^2)^(1/2) - q1)*dp1^dq1",
+                                           chart), cfg=cfg)
+        assert not D.nondegenerate and D.det == Rat(0)
+        assert is_courant_admissible(D, chart["q1"]) == (False, None)
+        assert is_courant_admissible(D, Rat(2))[0]
 
 
 # non-conformal forms with a non-constant Pfaffian: polynomial, function
@@ -321,19 +388,17 @@ def _omega_plus(chart, coeffs):
 
 class TestRouteSelection:
     def test_constant_forms_draw_no_point(self, phase):
-        # omega plus a constant on every pair is a constant multiple of 1
-        # and is eliminated; dim-4 omega plus q2 dq1^dq2 is not conformal,
-        # but its Pfaffian is the constant 1: both det are Rat
+        # omega plus a constant on every pair is a constant form (u = 1);
+        # dim-4 omega plus q2 dq1^dq2 is not conformal, but its Pfaffian
+        # is the constant 1: both det are Rat
         cfg = OracleConfig(seed=3)
         pairs = [((i, j), Rat((-1) ** (i + j), 8))
                  for i in range(6) for j in range(i + 1, 6)]
         constant = TwistedGraph(phase, _omega_plus(phase, pairs), cfg=cfg)
-        assert constant._minors is None
         chart = Chart("pf", ["q1", "q2", "p1", "p2"])
         flat = TwistedGraph(chart, _omega_plus(chart, [((0, 1),
                                                         chart["q2"])]),
                             "dh", cfg=cfg)
-        assert flat._minors is not None
         for D in (constant, flat):
             assert D.det.kind == "rat" and D.det.value != 0
             assert D.nondegenerate
@@ -352,8 +417,7 @@ class TestRouteSelection:
             h = rank_four_graph(phase)
             rank, good, bad = 4, "q1*p2 + q2^2", "q1*p2 + q3"
         D = TwistedGraph(chart, h, "dh", cfg=cfg)
-        assert D._minors is None
-        assert len(D._pivot_cols) == rank
+        assert D._support.bit_count() == rank
         assert not D.nondegenerate and D.det == Rat(0)
         good, bad = parse_expr(good, chart), parse_expr(bad, chart)
         assert is_courant_admissible(D, good)[0]
@@ -366,7 +430,6 @@ class TestRouteSelection:
             check_theorem(D, bad, good)
 
     def test_conformal_fields_print_over_the_factor(self, phase, conformal):
-        assert conformal._minors is None
         X = hamiltonian_vf(conformal, parse_expr("q1*p2 + p1", phase))
         assert str(X) == ("(-1/(1 + q1))*d/dq1 + (-q1/(1 + q1))*d/dq2"
                           " + (p2/(1 + q1))*d/dp1")

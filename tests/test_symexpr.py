@@ -561,6 +561,18 @@ class TestGrammar:
             back = parse_expr(str(e), phase)
             assert is_zero(back - e, cfg).zero, (i, str(e))
 
+    @pytest.mark.parametrize("text, printed", [
+        ("12/(2 + p1)", "12/(2 + p1)"), ("3*q1^-1", "3/q1"),
+        ("-3/q1", "-3/q1"), ("-1/(2 + p1)", "-1/(2 + p1)"),
+        ("1/2/(2 + p1)", "1/2/(2 + p1)"), ("-3/4*q1^-2", "-3/4/q1^2"),
+        ("12/(2 + p1)/q1", "12/(2 + p1)/q1"),
+        ("3*q2/(2 + p1)", "3*q2/(2 + p1)")])
+    def test_a_coefficient_over_denominators_is_the_numerator(
+            self, phase, text, printed):
+        e = simplify(parse_expr(text, phase))
+        assert str(e) == printed
+        assert simplify(parse_expr(printed, phase)) == e
+
     def test_unary_minus_and_fraction_exponents(self, phase):
         e = parse_expr("-q1^2 + q2^(-1/2)", phase)
         q1, q2 = phase["q1"], phase["q2"]
