@@ -9,10 +9,16 @@ are converted once on the way in (``to_poly``) and rebuilt (``from_poly``)
 only where a caller asks for a tree; the zero test compiles a polynomial's
 terms for evaluation directly, in ``sorted_terms`` order.  Arithmetic
 (``p_mul``, ``p_add_inplace``, ``p_pow``) and differentiation (``p_diff``)
-act on polynomials directly.
+act on polynomials directly.  ``p_mul`` is the one multiplication
+kernel: given an accumulator it adds the signed product into it in
+place, so a sum of products (a wedge, a contraction, a directional
+derivative, a division step) builds no intermediate product.
 The polynomial/Laurent subclass over coordinates gets an exact canonical
 form (``normal``): sum denominators are recombined into a single fraction
 and cancelled by exact multivariate division when the division is exact.
+``combined_fraction`` clears the denominators group by group: monomials
+that need the same powers of the denominators are multiplied by those
+powers once.
 
 A monomial packs the nonnegative integer exponents of the chart's
 coordinates into one int (Monagan & Pearce 2007, packed exponent
@@ -81,6 +87,9 @@ _COORD = tuple(_DEG + (1 << ((MAX_COORDS - 1 - i) * _W))
                for i in range(MAX_COORDS))
 # the coordinate fields of a packed int, _W = 32, below its degree field
 _FIELDS = struct.Struct(f">4x{MAX_COORDS}I")
+# the first n coordinate fields, read from the low n fields of an int
+_PREFIX = tuple(struct.Struct(f">{n}I") for n in range(MAX_COORDS + 1))
+_LOW = tuple((1 << (n * _W)) - 1 for n in range(MAX_COORDS + 1))
 
 ONE_M = 0
 _ONE = 1
@@ -176,15 +185,26 @@ def _atom_term(a, e, c=_ONE):
 
 def _factors(m, chart):
     """The (atom, exponent) pairs of a monomial, sorted by atom key;
-    chart names its packed coordinates."""
-    coords, xs, others = _spell(m)
-    if m if type(m) is int else m[0]:
-        if chart is None:
-            raise ValueError("a polynomial over coordinates needs its chart")
-        pairs = zip(chart.vars(), coords)
-    else:
-        pairs = ((xs.get(i), e) for i, e in enumerate(coords))
-    return others + tuple([(a, e) for a, e in pairs if e])
+    chart names its packed coordinates, whose fields are the only ones
+    read."""
+    P, tail = _split(m)
+    if not P:
+        return tail
+    if chart is None:
+        raise ValueError("a polynomial over coordinates needs its chart")
+    xs = chart.vars()
+    n = len(xs)
+    # the chart's fields are the top n; shift the rest and the degree out
+    coords = _PREFIX[n].unpack(
+        (P >> (MAX_COORDS - n) * _W & _LOW[n]).to_bytes(4 * n, "big"))
+    j = len(tail)
+    while j and tail[j - 1][0].kind == "var":
+        j -= 1
+    if j < len(tail):
+        coords = list(coords)
+        for a, e in tail[j:]:
+            coords[a.index] += e
+    return tail[:j] + tuple([(x, e) for x, e in zip(xs, coords) if e])
 
 
 def tail_atoms(p):
@@ -350,13 +370,18 @@ def _even_root(a):
     return a.kind == "pow" and a.base.kind != "rat"
 
 
-def p_mul(a, b):
+def p_mul(a, b, acc=None, scale=None):
+    """The product a * b; with acc, acc += scale * a * b in place (scale
+    1 when None, else nonzero) and acc returned, with no product built
+    on the way.  acc must be neither a nor b."""
+    out = {} if acc is None else acc
     if not a or not b:
-        return {}
-    out = {}
+        return out
     if not all(type(m) is int for m in b):
         if not all(type(m) is int for m in a):
             for m1, c1 in a.items():
+                if scale is not None:
+                    c1 = c1 * scale
                 for m2, c2 in b.items():
                     p_add_inplace(out, term_mul(m1, c1, m2, c2))
             return out
@@ -365,6 +390,8 @@ def p_mul(a, b):
     # monomial unless that tail holds a coordinate
     get = out.get
     for m1, c1 in a.items():
+        if scale is not None:
+            c1 = c1 * scale
         if type(m1) is int:
             P1, t1 = m1, ()
         else:
@@ -618,7 +645,10 @@ def p_diff(p, v):
             rest = tail[:i] + ((a, ne),) + tail[i + 1:] if ne \
                 else tail[:i] + tail[i + 1:]
             term = {_mono(P, rest): c * e}
-            p_add_inplace(out, term if da is None else p_mul(term, da))
+            if da is None:
+                p_add_inplace(out, term)
+            else:
+                p_mul(term, da, out)
     return out
 
 
@@ -659,20 +689,29 @@ def try_divide(num, den):
         return None
     if not num:
         return {}
-    if not (_pure_nonneg(num) and _pure_nonneg(den)):
-        return None
-    vec = raw_vec = _vectorizer(num, den)
-    if raw_vec is not None:
-        cache = {}
+    if all(type(m) is int for m in num) and \
+            all(type(m) is int for m in den):
+        # packed ints compare in the order themselves, and a division
+        # whose first step fails needs no set-up
+        vec = None
+        lead_den = max(den)
+        if _packed_quo(max(num), lead_den) is None:
+            return None
+    else:
+        if not (_pure_nonneg(num) and _pure_nonneg(den)):
+            return None
+        vec = raw_vec = _vectorizer(num, den)
+        if raw_vec is not None:
+            cache = {}
 
-        def vec(m):
-            v = cache.get(m)
-            if v is None:
-                v = raw_vec(m)
-                cache[m] = v
-            return v
+            def vec(m):
+                v = cache.get(m)
+                if v is None:
+                    v = raw_vec(m)
+                    cache[m] = v
+                return v
 
-    lead_den = max(den, key=vec)
+        lead_den = max(den, key=vec)
     c_den = den[lead_den]
     den_tail = {m: c for m, c in den.items() if m != lead_den}
     work = dict(num)
@@ -694,7 +733,7 @@ def try_divide(num, den):
         p_add_inplace(quotient, {qm: qc})
         del work[lt]
         if den_tail:
-            p_add_inplace(work, p_mul({qm: qc}, den_tail), -1)
+            p_mul({qm: qc}, den_tail, work, -1)
     return quotient
 
 
@@ -713,27 +752,34 @@ def combined_fraction(p):
                     dens[a] = k
     if not dens:
         return p, {}
-    num = {}
+    # group the monomials by the powers of the denominators they need,
+    # and multiply each group by its powers once
+    groups = {}
     for m, c in p.items():
         P, tail = _split(m)
-        term = {ONE_M: c}
+        need = dict(dens)
         rest = []
-        seen = set()
         for a, e in tail:
             k = dens.get(a)
             if k is not None and e.denominator == 1:
-                seen.add(a)
-                ne = e + k   # >= 0: k is the largest -e of a
-                if ne > 0:
-                    term = p_mul(term, p_pow_int(_atom_poly(a), int(ne)))
+                need[a] = int(e) + k   # >= 0: k is the largest -e of a
             else:
                 rest.append((a, e))
-        for a, k in dens.items():
-            if a not in seen:
-                term = p_mul(term, p_pow_int(_atom_poly(a), k))
-        if P or rest:
-            term = p_mul(term, {_mono(P, rest): _ONE})
-        p_add_inplace(num, term)
+        groups.setdefault(tuple(need.values()), {})[_mono(P, rest)] = c
+    num = {}
+    powers = {}
+    for ks, group in groups.items():
+        factor = None
+        for a, k in zip(dens, ks):
+            if k:
+                power = powers.get((a, k))
+                if power is None:
+                    power = powers[a, k] = p_pow_int(_atom_poly(a), k)
+                factor = power if factor is None else p_mul(factor, power)
+        if factor is None:
+            p_add_inplace(num, group)
+        else:
+            p_mul(group, factor, num)
     if not num:
         return {}, {}
     for a in sorted(dens, key=lambda x: x._key):

@@ -25,6 +25,15 @@ Rat(0) below it; simplify(D.det) expands it, a constant determinant
 decides nondegeneracy exactly, without sampling, and every solve is
 verified by a residual zero-test.
 
+The arithmetic runs on ints where it can (the primitive-part lift,
+Knuth, TAOCP vol. 2, 4.6.1).  A structure keeps h and H lifted, each as
+(L, L * form) with L the lcm of the form's coefficient denominators.
+The wedge powers are those of L * B, and every contraction of a field
+into h or H (the solve residual, the H verdict and the checks) runs
+against the lifted form and is divided by L once at the end.  Each
+result is exactly the one the rational forms give: the coefficients are
+the same numbers, and a zero test sees the same values.
+
 Each structure solves a function once.  A table on the instance, keyed
 by the function's tree (as_expr(f)), keeps X_f and its residual verdict;
 hamiltonian_vf, the admissibility tests, poisson_bracket, jacobi_defect
@@ -49,7 +58,8 @@ preserves admissibility verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import factorial
+from fractions import Fraction
+from math import factorial, lcm
 
 from ._normal import (ONE_M, combined_fraction, from_poly,
                       is_rational_function, normal, normalize_sum,
@@ -60,8 +70,8 @@ from .symexpr import (OracleConfig, OracleInconclusiveError, Prod, Rat, Sum,
                       _witness_str, as_expr, is_zero, oracle_function_env,
                       sampled_sums)
 from .exterior import (KForm, VectorField, _merge_sign, apply_poly, ext_d,
-                       form_is_zero, interior, lie_derivative, vf_apply,
-                       vf_bracket, vf_is_zero, wedge)
+                       form_is_zero, interior, vf_apply, vf_bracket,
+                       vf_is_zero, wedge)
 from .courant import (GenSection, _check_twist, derived_bracket,
                       pairing_is_zero, twisted_courant_bracket)
 
@@ -149,6 +159,9 @@ class TwistedGraph:
             raise ValueError("the twisting form must be a 3-form")
         _merge_charts(chart, h.chart, twist.chart)
         self.H = twist.simplified()
+        # (L, L * form) over ints, for the wedge powers and contractions
+        self._h_lift = _lift(self.h)
+        self._H_lift = _lift(self.H)
         closed = form_is_zero(ext_d(self.H), cfg)
         if not closed.zero:
             raise TwistNotClosedError(
@@ -160,18 +173,24 @@ class TwistedGraph:
         self.integrable = form_is_zero(ext_d(self.h) - self.H, cfg).zero
 
     def _prepare(self):
-        """Split h = u * B, take the wedge powers of B, and keep what the
-        solves need: the support S (`_support`, a mask), the coefficients
-        of B^(r-1) (`_minors`), the form B^r (`_top`) and -r/(u * T)
+        """Split h = u * B, take the wedge powers of B over ints, and
+        keep what the solves need: the support S (`_support`, a mask),
+        the coefficients of (L * B)^(r-1) (`_minors`), the form B^r below
+        full rank (`_top`, None at full rank) and -r * L/(u * T_int)
         (`_scale`).
 
         u is the common polynomial when every coefficient of h is a
         constant multiple of one non-constant polynomial that is not zero
         (one with atoms goes through is_zero), and B is then constant;
-        otherwise u = 1 and B = h.  The powers stop at the first that
-        vanishes structurally.  r is the largest power with a nonzero
-        coefficient, S its mask (see _pivot) and T = [B^r]_S =
-        r! * Pf(B_SS); the rank is 2r = |S|.  The determinant is
+        otherwise u = 1 and B = h.  L is the lcm of the denominators of
+        B's coefficients, so L * B has int coefficients; when u = 1 it is
+        the structure's lifted h.  The powers of L * B stop at the first
+        that vanishes structurally.  r is the largest power with a
+        nonzero coefficient, S its mask (see _pivot), T_int = [(L * B)^r]_S
+        and T = T_int/L^r = [B^r]_S = r! * Pf(B_SS); the rank is 2r = |S|.
+        Since (L * B)^(r-1) = L^(r-1) * B^(r-1), the scale
+        -r * L/(u * T_int) = -r/(u * T * L^(r-1)) gives the same fields as
+        -r/(u * T) with the minors of B.  The determinant is
         Pf(h)^2 = u^(2n) * T^2/(n!)^2 at full rank, unexpanded: a Rat when
         u = 1 and T is constant, else a Prod of one Rat, 2n copies of u
         and T twice when T is not constant; Rat(0) below full rank.
@@ -182,24 +201,31 @@ class TwistedGraph:
         # a u with atoms may still be zero: _pivot tests it as a pivot
         if not _is_constant(u) and all(n == u for _, n in parts) \
                 and _pivot({0: u}, self.cfg, chart):
-            B = KForm(chart, 2, {mask: p_const(unit) for mask, (unit, _)
-                                 in zip(self.h.polys, parts)})
+            L, B = _lift(KForm(chart, 2, {
+                mask: p_const(unit)
+                for mask, (unit, _) in zip(self.h.polys, parts)}))
         else:
-            u, B = p_const(1), self.h
+            u, (L, B) = p_const(1), self._h_lift
         powers = [KForm.scalar(chart, 1)]
         while not powers[-1].is_structurally_zero():
             powers.append(wedge(powers[-1], B))
         r = len(powers) - 2
-        while not (pivot := _pivot(powers[r].polys, self.cfg, chart)):
-            r -= 1      # B^0 = 1 always has a pivot
+        # B^0 = 1 always has a pivot
+        while not (pivot := _pivot(powers[r].polys, self.cfg, chart,
+                                   L ** r)):
+            r -= 1
         S, T = pivot
+        unlift = p_const(Fraction(1, L ** r))
         self._support = S
         self._minors = powers[r - 1].polys if r else {}
-        self._top = powers[r]
-        self._scale = p_mul(p_const(-r), p_pow(p_mul(u, T), -1, chart))
+        self._scale = p_mul(p_const(-r * L), p_pow(p_mul(u, T), -1, chart))
         if 2 * r < dim:
+            # the below-rank test zero-tests df ^ B^r: B^r itself
+            self._top = powers[r].scale(unlift)
             self.det = Rat(0)
             return
+        self._top = None
+        T = p_mul(T, unlift)
         square = factorial(r) ** 2
         if _is_constant(T):
             lead, trees = Rat(T[ONE_M] ** 2, square), []
@@ -213,10 +239,11 @@ class TwistedGraph:
     def _component(self, k, vec, sign):
         """Component k of a solve of M^T X = sign * vec on the support S:
         -r/(u * T) times the sum over j in S of [dx_j ^ dx_k ^ B^(r-1)]_S
-        * sign * vec_j, normalised once, and zero off S.  The bracket is
-        the coefficient of B^(r-1) on S minus {j, k}, signed to sort
-        dx_j ^ dx_k before it.  B^(r-1) has none when j == k or j is off
-        S: the mask would have 2r bits, not 2r - 2."""
+        * sign * vec_j, normalised once, and zero off S; the sum runs over
+        the int minors of L * B and _scale carries the powers of L.  The
+        bracket is the coefficient of B^(r-1) on S minus {j, k}, signed to
+        sort dx_j ^ dx_k before it.  B^(r-1) has none when j == k or j is
+        off S: the mask would have 2r bits, not 2r - 2."""
         S = self._support
         if not S >> k & 1:
             return {}
@@ -227,7 +254,7 @@ class TwistedGraph:
             if v and minor:
                 s = sign * _merge_sign(1 << j, 1 << k) * \
                     _merge_sign(S ^ rest, rest)
-                p_add_inplace(acc, p_mul(minor, v), None if s > 0 else -1)
+                p_mul(minor, v, acc, None if s > 0 else -1)
         return normal(p_mul(acc, self._scale)) if acc else {}
 
     def _det_nonvanishing(self):
@@ -259,21 +286,42 @@ class TwistedGraph:
                 for e in units]
 
 
-def _pivot(coeffs, cfg, chart):
+def _pivot(coeffs, cfg, chart, lift=1):
     """(mask, normal form) of the first nonzero coefficient in mask
     order, or None when every coefficient is zero.  A rational normal
-    form decides, anything else goes through is_zero.  On a power B^r
-    of the rank, the first mask is the set of pivot columns that
-    elimination of the coefficient matrix would choose, column by
-    column: the lexicographically first basis of its columns."""
+    form decides, anything else goes through is_zero, which tests the
+    coefficient divided by lift: the values of B^r when coeffs are those
+    of (L * B)^r and lift = L^r.  On a power B^r of the rank, the first
+    mask is the set of pivot columns that elimination of the coefficient
+    matrix would choose, column by column: the lexicographically first
+    basis of its columns."""
     for mask in sorted(coeffs):
         num, dens = combined_fraction(coeffs[mask])
         if num:
             T = recompose(num, dens)
-            if is_rational_function(num, dens) or \
-                    not is_zero(T, cfg, chart).zero:
+            if is_rational_function(num, dens) or not is_zero(
+                    T if lift == 1 else p_mul(T, p_const(Fraction(1, lift))),
+                    cfg, chart).zero:
                 return mask, T
     return None
+
+
+def _lift(form):
+    """(L, L * form), with L the lcm of the denominators of the form's
+    coefficients: the form over ints (Knuth, TAOCP vol. 2, 4.6.1)."""
+    L = lcm(*(c.denominator for p in form.polys.values()
+              for c in p.values()))
+    return L, form if L == 1 else form.scale(p_const(L))
+
+
+def _contract(X, lifted, scale=1):
+    """i_X a times scale, for a lifted form (L, L * a): X is contracted
+    into L * a and the result divided by L once, so its coefficients are
+    those of interior(X, a) times scale."""
+    L, form = lifted
+    out = interior(X, form)
+    factor = Fraction(scale, L)
+    return out if factor == 1 else out.scale(p_const(factor))
 
 
 def _is_constant(p):
@@ -282,10 +330,7 @@ def _is_constant(p):
 
 def graph_section(D, X):
     """The section (X, sign * i_X h) of the graph."""
-    alpha = interior(X, D.h)
-    if D.sign < 0:
-        alpha = alpha.scale(Rat(-1))
-    return GenSection(X, alpha.simplified())
+    return GenSection(X, _contract(X, D._h_lift, D.sign).simplified())
 
 
 def hamiltonian_vf(D, f):
@@ -374,7 +419,7 @@ def _h_verdict(D, f):
     if not D.nondegenerate:
         raise VerdictNotDeterminedError(
             "degenerate structure: Hamiltonian field not unique")
-    return X, form_is_zero(interior(X, D.H), D.cfg)
+    return X, form_is_zero(_contract(X, D._H_lift), D.cfg)
 
 
 def is_admissible_pair(X, alpha, H, cfg=OracleConfig()):
@@ -400,10 +445,10 @@ def jacobi_defect(D, f, g, k):
         p_add_inplace(cyclic, apply_poly(X, normal(apply_poly(Y, h))))
     cyclic = from_poly(normal(cyclic), D.chart)
     # the contraction is pinned to the (X, +i_X h) normalization,
-    # whatever the structure's sign flag
-    if D.sign < 0:
-        Xf, Xg, Xk = -Xf, -Xg, -Xk
-    contraction = interior(Xk, interior(Xg, interior(Xf, D.H))).scalar_value()
+    # whatever the structure's sign flag: negating the three fields
+    # negates it once
+    contraction = interior(Xk, interior(Xg, _contract(Xf, D._H_lift,
+                                                      D.sign))).scalar_value()
     return cyclic, contraction
 
 
@@ -426,7 +471,7 @@ def check_theorem(D, f, g, k=None):
     checks.append(("X_{fg} = g*X_f + f*X_g",
                    vf_is_zero(X_prod - expected, cfg)))
     checks.append(("fg is H-admissible",
-                   form_is_zero(interior(X_prod, D.H), cfg)))
+                   form_is_zero(_contract(X_prod, D._H_lift), cfg)))
 
     fg_bracket = vf_apply(Xf, g)
     X_bracket = hamiltonian_vf(D, fg_bracket)
@@ -434,7 +479,7 @@ def check_theorem(D, f, g, k=None):
     checks.append(("X_{{f,g}} = [X_f, X_g]",
                    vf_is_zero(X_bracket - commutator, cfg)))
     checks.append(("{f,g} is H-admissible",
-                   form_is_zero(interior(commutator, D.H), cfg)))
+                   form_is_zero(_contract(commutator, D._H_lift), cfg)))
 
     gf_bracket = vf_apply(Xg, f)
     checks.append(("antisymmetry {f,g} + {g,f} = 0",
@@ -452,8 +497,10 @@ def check_symplgraph(D, f, name="f"):
     integrable structures, and H-admissibility of f is equivalent to
     L_{X_f} h = 0.  Returns the pair (identity, L_X h) of verdicts."""
     X = hamiltonian_vf(D, f)
-    lxh = lie_derivative(X, D.h)
-    identity = form_is_zero(lxh - interior(X, D.H), D.cfg)
+    L, h = D._h_lift
+    # L_X h = i_X dh + d i_X h, with both terms contracted over ints
+    lxh = _contract(X, (L, ext_d(h))) + ext_d(_contract(X, D._h_lift))
+    identity = form_is_zero(lxh - _contract(X, D._H_lift), D.cfg)
     return (replace(identity, label=f"L_X h - i_X H = 0 for {name}"),
             replace(form_is_zero(lxh, D.cfg), label=f"L_X h = 0 for {name}"))
 

@@ -261,8 +261,8 @@ def wedge(a, b):
         for m2, c2 in b.polys.items():
             if m1 & m2:
                 continue
-            p_add_inplace(acc.setdefault(m1 | m2, {}), p_mul(c1, c2),
-                          -1 if _merge_sign(m1, m2) < 0 else None)
+            p_mul(c1, c2, acc.setdefault(m1 | m2, {}),
+                  -1 if _merge_sign(m1, m2) < 0 else None)
     return KForm(a.chart, degree, acc)
 
 
@@ -299,8 +299,8 @@ def interior(X, a):
         for pos, i in enumerate(_mask_indices(mask)):
             comp = X.polys[i]
             if comp:
-                p_add_inplace(acc.setdefault(mask & ~(1 << i), {}),
-                              p_mul(comp, c), -1 if pos & 1 else None)
+                p_mul(comp, c, acc.setdefault(mask & ~(1 << i), {}),
+                      -1 if pos & 1 else None)
     return KForm(a.chart, a.degree - 1, acc)
 
 
@@ -324,7 +324,7 @@ def apply_poly(X, p):
         if comp:
             dp = p_diff(p, v)
             if dp:
-                p_add_inplace(out, p_mul(comp, dp))
+                p_mul(comp, dp, out)
     return out
 
 

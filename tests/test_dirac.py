@@ -14,7 +14,7 @@ from twistdirac.symexpr import (Chart, ChartMismatchError, OracleConfig, Pow,
                                 parse_expr, simplify)
 from twistdirac.exterior import (KForm, VectorField, ext_d, form_is_zero,
                                  interior, parse_form, vf_bracket,
-                                 vf_is_zero)
+                                 vf_is_zero, wedge)
 from twistdirac.courant import GenSection
 from twistdirac.dirac import (NondegeneracyError, SolveError,
                               TwistNotClosedError, TwistedGraph,
@@ -837,3 +837,100 @@ class TestPoissBrakAdm:
         g = parse_expr("q2*q3", phase)
         report = check_poiss_brak_adm(coordinate_twisted, f, g)
         assert report.zero
+
+
+def _scaling_case(which, phase):
+    """(chart, h, {function: admissible}) of one form the scaling test
+    covers; below full rank only functions off the kernel are
+    admissible."""
+    if which == "constant6":
+        pairs = [((i, j), Rat((-1) ** (i + j), 8))
+                 for i in range(6) for j in range(i + 1, 6)]
+        return (phase, _omega_plus(phase, pairs),
+                {"q1": True, "q1*p2 + q2^2": True})
+    if which == "dense4":
+        chart = Chart("dense", ["q1", "q2", "p1", "p2"])
+        return chart, dense_graph(chart), {"q1": True, "q1*p2 + q2^2": True}
+    if which == "conformal6":
+        return (phase, standard_omega(phase).scale(1 + phase["q1"]),
+                {"p1": True, "q2*p3 - q3*p2": True})
+    return (phase, rank_four_graph(phase),
+            {"q1*p2 + q2^2": True, "q1*p2 + q3": False})
+
+
+class TestScalingByAConstant:
+    """TwistedGraph(c * h) against TwistedGraph(h): the same support and
+    verdicts, X_f / c, det * c^dim and M^-1 / c.  The factors c change
+    the lcm of the coefficient denominators that the wedge powers and
+    contractions are lifted by."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("c", [Fraction(3, 7), Fraction(-5, 2)])
+    @pytest.mark.parametrize("which", ["constant6", "dense4", "conformal6",
+                                       "rank-four6"])
+    def test_scaled_structure(self, phase, cfg, which, c, sign):
+        chart, h, functions = _scaling_case(which, phase)
+        D = TwistedGraph(chart, h, "dh", sign=sign, cfg=cfg)
+        E = TwistedGraph(chart, h.scale(Rat(c)), "dh", sign=sign, cfg=cfg)
+        assert E._h_lift[0] != D._h_lift[0]
+        assert E._support == D._support
+        assert (E.nondegenerate, E.integrable) == \
+            (D.nondegenerate, D.integrable)
+        dim = chart.dim
+        assert is_zero(E.det - Rat(c ** dim) * D.det, cfg).zero
+        for text, admissible in functions.items():
+            f = parse_expr(text, chart)
+            ok, X = is_courant_admissible(D, f)
+            assert ok == admissible, text
+            assert is_courant_admissible(E, f)[0] == ok, text
+            if not ok:
+                continue
+            Y = hamiltonian_vf(E, f)
+            assert vf_is_zero(Y - X.scale(Rat(1 / c)), cfg).zero, text
+            if D.nondegenerate:
+                assert is_H_admissible(E, f).h_admissible == \
+                    is_H_admissible(D, f).h_admissible, text
+        if not D.nondegenerate:
+            return
+        inv, scaled = D.inverse_matrix(), E.inverse_matrix()
+        for i in range(dim):
+            for j in range(dim):
+                assert is_zero(scaled[i][j] - Prod(Rat(1 / c), inv[i][j]),
+                               cfg).zero, (i, j)
+
+
+def _exact_dict(form):
+    """A form's coefficients with their types: equal only when the
+    numbers and their int or Fraction types agree."""
+    return {mask: {m: (type(c), c) for m, c in p.items()}
+            for mask, p in form.polys.items()}
+
+
+class TestLiftedContractions:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("c", [1, Fraction(3, 7)])
+    @pytest.mark.parametrize("coords, text", PFAFFIAN_FORMS,
+                             ids=["poly-V4", "inverse-sum4", "inverse-sum6",
+                                  "V6"])
+    def test_they_equal_the_rational_contractions(self, cfg, coords, text, c,
+                                                  sign):
+        chart = Chart("pf", list(coords))
+        D = TwistedGraph(chart, parse_form(text, chart).scale(Rat(c)), "dh",
+                         sign=sign, cfg=cfg)
+        for f in ("q1", "q1*p2 + q2^2", "V(p1)*q2"):
+            X = hamiltonian_vf(D, parse_expr(f, chart))
+            assert _exact_dict(dirac._contract(X, D._h_lift)) == \
+                _exact_dict(interior(X, D.h)), f
+            assert _exact_dict(dirac._contract(X, D._H_lift)) == \
+                _exact_dict(interior(X, D.H)), f
+            assert _exact_dict(graph_section(D, X).alpha) == \
+                _exact_dict(interior(X, D.h).scale(Rat(sign)).simplified())
+
+    @pytest.mark.parametrize("c", [1, Fraction(3, 7)])
+    def test_the_below_rank_test_sees_the_rational_power(self, phase, cfg,
+                                                         c):
+        # rank 4 of 6, not conformal: B = h and r = 2
+        D = TwistedGraph(phase, rank_four_graph(phase).scale(Rat(c)), "dh",
+                         cfg=cfg)
+        assert D._support.bit_count() == 4
+        assert _exact_dict(D._top) == _exact_dict(wedge(D.h, D.h))

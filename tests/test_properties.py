@@ -13,8 +13,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from twistdirac import _normal  # noqa: E402
 from twistdirac._normal import (  # noqa: E402
-    from_poly, normal, normalize_sum, p_add_inplace, p_diff, p_mul, p_pow,
-    to_poly, try_divide)
+    combined_fraction, from_poly, normal, normalize_sum, p_add_inplace,
+    p_diff, p_mul, p_pow, recompose, to_poly, try_divide)
 from twistdirac.exterior import KForm, ext_d, form_is_zero  # noqa: E402
 from twistdirac.symexpr import (  # noqa: E402
     MAX_RESAMPLE, Chart, EvaluationSingularityError, Func, OracleConfig,
@@ -194,12 +194,12 @@ def test_sampled_sums_match_per_term_evaluation(atoms, data):
     assert per_term == _bits(_reference_sums(terms, SIGNED, _plain_eval))
 
 
-def _ref_polys(exponents):
+def _ref_polys(exponents, min_size=0):
     return st.dictionaries(
         st.tuples(*[exponents] * 3),
         st.fractions(min_value=-4, max_value=4,
                      max_denominator=3).filter(bool),
-        max_size=4)
+        min_size=min_size, max_size=4)
 
 
 # random rational polynomials over CHART, as {exponent tuple: Fraction}:
@@ -210,6 +210,8 @@ def _ref_polys(exponents):
 REF_POLYS = _ref_polys(st.one_of(st.integers(0, 2),
                                  st.sampled_from([2047, 2048, 4096])))
 SMALL_REF_POLYS = _ref_polys(st.integers(0, 2))
+# sums of two or more terms: their negative powers are sum atoms
+SMALL_REF_SUMS = _ref_polys(st.integers(0, 2), min_size=2)
 SCALES = st.one_of(st.none(), st.fractions(min_value=-3, max_value=3,
                                            max_denominator=2).filter(bool))
 POINT = {"x": Fraction(1, 3), "y": Fraction(-2, 7), "z": Fraction(5, 4)}
@@ -319,3 +321,44 @@ def test_normal_forms_of_quotients_keep_one_coefficient_type(a, b, c, n):
         # a root of one term: a rational constant or a radical atom
         term = dict([next(iter(a.items()))])
         _canonical(p_pow(_engine(term), HALF, CHART))
+
+
+@SETTINGS
+@given(REF_POLYS, REF_POLYS, REF_POLYS, SCALES)
+def test_multiply_accumulate_adds_the_scaled_product(a, b, c, scale):
+    pa, pb, acc = _engine(a), _engine(b), _engine(c)
+    assert p_mul(pa, pb, acc, scale) is acc
+    assert _reference_of(acc) == _ref_add(c, _ref_mul(a, b), scale)
+    assert _reference_of(pa) == a and _reference_of(pb) == b
+
+
+# seeded rational points, POINT among them
+POINTS = [POINT, {"x": Fraction(-5, 2), "y": Fraction(7, 3),
+                  "z": Fraction(-1, 6)},
+          {"x": Fraction(9, 4), "y": Fraction(1, 5), "z": Fraction(-8, 3)}]
+
+
+@SETTINGS
+@given(st.lists(st.tuples(SMALL_REF_POLYS, st.integers(0, 2),
+                          st.sampled_from([-1, -2, -3])),
+                min_size=1, max_size=5),
+       st.lists(st.one_of(SMALL_REF_SUMS, SMALL_REF_POLYS), min_size=3,
+                max_size=3))
+def test_cleared_fractions_recompose_to_their_input(terms, dens):
+    """A sum of a_i / b_j^k_i over shared denominators b_j: the
+    monomials fall into groups that need different powers of each b_j,
+    and the cleared fraction has the sum's value at every point."""
+    assume(all(_ref_eval(dens[j], point)
+               for _, j, _ in terms for point in POINTS))
+    p = {}
+    for a, j, n in terms:
+        p_mul(_engine(a), p_pow(_engine(dens[j]), Fraction(n), CHART), p)
+    num, dmap = combined_fraction(p)
+    _canonical(num)
+    assert all(type(k) is int and k > 0 for k in dmap.values())
+    for point in POINTS:
+        want = sum((_ref_eval(a, point) * _ref_eval(dens[j], point) ** n
+                    for a, j, n in terms), Fraction(0))
+        assert eval_expr(from_poly(p, CHART), point) == want
+        assert eval_expr(from_poly(recompose(num, dmap), CHART),
+                         point) == want
