@@ -36,7 +36,8 @@ exponent is negative or fractional, which sort after the other atoms.
 A monomial is the packed int when its tail is empty and the pair (packed
 int, tail) otherwise, so each monomial has one key; ``ONE_M`` (0) is the
 constant monomial.  One reader (``_spell``) gives a monomial's coordinate
-exponents by index wherever they sit, and one writer (``_mono_of``) is
+exponents by index wherever they sit (``_factors`` reads a packed int's
+chart fields itself: a fast path below), and one writer (``_mono_of``) is
 the only code that chooses the packed part or the tail.  Tail exponents
 are nonzero ints or Fractions (an integral Fraction compares and hashes
 equal to its int).  A packed int does not know its chart, so
@@ -57,9 +58,19 @@ Exact division (``try_divide``) and ``normalize_sum`` need the
 graded-lexicographic order over every atom.  Packed ints compare in it
 themselves; once a tail appears, one key function (``_vectorizer``)
 spells a monomial out as its total degree, its other atoms' exponents
-and its exponents of the coordinates in use.  ``try_divide`` caches that
-key per call: each step of a long division takes the largest monomial
-of the whole remainder again.
+and its exponents of the coordinates in use.
+
+A fast path stays only where it is measured to pay.  Each line gives the
+median ratio of CPU time without it to CPU time with it, over alternating
+in-process pairs of bench/run.py rounds, and the pairs it won without it:
+
+- ``to_poly``'s constant-and-coordinate product: brackets 1.031 (0/10)
+- ``p_mul``'s products by ``_ONE``: brackets 1.059 (1/10)
+- ``p_diff``'s loop over packed monomials: brackets 1.054 (1/10)
+- ``p_pow``'s power of one packed monomial: scenarios 1.018 (2/10)
+- ``_factors``' read of the chart's fields: oracle-sampled 1.034 (2/10)
+- ``try_divide``'s packed leading-term test: hamiltonian 1.019 (2/10)
+- ``_vectorizer``'s coordinate span: long divisions with atoms, 2-27%
 
 An atom keeps its own expansion: ``_atom_poly`` stores ``to_poly(atom)``
 on the node the first time it is asked for, so the expansion lives as
@@ -700,17 +711,7 @@ def try_divide(num, den):
     else:
         if not (_pure_nonneg(num) and _pure_nonneg(den)):
             return None
-        vec = raw_vec = _vectorizer(num, den)
-        if raw_vec is not None:
-            cache = {}
-
-            def vec(m):
-                v = cache.get(m)
-                if v is None:
-                    v = raw_vec(m)
-                    cache[m] = v
-                return v
-
+        vec = _vectorizer(num, den)
         lead_den = max(den, key=vec)
     c_den = den[lead_den]
     den_tail = {m: c for m, c in den.items() if m != lead_den}
@@ -767,14 +768,11 @@ def combined_fraction(p):
                 rest.append((a, e))
         groups.setdefault(tuple(need.values()), {})[_mono(P, rest)] = c
     num = {}
-    powers = {}
     for ks, group in groups.items():
         factor = None
         for a, k in zip(dens, ks):
             if k:
-                power = powers.get((a, k))
-                if power is None:
-                    power = powers[a, k] = p_pow_int(_atom_poly(a), k)
+                power = p_pow_int(_atom_poly(a), k)
                 factor = power if factor is None else p_mul(factor, power)
         if factor is None:
             p_add_inplace(num, group)

@@ -21,16 +21,17 @@ and X_f is zero off S.  Below full rank f is admissible exactly when
 df ^ h^r = 0, which the solve tests first.  Taking u out before the
 powers prints the fields of a conformal form u * C over u.  At full rank
 the determinant is Pf(h)^2 = u^(2n) * T^2/(n!)^2, kept unexpanded, and
-Rat(0) below it; simplify(D.det) expands it, a constant determinant
-decides nondegeneracy exactly, without sampling, and every solve is
-verified by a residual zero-test.
+Rat(0) below it; simplify(D.det) expands it.  A constant determinant
+decides nondegeneracy exactly, without sampling; otherwise its one
+non-constant factor, u or T, is sampled.  Every solve is verified by a
+residual zero-test.
 
 The arithmetic runs on ints where it can (the primitive-part lift,
 Knuth, TAOCP vol. 2, 4.6.1).  A structure keeps h and H lifted, each as
 (L, L * form) with L the lcm of the form's coefficient denominators.
 The wedge powers are those of L * B, and every contraction of a field
-into h or H (the solve residual, the H verdict and the checks) runs
-against the lifted form and is divided by L once at the end.  Each
+into H, or into h for the solve residual, runs against the lifted
+form and is divided by L once at the end.  Each
 result is exactly the one the rational forms give: the coefficients are
 the same numbers, and a zero test sees the same values.
 
@@ -70,8 +71,8 @@ from .symexpr import (OracleConfig, OracleInconclusiveError, Prod, Rat, Sum,
                       _witness_str, as_expr, is_zero, oracle_function_env,
                       sampled_sums)
 from .exterior import (KForm, VectorField, _merge_sign, apply_poly, ext_d,
-                       form_is_zero, interior, vf_apply, vf_bracket,
-                       vf_is_zero, wedge)
+                       form_is_zero, interior, lie_derivative, vf_apply,
+                       vf_bracket, vf_is_zero, wedge)
 from .courant import (GenSection, _check_twist, derived_bracket,
                       pairing_is_zero, twisted_courant_bracket)
 
@@ -138,8 +139,8 @@ class TwistedGraph:
     The twist may be given as a 3-form, as the string "dh" (use the exterior
     derivative of h), or omitted (zero twist).  Construction verifies that
     the twist is closed, prepares the solves from the principal Pfaffians
-    of h on a support (see _prepare), samples the determinant for
-    nondegeneracy, and records the integrability verdict (dh - H = 0).
+    of h on a support (see _prepare), samples a factor of the determinant
+    for nondegeneracy, and records the integrability verdict (dh - H = 0).
     """
 
     def __init__(self, chart, h, twist=None, sign=1, cfg=OracleConfig()):
@@ -166,8 +167,7 @@ class TwistedGraph:
         if not closed.zero:
             raise TwistNotClosedError(
                 f"the twisting 3-form is not closed: {closed}")
-        self._prepare()
-        self.nondegenerate = self._det_nonvanishing()
+        self.nondegenerate = self._det_nonvanishing(self._prepare())
         # as_expr(f) -> (X_f, residual verdict), as _solve_verified returns
         self._solved = {}
         self.integrable = form_is_zero(ext_d(self.h) - self.H, cfg).zero
@@ -194,6 +194,7 @@ class TwistedGraph:
         Pf(h)^2 = u^(2n) * T^2/(n!)^2 at full rank, unexpanded: a Rat when
         u = 1 and T is constant, else a Prod of one Rat, 2n copies of u
         and T twice when T is not constant; Rat(0) below full rank.
+        Returns u or T, whichever is not constant, at full rank.
         """
         chart, dim = self.chart, self.chart.dim
         parts = [normalize_sum(c) for c in self.h.polys.values()]
@@ -235,6 +236,7 @@ class TwistedGraph:
         if not _is_constant(u):
             trees = [from_poly(u, chart)] * dim + trees
         self.det = Prod(lead, *trees) if trees else lead
+        return u if _is_constant(T) else T   # T varies only when u = 1
 
     def _component(self, k, vec, sign):
         """Component k of a solve of M^T X = sign * vec on the support S:
@@ -257,17 +259,17 @@ class TwistedGraph:
                 p_mul(minor, v, acc, None if s > 0 else -1)
         return normal(p_mul(acc, self._scale)) if acc else {}
 
-    def _det_nonvanishing(self):
-        """True when |det| clears the tolerance at every sample point; a
-        constant det (a Rat) is decided exactly, as sampling would with
-        tolerance 0, and draws no point.  The factors u and T of a Prod
-        determinant are each evaluated once per point."""
+    def _det_nonvanishing(self, factor):
+        """True when det = lead * factor^k, with lead a nonzero constant,
+        has no zero on the box: a Rat det is decided exactly, and
+        otherwise the primitive part of factor must clear the tolerance
+        at every sample point, whatever the scale of h."""
         if isinstance(self.det, Rat):
             return self.det.value != 0
         env = oracle_function_env(self.cfg, self.det)
         try:
             return all(abs(total) > tol for _, total, tol in sampled_sums(
-                self.det, self.cfg, env, self.chart))
+                normalize_sum(factor)[1], self.cfg, env, self.chart))
         except OracleInconclusiveError:
             return False
 
@@ -497,9 +499,7 @@ def check_symplgraph(D, f, name="f"):
     integrable structures, and H-admissibility of f is equivalent to
     L_{X_f} h = 0.  Returns the pair (identity, L_X h) of verdicts."""
     X = hamiltonian_vf(D, f)
-    L, h = D._h_lift
-    # L_X h = i_X dh + d i_X h, with both terms contracted over ints
-    lxh = _contract(X, (L, ext_d(h))) + ext_d(_contract(X, D._h_lift))
+    lxh = lie_derivative(X, D.h)
     identity = form_is_zero(lxh - _contract(X, D._H_lift), D.cfg)
     return (replace(identity, label=f"L_X h - i_X H = 0 for {name}"),
             replace(form_is_zero(lxh, D.cfg), label=f"L_X h = 0 for {name}"))

@@ -515,12 +515,9 @@ class _Program:
                         if v is None:
                             if type(x) is tuple:
                                 n, d = x
-                                if d == den:
-                                    num += n
-                                else:
-                                    g = gcd(den, d)
-                                    num = num * (d // g) + n * (den // g)
-                                    den = den // g * d
+                                g = gcd(den, d)
+                                num = num * (d // g) + n * (den // g)
+                                den = den // g * d
                                 continue
                             v = num / den
                         v += x if type(x) is float else x[0] / x[1]

@@ -309,6 +309,15 @@ class TestScenarioFiles:
         assert "JSON object" in report.checks[0].detail
         assert report.exit_code == 2
 
+    def test_a_graph_op_without_a_structure_is_an_error_row(self,
+                                                             tmp_path):
+        data = json.loads(json.dumps(MINIMAL))
+        del data["structure"]
+        report = run_scenario(write_scenario(tmp_path, data))
+        assert [c.verdict for c in report.checks] == ["ERROR"]
+        assert "no structure named 'main'" in report.checks[0].detail
+        assert report.exit_code == 2
+
     def test_lie_algebra_from_brackets(self, tmp_path):
         so3 = {"dim": 3, "metric": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                "brackets": [[1, 2, [0, 0, 1]], [2, 3, [1, 0, 0]],
@@ -680,6 +689,16 @@ class TestCommands:
         assert main(["admissible", "angular-momentum", "L1"]) == 0
         out = capsys.readouterr().out
         assert "H-admissible: True" in out
+
+    def test_admissible_command_prints_the_witness(self, capsys):
+        assert main(["admissible", "conformal-symplectic", "L1",
+                     "--structure", "hamiltonian"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(
+            "  H-admissible: False\n"
+            "  witness: p1=5905/8192, p2=6679/16384, p3=11295/8192, "
+            "q1=28505/16384, q2=20077/16384, q3=20889/16384 "
+            "(|residual| = 0.815)\n")
 
     def test_builtins_command(self, capsys):
         assert main(["builtins"]) == 0

@@ -539,6 +539,22 @@ class TestSolveTable:
         D = TwistedGraph(phase, omega.scale(1 + phase["q1"]), "dh", cfg=cfg)
         assert D.nondegenerate and D.det.kind != "rat" and cfg._points
 
+    @pytest.mark.parametrize("cfg", [OracleConfig(),
+                                     OracleConfig(seed=1, samples=16)])
+    @pytest.mark.parametrize("scale", ["1/100", "10^60"])
+    def test_the_scale_of_h_does_not_make_it_degenerate(self, phase, cfg,
+                                                        scale):
+        # det = scale^6/36 * u^6 with u = (1 + q1)^(1/2): at 1/100 the
+        # product is below the float tolerance, at 10^60 it overflows;
+        # the factor u alone decides
+        h = parse_form(f"({scale})*(1 + q1)^(1/2)"
+                       f"*(dp1^dq1 + dp2^dq2 + dp3^dq3)", phase)
+        D = TwistedGraph(phase, h, "dh", cfg=cfg)
+        assert D.nondegenerate
+        report = is_H_admissible(D, phase["q2"], "q2")
+        assert report.courant_admissible and report.h_admissible is False
+        assert len(D.inverse_matrix()) == 6
+
 
 class TestPoissonBracket:
     def test_self_bracket_vanishes(self, phase, darboux, cfg):
@@ -618,6 +634,18 @@ class TestAdmissibility:
         with pytest.raises(VerdictNotDeterminedError,
                            match="Hamiltonian field not unique"):
             check_theorem(D, phase["q1"], phase["p1"])
+
+    def test_an_undetermined_report_says_why(self):
+        # dp1^dq1 on three coordinates has rank 2: X_q1 is not unique
+        chart = Chart("odd", ["q1", "p1", "z"])
+        D = TwistedGraph(chart, parse_form("dp1^dq1", chart),
+                         cfg=OracleConfig(seed=5, samples=16))
+        assert str(is_H_admissible(D, chart["q1"], "q1")) == (
+            "function q1:\n"
+            "  admissible (Courant): True\n"
+            "  hamiltonian field: (1)*d/dp1\n"
+            "  H-admissible: not determined "
+            "(degenerate structure: Hamiltonian field not unique)")
 
     def test_flip_preserves_verdicts(self, phase, omega, cfg):
         H = KForm.basis(phase, ["q1", "q2", "q3"])
@@ -770,6 +798,18 @@ class TestSymplGraph:
 
 
 class TestImageUnderD:
+    def test_an_inadmissible_pair_stops_before_the_images(self, phase, cfg):
+        # i_X H = dq2^dq3 for X = d/dq1, so (X, 0) is not admissible
+        H = KForm.basis(phase, ["q1", "q2", "q3"])
+        A = GenSection(VectorField.basis(phase, "q1"), KForm.zero(phase, 1))
+        B = GenSection(VectorField.basis(phase, "p1"), KForm.zero(phase, 1))
+        report = check_image_under_d([A, B], H, cfg)
+        assert not report.zero and report.label == "image_under_d"
+        assert [c.label for c in report.children] == [
+            "pair 0 admissible", "pair 1 admissible", "pairing(0,1) = 0"]
+        assert [label for label, _ in report.failures] == \
+            ["pair 0 admissible"]
+
     def test_trivial_family(self, phase, cfg):
         H = KForm.zero(phase, 3)
         A = GenSection(VectorField.basis(phase, "p1"),

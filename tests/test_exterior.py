@@ -314,6 +314,14 @@ class TestFormLiterals:
                          form_names={"omega": standard_omega(phase)})
         assert got.polys == build(phase).polys
 
+    @pytest.mark.parametrize("build, text", [
+        (lambda c: parse_form("q1^2 + 1", c), "1 + q1^2"),
+        (lambda c: parse_form("(q1 + p1)*dq1", c), "(q1 + p1)*dq1"),
+        (lambda c: KForm.zero(c, 2), "0")],
+        ids=["degree-0", "sum-coefficient", "zero"])
+    def test_string_forms(self, phase, build, text):
+        assert str(build(phase)) == text
+
     def test_string_roundtrip(self, phase, cfg):
         for i in range(10):
             rng = rng_for(420 + i, "formrt")

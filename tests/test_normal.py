@@ -147,6 +147,9 @@ def test_derivatives_across_the_packed_layouts():
     # the tail of F/F' cancels to the constant that x's derivative adds to
     assert str(diff(parse_expr("F(x)/F'(x) + x", PLANE), x)) == \
         "2 - F(x)*F''(x)/F'(x)^2"
+    # ... and with -x it cancels that constant: the packed key is deleted
+    assert str(diff(parse_expr("F(x)/F'(x) - x", PLANE), x)) == \
+        "-F(x)*F''(x)/F'(x)^2"
 
 
 # a total coordinate degree of 2^31 - 1 is the engine's limit; these
