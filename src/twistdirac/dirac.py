@@ -21,10 +21,12 @@ and X_f is zero off S.  Below full rank f is admissible exactly when
 df ^ h^r = 0, which the solve tests first.  Taking u out before the
 powers prints the fields of a conformal form u * C over u.  At full rank
 the determinant is Pf(h)^2 = u^(2n) * T^2/(n!)^2, kept unexpanded, and
-Rat(0) below it; simplify(D.det) expands it.  A constant determinant
-decides nondegeneracy exactly, without sampling; otherwise its one
-non-constant factor, u or T, is sampled.  Every solve is verified by a
-residual zero-test.
+Rat(0) below it; simplify(D.det) expands it.  Nondegeneracy is decided
+on the first of three routes that applies: a constant determinant
+exactly; a sign-definite polynomial factor, u or T, whose exact interval
+enclosure over the sampling box excludes 0, without drawing a point;
+and any other non-constant factor by sampling it.  Every solve is
+verified by a residual zero-test.
 
 The arithmetic runs on ints where it can (the primitive-part lift,
 Knuth, TAOCP vol. 2, 4.6.1).  A structure keeps h and H lifted, each as
@@ -65,7 +67,7 @@ from math import factorial, lcm
 from ._normal import (ONE_M, combined_fraction, from_poly,
                       is_rational_function, normal, normalize_sum,
                       p_add_inplace, p_const, p_mul, p_pow, recompose,
-                      to_poly)
+                      sorted_terms, to_poly)
 from .symexpr import (OracleConfig, OracleInconclusiveError, Prod, Rat, Sum,
                       SymExprError, ZeroVerdict, _merge_charts,
                       _witness_str, as_expr, is_zero, oracle_function_env,
@@ -139,8 +141,9 @@ class TwistedGraph:
     The twist may be given as a 3-form, as the string "dh" (use the exterior
     derivative of h), or omitted (zero twist).  Construction verifies that
     the twist is closed, prepares the solves from the principal Pfaffians
-    of h on a support (see _prepare), samples a factor of the determinant
-    for nondegeneracy, and records the integrability verdict (dh - H = 0).
+    of h on a support (see _prepare), decides nondegeneracy from a factor
+    of the determinant (see _det_nonvanishing), and records the
+    integrability verdict (dh - H = 0).
     """
 
     def __init__(self, chart, h, twist=None, sign=1, cfg=OracleConfig()):
@@ -261,15 +264,23 @@ class TwistedGraph:
 
     def _det_nonvanishing(self, factor):
         """True when det = lead * factor^k, with lead a nonzero constant,
-        has no zero on the box: a Rat det is decided exactly, and
-        otherwise the primitive part of factor must clear the tolerance
-        at every sample point, whatever the scale of h."""
+        has no zero on the box, decided on the first of three routes
+        that applies.  A constant det is decided exactly.  A factor whose
+        primitive part is a polynomial in the coordinates with an exact
+        enclosure over the box that excludes 0 (see _box_excludes_zero)
+        is nonzero at every point of the box, so at every sample point:
+        True without drawing one.  Otherwise the primitive part must
+        clear the tolerance at every sample point, whatever the scale of
+        h."""
         if isinstance(self.det, Rat):
             return self.det.value != 0
+        factor = normalize_sum(factor)[1]
+        if _box_excludes_zero(factor, self.cfg, self.chart):
+            return True
         env = oracle_function_env(self.cfg, self.det)
         try:
             return all(abs(total) > tol for _, total, tol in sampled_sums(
-                normalize_sum(factor)[1], self.cfg, env, self.chart))
+                factor, self.cfg, env, self.chart))
         except OracleInconclusiveError:
             return False
 
@@ -328,6 +339,35 @@ def _contract(X, lifted, scale=1):
 
 def _is_constant(p):
     return all(m == ONE_M for m in p)
+
+
+def _box_excludes_zero(p, cfg, chart):
+    """True when p is a polynomial in the coordinates alone (packed
+    monomials only) whose exact rational enclosure over cfg's closed box
+    excludes 0: the sum over its terms of c times the product of the
+    exact intervals of its coordinate powers (Moore, Interval Analysis,
+    1966).  False when p has another atom or the enclosure holds 0."""
+    if not all(type(m) is int for m in p):
+        return False
+    lo = hi = 0
+    for factors, c in sorted_terms(p, chart):
+        a = b = c
+        for x, e in factors:
+            pl, ph = _interval_pow(*cfg.interval(x.name), e)
+            ends = (a * pl, a * ph, b * pl, b * ph)
+            a, b = min(ends), max(ends)
+        lo += a
+        hi += b
+    return lo > 0 or hi < 0
+
+
+def _interval_pow(lo, hi, e):
+    """The exact interval of x^e for x in [lo, hi] and an int e >= 1."""
+    if lo >= 0 or e % 2:
+        return lo ** e, hi ** e
+    if hi <= 0:
+        return hi ** e, lo ** e
+    return 0, max(lo ** e, hi ** e)
 
 
 def graph_section(D, X):

@@ -9,6 +9,7 @@ from itertools import permutations
 import pytest
 
 from twistdirac import dirac
+from twistdirac._normal import to_poly
 from twistdirac.symexpr import (Chart, ChartMismatchError, OracleConfig, Pow,
                                 Prod, Rat, Sum, diff, eval_expr, is_zero,
                                 parse_expr, simplify)
@@ -534,10 +535,57 @@ class TestSolveTable:
         assert D.nondegenerate == (D.det.value != 0)
         assert not cfg._points
 
-    def test_a_varying_determinant_is_sampled(self, phase, omega):
+    def test_a_sign_definite_factor_is_proven_on_the_box(self, phase, omega):
+        # 1 + q1 lies in [5/4, 3] on the default box: no point is drawn
         cfg = OracleConfig(seed=3)
         D = TwistedGraph(phase, omega.scale(1 + phase["q1"]), "dh", cfg=cfg)
-        assert D.nondegenerate and D.det.kind != "rat" and cfg._points
+        assert D.nondegenerate and D.det.kind != "rat"
+        assert not cfg._points
+
+    def test_a_varying_determinant_is_sampled(self, phase, omega):
+        # q1^2 - 2*q1 + 3/2 >= 1/2 on [1/4, 2], but its monomial enclosure
+        # [1/16 - 4 + 3/2, 4 - 1/2 + 3/2] holds 0: every point is drawn
+        cfg = OracleConfig(seed=3)
+        u = parse_expr("q1^2 - 2*q1 + 3/2", phase)
+        D = TwistedGraph(phase, omega.scale(u), "dh", cfg=cfg)
+        assert D.nondegenerate and D.det.kind != "rat"
+        assert len(cfg._points) == cfg.samples == 128
+
+    def test_a_factor_with_a_zero_in_the_box_is_sampled(self, phase, omega):
+        # 1 + q1 vanishes at q1 = -1 inside [-2, -1/2], so no enclosure
+        # excludes 0; the grid -2 + (3/2) * r/4096 misses -1, so the
+        # sampled verdict is True, as before
+        cfg = OracleConfig(box={"q1": (-2, "-1/2")})
+        D = TwistedGraph(phase, omega.scale(1 + phase["q1"]), "dh", cfg=cfg)
+        assert D.nondegenerate
+        assert len(cfg._points) == 128
+
+    def test_an_even_power_on_a_signed_interval_is_proven(self, phase,
+                                                          omega):
+        # q1^2 lies in [0, 1] on [-1, 1], so q1^2 + 1/10 in [1/10, 11/10]
+        cfg = OracleConfig(box={"q1": (-1, 1)})
+        u = parse_expr("q1^2 + 1/10", phase)
+        D = TwistedGraph(phase, omega.scale(u), "dh", cfg=cfg)
+        assert D.nondegenerate and not cfg._points
+
+    @pytest.mark.parametrize("text, box, proven", [
+        ("q1^2 + 1/10", {"q1": (-2, 1)}, True),
+        ("q1^2 - 1/2", {"q1": (-2, 1)}, False),
+        ("q1^2", {"q1": (-2, -1)}, True),
+        ("q1^2", {"q1": (-1, 2)}, False),
+        ("q1^3 + 9", {"q1": (-2, 1)}, True),
+        ("q1^3 + 8", {"q1": (-2, 1)}, False),
+        ("-q1^4 - q2", {"q1": (-2, 1)}, True),
+        ("q1*q2 + 1", {"q1": (-1, 2)}, False),
+        ("q1*q2 + 3", {"q1": (-1, 2)}, True),
+        ("q1 - 1/4", {}, False),
+        ("V(q1)", {}, False),
+        ("(1 + q1)^(1/2)", {}, False)])
+    def test_the_box_enclosure_of_a_factor(self, phase, text, box, proven):
+        # the enclosure sums each term's exact interval: q2 in [1/4, 2]
+        cfg = OracleConfig(box=box)
+        p = to_poly(parse_expr(text, phase))
+        assert dirac._box_excludes_zero(p, cfg, phase) is proven
 
     @pytest.mark.parametrize("cfg", [OracleConfig(),
                                      OracleConfig(seed=1, samples=16)])

@@ -1,10 +1,13 @@
 """Forms, vector fields, and the operators d, wedge, interior, L_X."""
 
+from fractions import Fraction
+
 import pytest
 
-from twistdirac.symexpr import (Chart, ChartMismatchError, OracleConfig,
-                                Rat, eval_expr, is_zero, parse_expr,
-                                simplify)
+from twistdirac.symexpr import (Chart, ChartMismatchError, Func, OracleConfig,
+                                OracleInconclusiveError, Pow, Rat, Sum,
+                                SymExprError, eval_expr, is_zero, parse_expr,
+                                sample_point, simplify)
 from twistdirac.exterior import (FormSyntaxError, KForm, VectorField, ext_d,
                                  form_is_zero, interior, lie_derivative,
                                  parse_form, parse_vector_field, vf_apply,
@@ -360,3 +363,43 @@ class TestZeroVerdicts:
                              - VectorField.basis(phase, "q1"), cfg)
         assert verdict.zero and verdict.exact and verdict.failures == []
         assert verdict.witness is None and verdict.magnitude is None
+
+    def test_a_singular_point_is_redrawn_only_for_the_coefficient_it_breaks(
+            self):
+        # 1/(x - x0) is singular at sample point 0 and nowhere else; the
+        # radical beside it shares its program and keeps that point
+        chart = Chart("plane", ["x", "y"])
+        cfg = OracleConfig(seed=2, samples=8)
+        first = sample_point(cfg, chart.coords, 0)
+        x = chart["x"]
+        form = KForm(chart, 1, {
+            0b01: Pow(Sum(x, Rat(-first["x"])), Fraction(-1)),
+            0b10: Pow(Sum(x, Rat(1)), Fraction(1, 2))})
+        dx, dy = form_is_zero(form, cfg).children
+        assert not dx.zero and dx.exact
+        assert dx.witness_point == sample_point(cfg, chart.coords, 0, 1)
+        assert not dy.zero and not dy.exact
+        assert dy.witness_point == first
+
+    @pytest.mark.parametrize("nowhere_first", [True, False])
+    def test_the_first_coefficient_that_raises_raises(self, nowhere_first):
+        # a negative radicand at every point makes its test inconclusive;
+        # F at four arguments to order 100 needs degree 4 * 101 - 1 = 403,
+        # above the oracle's limit.  The one pass raises the error of the
+        # first coefficient in basis order, as testing them in turn does
+        chart = Chart("plane", ["x", "y"])
+        x = chart["x"]
+        nowhere = parse_expr("(-1 - x^2)^(1/2)", chart)
+        deep = Sum(*(Func("F", 100 if k == 0 else 0, x + k)
+                     for k in range(4)))
+        first, second = (nowhere, deep) if nowhere_first else (deep, nowhere)
+        with pytest.raises(SymExprError) as one_pass:
+            form_is_zero(KForm(chart, 1, {0b01: first, 0b10: second}))
+        with pytest.raises(SymExprError) as alone:
+            is_zero(first)
+        assert type(one_pass.value) is type(alone.value)
+        assert str(one_pass.value) == str(alone.value)
+        if nowhere_first:
+            assert type(alone.value) is OracleInconclusiveError
+        else:
+            assert "needs degree 403" in str(alone.value)

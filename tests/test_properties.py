@@ -2,7 +2,9 @@
 and function symbols, over a sampling box that includes negative
 coordinates (skipped when hypothesis is not installed)."""
 
+import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,15 +13,18 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from twistdirac import _normal  # noqa: E402
+from twistdirac import _normal, dirac  # noqa: E402
 from twistdirac._normal import (  # noqa: E402
-    combined_fraction, from_poly, normal, normalize_sum, p_add_inplace,
-    p_diff, p_mul, p_pow, recompose, to_poly, try_divide)
-from twistdirac.exterior import KForm, ext_d, form_is_zero  # noqa: E402
+    combined_fraction, from_poly, is_rational_function, normal,
+    normalize_sum, p_add_inplace, p_diff, p_mul, p_pow, recompose, to_poly,
+    try_divide)
+from twistdirac.exterior import (  # noqa: E402
+    KForm, VectorField, ext_d, form_is_zero, vf_is_zero)
 from twistdirac.symexpr import (  # noqa: E402
     MAX_RESAMPLE, Chart, EvaluationSingularityError, Func, OracleConfig,
-    OracleInconclusiveError, PolyFunc, Pow, Prod, Rat, Sum, diff, eval_expr,
-    is_zero, sample_point, sampled_sums, simplify)
+    OracleInconclusiveError, PolyFunc, Pow, Prod, Rat, Sum, SymExprError,
+    ZeroVerdict, diff, eval_expr, is_zero, oracle_function_env, sample_point,
+    sampled_sums, simplify, zero_verdicts)
 
 CHART = Chart("prop", ["x", "y", "z"])
 HALF = Fraction(1, 2)
@@ -149,11 +154,11 @@ def _plain_eval(e, point):
     return acc
 
 
-def _reference_sums(terms, cfg, evaluate):
+def _reference_sums(terms, cfg, evaluate, coords=CHART.coords):
     """sampled_sums' rule, with each term evaluated on its own."""
     for i in range(cfg.samples):
         for attempt in range(MAX_RESAMPLE):
-            point = sample_point(cfg, CHART.coords, i, attempt)
+            point = sample_point(cfg, coords, i, attempt)
             try:
                 values = [evaluate(t, point) for t in terms]
             except EvaluationSingularityError:
@@ -192,6 +197,126 @@ def test_sampled_sums_match_per_term_evaluation(atoms, data):
         terms, SIGNED, lambda t, point: eval_expr(t, point, ENV)))
     assert got == per_term, terms
     assert per_term == _bits(_reference_sums(terms, SIGNED, _plain_eval))
+
+
+def _reference_verdict(p, cfg):
+    """is_zero's rule for one polynomial on CHART, with no list tester
+    and no shared program: the normal form decides a zero, a rational
+    function is walked over max(samples, 8) points for an exact witness,
+    and _reference_sums evaluates the terms one by one."""
+    num, dens = combined_fraction(p)
+    if not num:
+        return ZeroVerdict(zero=True, exact=True)
+    e = from_poly(recompose(num, dens), CHART)
+    rational = is_rational_function(num, dens)
+    env = {} if rational else oracle_function_env(cfg, e)
+    func_env = None if rational else tuple(sorted(env.items()))
+    count = max(cfg.samples, 8) if rational else cfg.samples
+    walked = 0
+    for point, total, tol in _reference_sums(
+            e.args if e.kind == "sum" else (e,), replace(cfg, samples=count),
+            lambda t, point: eval_expr(t, point, env),
+            CHART.coords if e.chart is not None else ()):
+        if abs(total) > tol:
+            return ZeroVerdict(zero=False, exact=rational,
+                               witness=tuple(sorted(point.items())),
+                               magnitude=float(abs(total)) or math.ulp(0.0),
+                               func_env=func_env)
+        walked += 1
+    if walked < count:
+        raise OracleInconclusiveError(
+            f"sample point {walked} hit singularities in all "
+            f"{MAX_RESAMPLE} resampling attempts")
+    if rational:
+        raise OracleInconclusiveError(
+            "nonzero normal form but no nonzero sample point found")
+    return ZeroVerdict(zero=True, exact=False, func_env=func_env)
+
+
+def _outcome(test):
+    """The verdicts' (zero, exact, witness, repr(magnitude), func_env),
+    or the error's type and message."""
+    try:
+        verdicts = test()
+    except SymExprError as exc:
+        return type(exc), str(exc)
+    return [(v.zero, v.exact, v.witness, repr(v.magnitude), v.func_env)
+            for v in verdicts]
+
+
+def _reference_outcome(polys, cfg):
+    return _outcome(lambda: [_reference_verdict(p, cfg) for p in polys])
+
+
+# (x+1)^(1/2)*(x+2)^(1/2) = ((x+1)*(x+2))^(1/2) where x > -1, which the
+# normal form does not see: z is positive on every box below
+_SQRTS = Sum(Prod(Pow(Sum(CHART["z"], Rat(1)), HALF),
+                  Pow(Sum(CHART["z"], Rat(2)), HALF)),
+             Prod(Rat(-1), Pow(Prod(Sum(CHART["z"], Rat(1)),
+                                    Sum(CHART["z"], Rat(2))), HALF)))
+# a negative radicand at every point: the test of it is inconclusive
+_NOWHERE = Pow(Sum(Prod(Rat(-1), CHART["z"], CHART["z"]), Rat(-1)), HALF)
+# F at four arguments to order 100 needs degree 4 * 101 - 1 = 403, above
+# the oracle's limit: its test raises before any point is drawn
+_TOO_DEEP = Sum(*(Func("F", 100 if k == 0 else 0, Sum(CHART["z"], Rat(k)))
+                  for k in range(4)))
+# a config with fewer than 8 samples; SIGNED has 16 on a signed box
+FEW = OracleConfig(seed=5, samples=4, box={"x": (-1, 1)})
+
+
+def _singular_at_first_point(cfg):
+    """1/(x - x0), with x0 the x of sample point 0: singular there only."""
+    x0 = sample_point(cfg, CHART.coords, 0)["x"]
+    return Pow(Sum(CHART["x"], Rat(-x0)), -1)
+
+
+def _vanishing_at_first_points(cfg, n=4):
+    """The product of x - x_i over the first n sample points: a rational
+    function whose witness lies beyond a walk of n points."""
+    return Prod(*(Sum(CHART["x"], Rat(-sample_point(cfg, CHART.coords,
+                                                    i)["x"]))
+                  for i in range(n)))
+
+
+def _coefficients(cfg):
+    """Residuals of every route: exact zeros, rational functions (nonzero
+    ones get exact witnesses, some only past the first four points),
+    sampled expressions, function atoms, sampled zeros, sums singular at
+    the first sample point only, a residual singular everywhere, and one
+    whose function needs too high a degree."""
+    singular = _singular_at_first_point(cfg)
+    return st.one_of(
+        st.just(_vanishing_at_first_points(cfg)),
+        EXPRS.map(lambda e: Sum(e, Prod(Rat(-1), e))),
+        SMALL_REF_POLYS.map(lambda a: from_poly(_engine(a), CHART)),
+        EXPRS,
+        EXPRS.map(lambda e: Prod(Func("F", 1, e), CHART["y"])),
+        EXPRS.map(lambda e: Prod(e, _SQRTS)),
+        EXPRS.map(lambda e: Prod(Func("F", 0, CHART["z"]), e, _SQRTS)),
+        EXPRS.map(lambda e: Sum(singular, e)),
+        st.just(singular),
+        EXPRS.map(lambda e: Prod(e, _NOWHERE)),
+        st.just(_TOO_DEEP))
+
+
+@settings(SETTINGS, max_examples=80)
+@given(st.sampled_from([SIGNED, FEW]), st.data())
+def test_one_pass_zero_tests_match_per_coefficient_tests(base, data):
+    coeffs = data.draw(st.lists(_coefficients(base), min_size=3,
+                                max_size=6))
+    # a fresh config per example: the reference and the one pass share
+    # its table, so they see the same function instances
+    cfg = replace(base)
+    form = KForm(CHART, 1, {1 << i: c for i, c in enumerate(coeffs[:3])})
+    field = VectorField(CHART, coeffs[:3])
+    polys = [to_poly(c) for c in coeffs]
+    masks = sorted(form.polys)
+    assert _outcome(lambda: form_is_zero(form, cfg).children) == \
+        _reference_outcome([form.polys[m] for m in masks], cfg)
+    assert _outcome(lambda: vf_is_zero(field, cfg).children) == \
+        _reference_outcome(field.polys, cfg)
+    assert _outcome(lambda: zero_verdicts(polys, cfg, CHART)) == \
+        _reference_outcome(polys, cfg)
 
 
 def _ref_polys(exponents, min_size=0):
@@ -271,6 +396,29 @@ def _ref_eval(a, point):
     xs = [point[name] for name in CHART.coords]
     return sum((c * math.prod(x ** k for x, k in zip(xs, e))
                 for e, c in a.items()), Fraction(0))
+
+
+_ENDS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@SETTINGS
+@given(SMALL_REF_POLYS, st.lists(st.tuples(_ENDS, _ENDS).filter(
+    lambda t: t[0] != t[1]).map(sorted), min_size=3, max_size=3),
+    st.integers(-40, 40), st.integers(0, 2 ** 32))
+def test_an_excluded_zero_holds_at_every_point_of_the_box(a, ends, shift,
+                                                          seed):
+    # a factor proven nonzero on the box has one strict sign at its
+    # corners and at seeded points of the box; the shift makes about
+    # half the factors provable
+    a = _ref_add(a, {(0, 0, 0): Fraction(shift)})
+    cfg = OracleConfig(seed=seed, box=dict(zip(CHART.coords, ends)))
+    if not dirac._box_excludes_zero(_engine(a), cfg, CHART):
+        return
+    corners = [dict(zip(CHART.coords, c))
+               for c in itertools.product(*ends)]
+    values = [_ref_eval(a, point) for point in corners + [
+        sample_point(cfg, CHART.coords, i) for i in range(16)]]
+    assert all(v > 0 for v in values) or all(v < 0 for v in values), a
 
 
 @SETTINGS

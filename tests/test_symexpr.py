@@ -3,6 +3,9 @@ zero-test oracle, and the text grammar."""
 
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,8 +17,9 @@ from twistdirac.symexpr import (MAX_FUNC_DEGREE, MAX_SAMPLES, Chart,
                                 OracleInconclusiveError, ParseError,
                                 PolyFunc, Pow, Prod, Rat, Sum,
                                 SymExprError, diff, eval_expr, is_zero,
-                                parse_expr,
+                                oracle_function_env, parse_expr,
                                 sample_point, sampled_sums, simplify)
+from twistdirac.exterior import KForm, form_is_zero, parse_form
 from twistdirac.randgen import rand_expr, rand_poly, rng_for
 
 
@@ -330,6 +334,33 @@ class TestIsZero:
         assert len(sums) == 16
         assert CountingF.calls == 16
 
+    def test_a_function_atom_shared_by_coefficients_is_evaluated_once(
+            self):
+        # F(x*y + 1) occurs in both coefficients, each zero at every point
+        # but not by the normal form: the one pass over the form evaluates
+        # it once per point, where a test per coefficient took two
+        class CountingF:
+            calls = 0
+
+            def eval_deriv(self, order, x):
+                CountingF.calls += 1
+                return x + order
+
+        chart = Chart("plane", ["x", "y"])
+        x, y = chart.vars()
+        F = Func("F", 0, Prod(x, y) + 1)
+        zero = parse_expr("(x+1)^(1/2)*(x+2)^(1/2) - ((x+1)*(x+2))^(1/2)",
+                          chart)
+        form = KForm(chart, 1, {0b01: Prod(F, zero),
+                                0b10: Prod(Rat(3), y, F, zero)})
+        cfg = OracleConfig(samples=16)
+        # the config's own instance of F, at the degree it would draw
+        cfg._points[("F", cfg.func_degree)] = CountingF()
+        verdict = form_is_zero(form, cfg)
+        assert verdict.zero and not verdict.exact
+        assert len(verdict.children) == 2
+        assert CountingF.calls == 16
+
     def test_even_power_under_a_root_keeps_its_sign(self):
         # on x in [-2,-1], (x^2)^(1/2) = |x| = -x, not x
         chart = Chart("line", ["x"])
@@ -578,6 +609,81 @@ class TestGrammar:
         q1, q2 = phase["q1"], phase["q2"]
         expected = Rat(-1) * q1 ** 2 + Pow(q2, Fraction(-1, 2))
         assert simplify(e) == simplify(expected)
+
+
+def _projection(verdicts):
+    """What a verdict reports, with the function instances by value."""
+    return [(v.zero, v.exact, v.witness, repr(v.magnitude), repr(v.func_env))
+            for v in verdicts]
+
+
+class TestFunctionTable:
+    def test_a_config_draws_each_function_instance_once(self, phase):
+        cfg = OracleConfig(seed=4)
+        V = Func("V", 0, phase["q1"])
+        first = oracle_function_env(cfg, V)["V"]
+        assert oracle_function_env(cfg, V * phase["q2"])["V"] is first
+        assert is_zero(V - phase["q2"], cfg).func_env == (("V", first),)
+        assert cfg._points[("V", cfg.func_degree)] is first
+
+    def test_a_higher_degree_draws_a_new_instance_on_the_same_stream(
+            self, phase):
+        cfg = OracleConfig(seed=4)
+        first = oracle_function_env(cfg, Func("V", 0, phase["q1"]))["V"]
+        # V at three arguments with first derivatives: degree 3 * 2 - 1
+        e = parse_expr("V'(q1) + V(q2) + V(q3)", phase)
+        higher = oracle_function_env(cfg, e)["V"]
+        assert higher is not first and len(higher.coeffs) == 6
+        assert higher.coeffs[:cfg.func_degree + 1] == first.coeffs
+        assert oracle_function_env(cfg, e)["V"] is higher
+
+    def test_replace_starts_an_empty_table(self, phase):
+        cfg = OracleConfig(seed=4)
+        V = Func("V", 0, phase["q1"])
+        first = oracle_function_env(cfg, V)["V"]
+        sample_point(cfg, phase.coords, 0)
+        other = replace(cfg, samples=64)
+        assert len(cfg._points) == 2 and not other._points
+        drawn = oracle_function_env(other, V)["V"]
+        assert drawn is not first and drawn.coeffs == first.coeffs
+
+    def test_the_table_takes_no_part_in_equality_or_hashing(self, phase):
+        cfg = OracleConfig(seed=4)
+        oracle_function_env(cfg, Func("V", 0, phase["q1"]))
+        sample_point(cfg, phase.coords, 0)
+        fresh = OracleConfig(seed=4)
+        assert cfg == fresh and hash(cfg) == hash(fresh)
+        assert replace(cfg) == cfg
+        assert cfg != OracleConfig(seed=5)
+
+    def test_threads_sharing_a_config_get_equal_verdicts(self, phase):
+        # the threads fill one config's empty table at once: each gets the
+        # verdicts of a sequential run on a config of its own, and all
+        # share the instances the table keeps
+        forms = [parse_form(text, phase) for text in (
+            "(V(q1) - V(q1)*1)*dq1 + (V'(q2) + q3)*dp1",
+            "V(q1)*dq2 + ((1 + q1)^(1/2)*(1 + q1)^(1/2) - 1 - q1)*dp2",
+            "W(p1)*V(q1)*dq1 + W'(q3)*dq3")]
+
+        def verdicts(cfg):
+            out = []
+            for form in forms:
+                out.extend(form_is_zero(form, cfg).children)
+            return out
+
+        expected = _projection(verdicts(OracleConfig(seed=9, samples=32)))
+        shared = OracleConfig(seed=9, samples=32)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(verdicts, shared) for _ in range(8)]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [_projection(g) for g in got] == [expected] * 8
+        assert all(g == got[0] for g in got)
+        assert any(not v.zero for v in got[0])
 
 
 class TestOracleConfig:
