@@ -346,19 +346,39 @@ def _box_excludes_zero(p, cfg, chart):
     monomials only) whose exact rational enclosure over cfg's closed box
     excludes 0: the sum over its terms of c times the product of the
     exact intervals of its coordinate powers (Moore, Interval Analysis,
-    1966).  False when p has another atom or the enclosure holds 0."""
+    1966).  False when p has another atom or the enclosure holds 0.
+
+    The arithmetic is on ints: each coordinate's interval is [lo, hi]/d
+    with int ends, and the enclosure is summed times D, the product of
+    every d to the largest power of its coordinate in p."""
     if not all(type(m) is int for m in p):
         return False
-    lo = hi = 0
-    for factors, c in sorted_terms(p, chart):
-        a = b = c
+    terms = sorted_terms(p, chart)
+    top = {}
+    for factors, _ in terms:
         for x, e in factors:
-            pl, ph = _interval_pow(*cfg.interval(x.name), e)
+            top[x] = max(top.get(x, 0), e)
+    box, D = {}, 1
+    for x, k in top.items():
+        lo, hi = cfg.interval(x.name)
+        d = lcm(lo.denominator, hi.denominator)
+        box[x] = (lo.numerator * (d // lo.denominator),
+                  hi.numerator * (d // hi.denominator), d)
+        D *= d ** k
+    lo_sum = hi_sum = 0
+    for factors, c in terms:
+        a = b = 1
+        scale = D
+        for x, e in factors:
+            lo, hi, d = box[x]
+            pl, ph = _interval_pow(lo, hi, e)
             ends = (a * pl, a * ph, b * pl, b * ph)
             a, b = min(ends), max(ends)
-        lo += a
-        hi += b
-    return lo > 0 or hi < 0
+            scale //= d ** e
+        a, b = sorted((c * scale * a, c * scale * b))
+        lo_sum += a
+        hi_sum += b
+    return lo_sum > 0 or hi_sum < 0
 
 
 def _interval_pow(lo, hi, e):
