@@ -58,7 +58,7 @@ Exact division (``try_divide``) and ``normalize_sum`` need the
 graded-lexicographic order over every atom.  Packed ints compare in it
 themselves; once a tail appears, one key function (``_vectorizer``)
 spells a monomial out as its total degree, its other atoms' exponents
-and its exponents of the coordinates in use.
+and its exponents of every coordinate field.
 
 A fast path stays only where it is measured to pay.  Each line gives the
 median ratio of CPU time without it to CPU time with it, over alternating
@@ -70,7 +70,6 @@ in-process pairs of bench/run.py rounds, and the pairs it won without it:
 - ``p_pow``'s power of one packed monomial: scenarios 1.018 (2/10)
 - ``_factors``' read of the chart's fields: oracle-sampled 1.034 (2/10)
 - ``try_divide``'s packed leading-term test: hamiltonian 1.019 (2/10)
-- ``_vectorizer``'s coordinate span: long divisions with atoms, 2-27%
 
 An atom keeps its own expansion: ``_atom_poly`` stores ``to_poly(atom)``
 on the node the first time it is asked for, so the expansion lives as
@@ -452,22 +451,13 @@ def _vectorizer(*polys):
                     key=lambda a: a._key)
     pos = {a: i for i, a in enumerate(others)}
     zero = (0,) * len(others)
-    # the key spells the coordinates from the first to the last in use; a
-    # field of the OR of the packed parts is nonzero where some part's is
-    fields = 0
-    for p in polys:
-        for m in p:
-            fields |= m if type(m) is int else m[0]
-    used = [i for i, e in enumerate(_fields(fields)) if e] + \
-        [a.index for a in tails if a.kind == "var"]
-    lo, hi = min(used, default=0), max(used, default=-1) + 1
 
     def vec(m):
         coords, _, rest = _spell(m)
         v = list(zero)
         for a, e in rest:
             v[pos[a]] = e
-        return (sum(v) + sum(coords), *v, *coords[lo:hi])
+        return (sum(v) + sum(coords), *v, *coords)
     return vec
 
 

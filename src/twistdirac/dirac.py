@@ -25,8 +25,10 @@ Rat(0) below it; simplify(D.det) expands it.  Nondegeneracy is decided
 on the first of three routes that applies: a constant determinant
 exactly; a sign-definite polynomial factor, u or T, whose exact interval
 enclosure over the sampling box excludes 0, without drawing a point;
-and any other non-constant factor by sampling it.  Every solve is
-verified by a residual zero-test.
+and any other non-constant factor by sampling it.  A polynomial factor
+whose exact sample values take both signs vanishes in the box, so the
+structure is degenerate there.  Every solve is verified by a residual
+zero-test.
 
 The arithmetic runs on ints where it can (the primitive-part lift,
 Knuth, TAOCP vol. 2, 4.6.1).  A structure keeps h and H lifted, each as
@@ -271,18 +273,27 @@ class TwistedGraph:
         is nonzero at every point of the box, so at every sample point:
         True without drawing one.  Otherwise the primitive part must
         clear the tolerance at every sample point, whatever the scale of
-        h."""
+        h.  A polynomial in the coordinates has exact sample values, and
+        when they take both signs it has a zero in the box, which is
+        connected: False."""
         if isinstance(self.det, Rat):
             return self.det.value != 0
         factor = normalize_sum(factor)[1]
         if _box_excludes_zero(factor, self.cfg, self.chart):
             return True
         env = oracle_function_env(self.cfg, self.det)
+        polynomial = all(type(m) is int for m in factor)
+        signs = set()
         try:
-            return all(abs(total) > tol for _, total, tol in sampled_sums(
-                factor, self.cfg, env, self.chart))
+            for _, total, tol in sampled_sums(factor, self.cfg, env,
+                                              self.chart):
+                if abs(total) <= tol:
+                    return False
+                if polynomial:
+                    signs.add(total > 0)
         except OracleInconclusiveError:
             return False
+        return len(signs) < 2
 
     def inverse_matrix(self):
         """Exact inverse of the coefficient matrix M, each entry built

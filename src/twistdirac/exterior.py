@@ -11,11 +11,10 @@ Constructors convert expression trees once; every operation acts on the
 polynomials; ``coeffs``, ``coeff()``, ``terms()``, ``scalar_value()`` and
 ``comps`` rebuild canonical trees for printing and evaluation.
 
-``form_is_zero`` and ``vf_is_zero`` test every coefficient in one pass of
-``zero_verdicts``: the coefficients that need sampling share one program
-and one walk over the sample points.  They answer with one composite
-``ZeroVerdict`` whose children are the per-coefficient verdicts, labelled
-by basis element, each the verdict ``is_zero`` gives its coefficient.
+``form_is_zero`` and ``vf_is_zero`` call ``is_zero`` on every stored
+coefficient in basis order.  They answer with one composite
+``ZeroVerdict`` whose children are those verdicts, labelled by basis
+element; the first coefficient whose test raises raises its own error.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from ._normal import (from_poly, normal, p_add_inplace, p_const, p_diff,
                       p_mul, to_poly)
 from .symexpr import (Chart, Expr, ExprParser, OracleConfig, Pow, Rat,
                       SymExprError, ZeroVerdict, _merge_charts, _sum_str,
-                      as_expr, parse_expr, zero_verdicts)
+                      as_expr, is_zero, parse_expr)
 
 __all__ = [
     "Chart", "VectorField", "KForm", "wedge", "ext_d",
@@ -339,21 +338,19 @@ def vf_bracket(X, Y):
 
 
 def form_is_zero(a, cfg=OracleConfig()):
-    """Zero-test every stored coefficient of a form in one pass (see
-    zero_verdicts): a composite ZeroVerdict with one child per
-    coefficient, labelled by its basis element ("dq1^dp1", "1" for a
-    function), each the verdict is_zero gives the coefficient alone."""
-    masks = sorted(a.polys)
-    return ZeroVerdict.combine(zip(
-        (_form_label(a.chart, mask) or "1" for mask in masks),
-        zero_verdicts([a.polys[mask] for mask in masks], cfg, a.chart)))
+    """Zero-test every stored coefficient of a form: a composite
+    ZeroVerdict with one child per coefficient, labelled by its basis
+    element ("dq1^dp1", "1" for a function), each is_zero's verdict."""
+    return ZeroVerdict.combine(
+        (_form_label(a.chart, mask) or "1", is_zero(p, cfg, a.chart))
+        for mask, p in sorted(a.polys.items()))
 
 
 def vf_is_zero(X, cfg=OracleConfig()):
-    """Zero-test every component of a vector field in one pass: one
-    child per component, labelled "d/dq1"."""
-    return ZeroVerdict.combine(zip(map(_field_label, X.chart.coords),
-                                   zero_verdicts(X.polys, cfg, X.chart)))
+    """Zero-test every component of a vector field: one child per
+    component, labelled "d/dq1"."""
+    return ZeroVerdict.combine((_field_label(name), is_zero(p, cfg, X.chart))
+                               for name, p in zip(X.chart.coords, X.polys))
 
 
 # ---------------------------------------------------------------------------

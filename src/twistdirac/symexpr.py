@@ -400,7 +400,6 @@ class _Program:
         self.template = []
         self.memo = {}
         self.consts = {}
-        self.writer = {}        # register -> index of its instruction
 
     def _reg(self, value=None):
         self.template.append(value)
@@ -408,7 +407,6 @@ class _Program:
 
     def _emit(self, op, a, b=None):
         r = self._reg()
-        self.writer[r] = len(self.code)
         self.code.append((op, r, a, b))
         return r
 
@@ -490,27 +488,11 @@ class _Program:
             raise MissingFunctionError(message)
         return missing
 
-    def needed(self, members):
-        """The instructions that the sums of members (see _Residual)
-        depend on, in program order."""
-        seen, stack = set(), [m.out for m in members]
-        while stack:
-            j = self.writer.get(stack.pop())
-            if j is not None and j not in seen:
-                seen.add(j)
-                op, _, a, _ = self.code[j]
-                if op == _SUM or op == _PROD:
-                    stack.extend(a)
-                elif op != _VAR:
-                    stack.append(a)
-        return [self.code[j] for j in sorted(seen)]
-
-    def run(self, point, code=None):
-        """The registers after running the program, or the part of it
-        that code lists, at point."""
+    def run(self, point):
+        """The registers after running the program at point."""
         regs = self.template[:]
         try:
-            for op, dst, a, b in self.code if code is None else code:
+            for op, dst, a, b in self.code:
                 if op == _PROD:
                     # exact factors are multiplied as integers; from the
                     # first float on, left to right in floats
@@ -855,117 +837,41 @@ def oracle_function_env(cfg, e):
     return env
 
 
-class _Residual:
-    """One sum walked over the sample points (see _walk): the registers
-    of its terms and of their sum in a program, and the number of seeded
-    indices it is walked over.  end is None while it is walked; its
-    caller sets it to the sum's verdict, and the walk to the error that
-    stops it.  exact and func_env are the verdict's fields."""
-
-    __slots__ = ("outs", "out", "count", "end", "exact", "func_env")
-
-    def __init__(self, program, e, chart, count, exact=False,
-                 func_env=None):
-        self.outs = program.terms(e, chart)
-        self.out = program._emit(_SUM, tuple(self.outs))
-        self.count = count
-        self.end = None
-        self.exact = exact
-        self.func_env = func_env
-
-
-def _walk(program, members, cfg, coords):
-    """The oracle's one sampling loop: yields (member, point, total, tol)
-    for every member of program (see _Residual) at each of its seeded
-    indices over coords, in index order, until its end is set.
-
-    At each index the members still walked run together, in one pass of
-    the instructions they need, so a subexpression that several of them
-    hold is evaluated once per point.  A point where a member's
-    evaluation hits a singularity, or where a float term or the float
-    sum leaves float range, is redrawn for the members it breaks alone,
-    up to MAX_RESAMPLE draws; a member whose every draw fails ends with
-    OracleInconclusiveError, and one whose evaluation raises another
-    SymExprError ends with that error.
-    """
-    def code_for(some):
-        return program.code if len(some) == len(members) \
-            else program.needed(some)
-
-    walked = code = None
-    for i in range(max(m.count for m in members)):
-        pending = [m for m in members if m.end is None and i < m.count]
-        if not pending:
-            return
-        if pending != walked:
-            walked, code = pending, code_for(pending)
-        run = code
-        for attempt in range(MAX_RESAMPLE):
-            point = sample_point(cfg, coords, i, attempt)
-            broken = []
-            for m, value in zip(pending,
-                                _evaluate(program, pending, run, point, cfg)):
-                if type(value) is tuple:
-                    yield m, point, *value
-                elif isinstance(value, EvaluationSingularityError):
-                    broken.append(m)
-                else:
-                    m.end = value
-            if not broken:
-                break
-            pending, run = broken, code_for(broken)
-        else:
-            for m in pending:
-                m.end = OracleInconclusiveError(
-                    f"sample point {i} hit singularities in all "
-                    f"{MAX_RESAMPLE} resampling attempts")
-
-
-def _evaluate(program, members, code, point, cfg):
-    """For each member, its (total, tol) at point (see _total) or the
-    SymExprError its evaluation raises, from one run of code, the
-    instructions the members need; when that run raises, each member is
-    run on its own."""
-    try:
-        regs = program.run(point, code)
-    except SymExprError as exc:
-        if len(members) == 1:
-            return [exc]
-        return [_evaluate(program, [m], program.needed([m]), point, cfg)[0]
-                for m in members]
-    values = []
-    for m in members:
-        try:
-            values.append(_total(regs, m.outs, m.out, cfg))
-        except EvaluationSingularityError as exc:
-            values.append(exc)
-    return values
-
-
-def sampled_sums(e, cfg, func_env, chart=None):
+def sampled_sums(e, cfg, func_env, chart=None, count=None):
     """Evaluations of e, an expression or a polynomial, at the seeded
     sample points over the coordinates of chart (a polynomial's chart;
-    None when e has no coordinates).
+    None when e has no coordinates): the oracle's one sampling loop.
 
-    Yields (point, total, tol) for each of cfg.samples points: the sum of
-    e's additive terms at the point, and the zero tolerance there.  When
-    every term is exact at the point, the sum is an exact Fraction and
-    the tolerance is 0; otherwise the sum is a float and the tolerance is
-    abs_tol plus rel_tol times the largest term.  The terms and their sum
-    are compiled once into one straight-line program, run at every point
-    and every redrawn point, so a subexpression that occurs in several
-    terms (a function value, a radical) is evaluated once per point.  A
-    point where evaluation hits a singularity, or where a float term or
-    the float sum leaves float range, is redrawn up to MAX_RESAMPLE times;
-    OracleInconclusiveError when every attempt fails (see _walk).
+    Yields (point, total, tol) for each of the first count seeded indices
+    (cfg.samples when count is None): the sum of e's additive terms at the
+    point, and the zero tolerance there.  When every term is exact at the
+    point, the sum is an exact Fraction and the tolerance is 0; otherwise
+    the sum is a float and the tolerance is abs_tol plus rel_tol times the
+    largest term.  The terms and their sum are compiled once into one
+    straight-line program, run at every point and every redrawn point, so
+    a subexpression that occurs in several terms (a function value, a
+    radical) is evaluated once per point.  A point where evaluation hits a
+    singularity, or where a float term or the float sum leaves float
+    range, is redrawn up to MAX_RESAMPLE times; OracleInconclusiveError
+    when every attempt fails.
     """
     program = _Program(func_env)
-    member = _Residual(program, e, chart, cfg.samples)
+    outs = program.terms(e, chart)
+    out = program._emit(_SUM, tuple(outs))
     coords = chart.coords if chart is not None else ()
-    for _, point, total, tol in _walk(program, [member], cfg, coords):
+    for i in range(cfg.samples if count is None else count):
+        for attempt in range(MAX_RESAMPLE):
+            point = sample_point(cfg, coords, i, attempt)
+            try:
+                total, tol = _total(program.run(point), outs, out, cfg)
+            except EvaluationSingularityError:
+                continue
+            break
+        else:
+            raise OracleInconclusiveError(
+                f"sample point {i} hit singularities in all "
+                f"{MAX_RESAMPLE} resampling attempts")
         yield point, total, tol
-    if member.end is not None:
-        raise member.end
 
 
 def _total(regs, outs, out, cfg):
@@ -986,93 +892,50 @@ def _total(regs, outs, out, cfg):
     return total, cfg.abs_tol + cfg.rel_tol * max(map(abs, values))
 
 
-_EXACT_ZERO = ZeroVerdict(zero=True, exact=True)
-
-
-def zero_verdicts(residuals, cfg=OracleConfig(), chart=None):
-    """One ZeroVerdict per residual, a polynomial on chart: the verdict
-    is_zero gives it alone.  The first residual whose test raises raises
-    here, with the same error.
-
-    Exact normalization decides the residuals whose normal form
-    vanishes.  The others are grouped by the coordinates they are
-    sampled over and their function instantiations; the residuals of a
-    group are compiled into one program and walked over the seeded
-    points together (see _walk), each until its first nonzero point.  A
-    rational function of the coordinates is walked over max(samples, 8)
-    indices, so that a nonzero one gets an exact witness.
-    """
-    outcomes, groups = [], {}
-    try:
-        for p in residuals:
-            num, dens = combined_fraction(p)
-            if not num:
-                outcomes.append(_EXACT_ZERO)
-                continue
-            p = recompose(num, dens)
-            # the chart of the atoms p holds: the packed coordinates are
-            # on chart
-            at = _merge_charts(chart if has_packed(p) else None,
-                               *(a.chart for a in tail_atoms(p)))
-            coords = at.coords if at is not None else ()
-            if is_rational_function(num, dens):
-                env, count, func_env = {}, max(cfg.samples, 8), None
-            else:
-                env = oracle_function_env(cfg, p)
-                count, func_env = cfg.samples, tuple(sorted(env.items()))
-            # the config's table gives one instance per (name, degree), so
-            # equal instantiations are the same objects
-            key = (coords, *env.items())
-            if key not in groups:
-                groups[key] = _Program(env), []
-            program, members = groups[key]
-            member = _Residual(program, p, at, count, func_env is None,
-                               func_env)
-            members.append(member)
-            outcomes.append(member)
-    except SymExprError as exc:
-        outcomes.append(exc)
-    for (coords, *_), (program, members) in groups.items():
-        for m, point, total, tol in _walk(program, members, cfg, coords):
-            if abs(total) > tol:
-                m.end = ZeroVerdict(
-                    zero=False, exact=m.exact,
-                    witness=tuple(sorted(point.items())),
-                    magnitude=_to_float(abs(total)) or ulp(0.0),
-                    func_env=m.func_env)
-    verdicts = []
-    for outcome in outcomes:
-        if type(outcome) is _Residual:
-            m, outcome = outcome, outcome.end
-            if outcome is None:       # no nonzero point
-                outcome = OracleInconclusiveError(
-                    "nonzero normal form but no nonzero sample point "
-                    "found") if m.exact else ZeroVerdict(
-                        zero=True, exact=False, func_env=m.func_env)
-        if isinstance(outcome, SymExprError):
-            raise outcome
-        verdicts.append(outcome)
-    return verdicts
-
-
 def is_zero(e, cfg=OracleConfig(), chart=None):
     """Decide whether e, an expression or a polynomial on chart, is
-    identically zero: zero_verdicts' one-residual case.
+    identically zero.
 
     Exact normalization decides the polynomial/rational subclass, where a
-    nonzero normal form gets an exact witness from the seeded points;
-    other expressions are evaluated at seeded sample points with function
-    symbols instantiated as seeded random polynomials.  Either way the
-    normal form's terms are compiled once and run at every point.
-    Identical seed and config give identical verdicts.  A NonZero total
-    beyond float range has magnitude inf, and one below it the smallest
-    positive float.
+    nonzero normal form gets an exact witness from the first
+    max(samples, 8) seeded points of cfg; other expressions are evaluated
+    at cfg's seeded sample points with function symbols instantiated as
+    seeded random polynomials (Schwartz-Zippel).  Either way the normal
+    form's terms are compiled into one program, run at every point by
+    sampled_sums until the first nonzero one.  Identical seed and config
+    give identical verdicts.  A NonZero total beyond float range has
+    magnitude inf, and one below it the smallest positive float.
     """
     if not isinstance(e, dict):
         e = as_expr(e)
         chart = e.chart
         e = to_poly(e)
-    return zero_verdicts([e], cfg, chart)[0]
+    num, dens = combined_fraction(e)
+    if not num:
+        return ZeroVerdict(zero=True, exact=True)
+    p = recompose(num, dens)
+    # the chart of the atoms p holds: the packed coordinates are on chart
+    chart = _merge_charts(chart if has_packed(p) else None,
+                          *(a.chart for a in tail_atoms(p)))
+    rational = is_rational_function(num, dens)
+    if rational:
+        # exactly nonzero as a rational function: a witness by exact
+        # evaluation at (at least 8) seeded rational points
+        env, count, func_env = {}, max(cfg.samples, 8), None
+    else:
+        env = oracle_function_env(cfg, p)
+        count, func_env = cfg.samples, tuple(sorted(env.items()))
+    for point, total, tol in sampled_sums(p, cfg, env, chart, count):
+        if abs(total) > tol:
+            return ZeroVerdict(
+                zero=False, exact=rational,
+                witness=tuple(sorted(point.items())),
+                magnitude=_to_float(abs(total)) or ulp(0.0),
+                func_env=func_env)
+    if rational:
+        raise OracleInconclusiveError(
+            "nonzero normal form but no nonzero sample point found")
+    return ZeroVerdict(zero=True, exact=False, func_env=func_env)
 
 
 # ---------------------------------------------------------------------------

@@ -374,7 +374,9 @@ class TestPfaffianRoute:
         chart = Chart("dense8",
                       [f"{c}{i}" for c in "qp" for i in range(1, 5)])
         D = TwistedGraph(chart, dense_graph(chart), "dh", cfg=cfg)
-        assert D._minors is not None and D.nondegenerate
+        # full rank, but the Pfaffian changes sign on the box, so it has a
+        # zero there: degenerate; the solve off that zero is still exact
+        assert D._minors is not None and not D.nondegenerate
         X, residual = dirac._solve_verified(D, chart["q1"])
         assert residual.zero and residual.exact
 
@@ -553,11 +555,12 @@ class TestSolveTable:
 
     def test_a_factor_with_a_zero_in_the_box_is_sampled(self, phase, omega):
         # 1 + q1 vanishes at q1 = -1 inside [-2, -1/2], so no enclosure
-        # excludes 0; the grid -2 + (3/2) * r/4096 misses -1, so the
-        # sampled verdict is True, as before
+        # excludes 0.  The grid -2 + (3/2) * r/4096 misses -1, but the
+        # exact sample values of the polynomial factor take both signs,
+        # which proves a zero in the box: degenerate
         cfg = OracleConfig(box={"q1": (-2, "-1/2")})
         D = TwistedGraph(phase, omega.scale(1 + phase["q1"]), "dh", cfg=cfg)
-        assert D.nondegenerate
+        assert not D.nondegenerate
         assert len(cfg._points) == 128
 
     def test_an_even_power_on_a_signed_interval_is_proven(self, phase,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistdirac import exterior
 from twistdirac.symexpr import (Chart, ChartMismatchError, Func, OracleConfig,
                                 OracleInconclusiveError, Pow, Rat, Sum,
                                 SymExprError, eval_expr, is_zero, parse_expr,
@@ -340,6 +341,37 @@ class TestFormLiterals:
 
 
 class TestZeroVerdicts:
+    def test_each_stored_coefficient_is_tested_by_is_zero_once(
+            self, phase, cfg, monkeypatch):
+        # the is_zero bound in exterior sees every stored coefficient once,
+        # in basis order, and each child is the verdict it returns
+        calls = []
+
+        def counting(p, *args):
+            verdict = is_zero(p, *args)
+            calls.append((p, verdict))
+            return verdict
+
+        monkeypatch.setattr(exterior, "is_zero", counting)
+        a = parse_form("(F(q1) + q2)*dq1 + ((q1 + 1)^(1/2)*(q1 + 2)^(1/2)"
+                       " - ((q1 + 1)*(q1 + 2))^(1/2))*dp2 + q3*dq2", phase)
+        X = parse_vector_field({"q2": "V(q3) - V(q3)", "p1": "q1^2"}, phase)
+        for test, obj, polys in (
+                (form_is_zero, a, [a.polys[m] for m in sorted(a.polys)]),
+                (vf_is_zero, X, list(X.polys))):
+            calls.clear()
+            verdict = test(obj, cfg)
+            assert [p for p, _ in calls] == polys
+            assert [(c.zero, c.exact, c.witness, c.magnitude, c.func_env)
+                    for c in verdict.children] == \
+                [(v.zero, v.exact, v.witness, v.magnitude, v.func_env)
+                 for _, v in calls]
+        assert len(a.polys) == 3 and len(X.polys) == phase.dim
+        # the form's coefficients take the sampled, exact and sampled-zero
+        # routes
+        assert [(c.zero, c.exact) for c in form_is_zero(a, cfg).children] \
+            == [(False, False), (False, True), (True, False)]
+
     def test_composite_takes_witness_and_magnitude_from_failing_children(
             self, phase, cfg):
         # two failing coefficients: a sampled one (function symbol, so it
@@ -367,7 +399,7 @@ class TestZeroVerdicts:
     def test_a_singular_point_is_redrawn_only_for_the_coefficient_it_breaks(
             self):
         # 1/(x - x0) is singular at sample point 0 and nowhere else; the
-        # radical beside it shares its program and keeps that point
+        # radical beside it keeps that point
         chart = Chart("plane", ["x", "y"])
         cfg = OracleConfig(seed=2, samples=8)
         first = sample_point(cfg, chart.coords, 0)
@@ -385,20 +417,20 @@ class TestZeroVerdicts:
     def test_the_first_coefficient_that_raises_raises(self, nowhere_first):
         # a negative radicand at every point makes its test inconclusive;
         # F at four arguments to order 100 needs degree 4 * 101 - 1 = 403,
-        # above the oracle's limit.  The one pass raises the error of the
-        # first coefficient in basis order, as testing them in turn does
+        # above the oracle's limit.  The form's test raises the error of
+        # the first coefficient in basis order, as testing it alone does
         chart = Chart("plane", ["x", "y"])
         x = chart["x"]
         nowhere = parse_expr("(-1 - x^2)^(1/2)", chart)
         deep = Sum(*(Func("F", 100 if k == 0 else 0, x + k)
                      for k in range(4)))
         first, second = (nowhere, deep) if nowhere_first else (deep, nowhere)
-        with pytest.raises(SymExprError) as one_pass:
+        with pytest.raises(SymExprError) as form:
             form_is_zero(KForm(chart, 1, {0b01: first, 0b10: second}))
         with pytest.raises(SymExprError) as alone:
             is_zero(first)
-        assert type(one_pass.value) is type(alone.value)
-        assert str(one_pass.value) == str(alone.value)
+        assert type(form.value) is type(alone.value)
+        assert str(form.value) == str(alone.value)
         if nowhere_first:
             assert type(alone.value) is OracleInconclusiveError
         else:

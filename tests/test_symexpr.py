@@ -334,33 +334,6 @@ class TestIsZero:
         assert len(sums) == 16
         assert CountingF.calls == 16
 
-    def test_a_function_atom_shared_by_coefficients_is_evaluated_once(
-            self):
-        # F(x*y + 1) occurs in both coefficients, each zero at every point
-        # but not by the normal form: the one pass over the form evaluates
-        # it once per point, where a test per coefficient took two
-        class CountingF:
-            calls = 0
-
-            def eval_deriv(self, order, x):
-                CountingF.calls += 1
-                return x + order
-
-        chart = Chart("plane", ["x", "y"])
-        x, y = chart.vars()
-        F = Func("F", 0, Prod(x, y) + 1)
-        zero = parse_expr("(x+1)^(1/2)*(x+2)^(1/2) - ((x+1)*(x+2))^(1/2)",
-                          chart)
-        form = KForm(chart, 1, {0b01: Prod(F, zero),
-                                0b10: Prod(Rat(3), y, F, zero)})
-        cfg = OracleConfig(samples=16)
-        # the config's own instance of F, at the degree it would draw
-        cfg._points[("F", cfg.func_degree)] = CountingF()
-        verdict = form_is_zero(form, cfg)
-        assert verdict.zero and not verdict.exact
-        assert len(verdict.children) == 2
-        assert CountingF.calls == 16
-
     def test_even_power_under_a_root_keeps_its_sign(self):
         # on x in [-2,-1], (x^2)^(1/2) = |x| = -x, not x
         chart = Chart("line", ["x"])
