@@ -31,9 +31,9 @@ from math import isfinite
 
 from . import __version__
 from .symexpr import (Chart, OracleConfig, ParseError, Rat, SymExprError,
-                      _number, _rat_str, _witness_str, is_zero, parse_expr,
+                      _number, _rat_str, _witness_str, parse_expr,
                       simplify)
-from .exterior import parse_form, parse_vector_field, vf_apply
+from .exterior import parse_form, parse_vector_field
 from .courant import GenSection, pairing_is_zero
 from . import dirac
 from . import liealg
@@ -439,9 +439,8 @@ def _flag(spec, name, default=True):
 
 def _op_poisson_bracket(run, spec):
     D, f, g = _graph_args(run, spec, "f", "g")
-    bracket = dirac.poisson_bracket(D, f, g)
     expect = run.expr(spec.get("expect", "0"), "expect")
-    verdict = is_zero(bracket - expect, run.cfg)
+    bracket, verdict = dirac._bracket_verdict(D, f, g, expect)
     return _word(verdict.zero), verdict, f"{{f,g}} = {bracket}"
 
 
@@ -473,9 +472,8 @@ def _op_theorem_closure(run, spec):
 
 
 def _op_jacobi_defect(run, spec):
-    cyclic, contraction = dirac.jacobi_defect(
+    cyclic, verdict = dirac._jacobi_verdict(
         *_graph_args(run, spec, "f", "g", "k"))
-    verdict = is_zero(cyclic - contraction, run.cfg)
     return _word(verdict.zero), verdict, f"cyclic sum = {cyclic}"
 
 
@@ -620,12 +618,9 @@ def cmd_bracket(run, f_name, g_name, structure=None):
     g = run.expr(g_name, "g")
     Xf = dirac.hamiltonian_vf(D, f)
     Xg = dirac.hamiltonian_vf(D, g)
-    bracket = vf_apply(Xf, g)
-    label = ""
-    for name, e in run.exprs.items():
-        if simplify(e) == bracket:
-            label = f"  (= {name})"
-            break
+    bracket = dirac.poisson_bracket(D, f, g)
+    label = next((f"  (= {name})" for name, e in run.exprs.items()
+                  if simplify(e) == bracket), "")
     print(f"X_{f_name} = {Xf}")
     print(f"X_{g_name} = {Xg}")
     print(f"{{{f_name}, {g_name}}} = {bracket}{label}")

@@ -1,18 +1,20 @@
 """Brackets and pairings on sections of TM + Lambda^(n-1) T*M.
 
 A generalized section pairs a vector field with a form of degree n-1; the
-classical generalized tangent bundle is the level n = 2 case.  The twisted
-bracket at general level acts on pairs (X, alpha) as
-([X, Y], L_X beta - i_Y d alpha - i_Y i_X H) with a twisting (n+1)-form H;
-level 2 with H = 0 recovers the Dorfman bracket and its antisymmetrization
-recovers the classical skew bracket.
+classical generalized tangent bundle is the level n = 2 case.  Two
+formulas with a twisting (n+1)-form H hold at every level: the derived
+bracket and its antisymmetrization.  The level-2 brackets check the level
+and call one of them: the Dorfman bracket with H = 0, the skew brackets
+with H = 0 or the given H.  Results are not normalized; whatever reads a
+coefficient normalizes it: a zero test, a printer or a tree accessor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .symexpr import OracleConfig, Rat, SymExprError, _merge_charts, is_zero
+from ._normal import normal
+from .symexpr import OracleConfig, SymExprError, _merge_charts, is_zero
 from .exterior import (KForm, ext_d, form_is_zero, interior, lie_derivative,
                        vf_bracket)
 
@@ -46,9 +48,6 @@ class GenSection:
     def level(self):
         return self.alpha.degree + 1
 
-    def simplified(self):
-        return GenSection(self.X.simplified(), self.alpha.simplified())
-
     def __str__(self):
         return f"({self.X}, {self.alpha})"
 
@@ -60,7 +59,6 @@ def _check_levels(A, B):
     _merge_charts(A.X.chart, B.X.chart)
     if A.level != B.level:
         raise LevelError(f"section levels differ: {A.level} vs {B.level}")
-    return A.level
 
 
 def _level_two(op, A, *others):
@@ -80,45 +78,43 @@ def _check_twist(A, H):
     _merge_charts(A.X.chart, H.chart)
 
 
+def _pairing_form(A, B):
+    """(i_X beta + i_Y alpha)/2 as a form, the zero function at level 1."""
+    _check_levels(A, B)
+    form = interior(A.X, B.alpha) + interior(B.X, A.alpha)
+    return form.scale(Fraction(1, 2))
+
+
 def pairing(A, B):
     """Symmetric pairing (i_X beta + i_Y alpha)/2.
 
     A degree-(n-2) form in general; a scalar expression at level 2; zero at
     level 1 (contraction of a function vanishes).
     """
-    n = _check_levels(A, B)
-    if n == 1:
-        return Rat(0)
-    half = Rat(Fraction(1, 2))
-    form = (interior(A.X, B.alpha) + interior(B.X, A.alpha)).scale(half)
-    if n == 2:
-        return form.scalar_value()
-    return form.simplified()
+    form = _pairing_form(A, B)
+    return form if form.degree else form.scalar_value()
 
 
 def pairing_is_zero(A, B, cfg=OracleConfig()):
     """Zero verdict of pairing(A, B), per coefficient when it is a form."""
-    p = pairing(A, B)
-    return form_is_zero(p, cfg) if isinstance(p, KForm) else is_zero(p, cfg)
+    form = _pairing_form(A, B)
+    if form.degree:
+        return form_is_zero(form, cfg)
+    # normalised as pairing() prints it, so the sampled sums are the same
+    return is_zero(normal(form.polys.get(0, {})), cfg, form.chart)
 
 
 def courant_bracket(A, B):
     """Skew bracket at level 2:
     ([X, Y], L_X eta - L_Y xi - d(i_X eta - i_Y xi)/2)."""
     _level_two("the skew bracket", A, B)
-    X, xi = A.X, A.alpha
-    Y, eta = B.X, B.alpha
-    half = Rat(Fraction(1, 2))
-    exact = ext_d((interior(X, eta) - interior(Y, xi)).scale(half))
-    form = lie_derivative(X, eta) - lie_derivative(Y, xi) - exact
-    return GenSection(vf_bracket(X, Y), form).simplified()
+    return derived_bracket_skew(A, B, KForm.zero(A.chart, 3))
 
 
 def dorfman_bracket(A, B):
     """Non-skew bracket at level 2: ([X, Y], L_X eta - i_Y d xi)."""
     _level_two("the Dorfman bracket", A, B)
-    form = lie_derivative(A.X, B.alpha) - interior(B.X, ext_d(A.alpha))
-    return GenSection(vf_bracket(A.X, B.X), form).simplified()
+    return derived_bracket(A, B, KForm.zero(A.chart, 3))
 
 
 def twisted_courant_bracket(A, B, H):
@@ -126,10 +122,7 @@ def twisted_courant_bracket(A, B, H):
     form part; H need not be closed here (structure constructors enforce
     closedness where it matters)."""
     _level_two("the twisted bracket", A, B)
-    _check_twist(A, H)
-    plain = courant_bracket(A, B)
-    twist = interior(B.X, interior(A.X, H))
-    return GenSection(plain.X, (plain.alpha - twist).simplified())
+    return derived_bracket_skew(A, B, H)
 
 
 def derived_bracket(A, B, H):
@@ -140,18 +133,22 @@ def derived_bracket(A, B, H):
     form = (lie_derivative(A.X, B.alpha)
             - interior(B.X, ext_d(A.alpha))
             - interior(B.X, interior(A.X, H)))
-    return GenSection(vf_bracket(A.X, B.X), form).simplified()
+    return GenSection(vf_bracket(A.X, B.X), form)
 
 
 def derived_bracket_skew(A, B, H):
-    """Antisymmetrization of the derived bracket; coincides with the
-    twisted skew bracket at level 2."""
-    ab = derived_bracket(A, B, H)
-    ba = derived_bracket(B, A, H)
-    half = Rat(Fraction(1, 2))
-    return GenSection(
-        (ab.X - ba.X).scale(half),
-        (ab.alpha - ba.alpha).scale(half)).simplified()
+    """Antisymmetrization of the derived bracket at any level:
+    ([X, Y], L_X beta - L_Y alpha - d(i_X beta - i_Y alpha)/2
+    - i_Y i_X H)."""
+    _check_levels(A, B)
+    _check_twist(A, H)
+    X, alpha = A.X, A.alpha
+    Y, beta = B.X, B.alpha
+    half = Fraction(1, 2)
+    exact = ext_d((interior(X, beta) - interior(Y, alpha)).scale(half))
+    form = (lie_derivative(X, beta) - lie_derivative(Y, alpha) - exact
+            - interior(Y, interior(X, H)))
+    return GenSection(vf_bracket(X, Y), form)
 
 
 def courant_tensor(A, B, C, H):
@@ -163,6 +160,5 @@ def courant_tensor(A, B, C, H):
     contraction of the twisting form.
     """
     _level_two("the tensor", A, B, C)
-    _check_twist(A, H)
     br = twisted_courant_bracket(A, B, H)
     return (interior(C.X, br.alpha) + interior(br.X, C.alpha)).scalar_value()

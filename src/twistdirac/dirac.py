@@ -6,9 +6,8 @@ when df = sign * i_{X_f} h is solvable for a vector field X_f, and
 H-admissible when additionally i_{X_f} H vanishes identically.
 
 Each TwistedGraph prepares its solves once, when it is built, on one
-route.  It writes h = u * B: when every coefficient of h is a constant
-multiple of one non-constant polynomial, u is that polynomial and B is
-constant; otherwise u = 1 and B = h.  It takes the wedge powers of B
+route.  It writes h = u * B, with u a polynomial factor common to every
+coefficient of h or 1 (see _prepare), and takes the wedge powers of B
 until one vanishes.  The rank is 2r for the largest power B^r with a
 nonzero coefficient; the first such mask is the support S, and
 T = [B^r]_S = r! * Pf(B_SS).  On S, {f, g} h^r = r df ^ dg ^ h^(r-1)
@@ -22,22 +21,13 @@ df ^ h^r = 0, which the solve tests first.  Taking u out before the
 powers prints the fields of a conformal form u * C over u.  At full rank
 the determinant is Pf(h)^2 = u^(2n) * T^2/(n!)^2, kept unexpanded, and
 Rat(0) below it; simplify(D.det) expands it.  Nondegeneracy is decided
-on the first of three routes that applies: a constant determinant
-exactly; a sign-definite polynomial factor, u or T, whose exact interval
-enclosure over the sampling box excludes 0, without drawing a point;
-and any other non-constant factor by sampling it.  A polynomial factor
-whose exact sample values take both signs vanishes in the box, so the
-structure is degenerate there.  Every solve is verified by a residual
-zero-test.
+from one factor of the determinant, u or T (see _det_nonvanishing).
+Every solve is verified by a residual zero-test.
 
-The arithmetic runs on ints where it can (the primitive-part lift,
-Knuth, TAOCP vol. 2, 4.6.1).  A structure keeps h and H lifted, each as
-(L, L * form) with L the lcm of the form's coefficient denominators.
-The wedge powers are those of L * B, and every contraction of a field
-into H, or into h for the solve residual, runs against the lifted
-form and is divided by L once at the end.  Each
-result is exactly the one the rational forms give: the coefficients are
-the same numbers, and a zero test sees the same values.
+The arithmetic runs on ints where it can: a structure keeps h and H
+lifted over ints (see _lift), and the wedge powers and every contraction
+into h or H run against the lifted forms (see _contract), with exactly
+the coefficients the rational forms give.
 
 Each structure solves a function once.  A table on the instance, keyed
 by the function's tree (as_expr(f)), keeps X_f and its residual verdict;
@@ -52,7 +42,10 @@ Every check answers with one ``ZeroVerdict``: the proposition checks
 labelled composite whose children are the residuals they test, and
 check_symplgraph returns the pair (identity, L_X h) of verdicts.
 AdmissibilityReport remains the record of one function: its Courant flag,
-its Hamiltonian field and its H verdict.
+its Hamiltonian field and its H verdict.  A check zero-tests the
+polynomial it built, never a tree printed from it: the check ops'
+deciders (_bracket_verdict, _jacobi_verdict) print a bracket or cyclic
+sum normalised once and zero-test it minus the expected value.
 
 The sign convention flag defaults to +1 (df = i_{X_f} h), which reproduces
 the angular-momentum bracket table verbatim; -1 gives df = -i_{X_f} h.
@@ -64,18 +57,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, lcm
 
 from ._normal import (ONE_M, combined_fraction, from_poly,
                       is_rational_function, normal, normalize_sum,
                       p_add_inplace, p_const, p_mul, p_pow, recompose,
                       sorted_terms, to_poly)
-from .symexpr import (OracleConfig, OracleInconclusiveError, Prod, Rat, Sum,
+from .symexpr import (OracleConfig, OracleInconclusiveError, Prod, Rat,
                       SymExprError, ZeroVerdict, _merge_charts,
                       _witness_str, as_expr, is_zero, oracle_function_env,
                       sampled_sums)
-from .exterior import (KForm, VectorField, _merge_sign, apply_poly, ext_d,
-                       form_is_zero, interior, lie_derivative, vf_apply,
+from .exterior import (KForm, VectorField, _as_poly, _merge_sign, apply_poly,
+                       ext_d, form_is_zero, interior, lie_derivative,
                        vf_bracket, vf_is_zero, wedge)
 from .courant import (GenSection, _check_twist, derived_bracket,
                       pairing_is_zero, twisted_courant_bracket)
@@ -157,10 +151,11 @@ class TwistedGraph:
         self.cfg = cfg
         self.sign = sign
         self.h = h.simplified()
+        dh = ext_d(self.h)
         if twist is None:
             twist = KForm.zero(chart, 3)
         elif twist == "dh":
-            twist = ext_d(self.h)
+            twist = dh
         if twist.degree != 3:
             raise ValueError("the twisting form must be a 3-form")
         _merge_charts(chart, h.chart, twist.chart)
@@ -175,7 +170,7 @@ class TwistedGraph:
         self.nondegenerate = self._det_nonvanishing(self._prepare())
         # as_expr(f) -> (X_f, residual verdict), as _solve_verified returns
         self._solved = {}
-        self.integrable = form_is_zero(ext_d(self.h) - self.H, cfg).zero
+        self.integrable = form_is_zero(dh - self.H, cfg).zero
 
     def _prepare(self):
         """Split h = u * B, take the wedge powers of B over ints, and
@@ -195,10 +190,9 @@ class TwistedGraph:
         and T = T_int/L^r = [B^r]_S = r! * Pf(B_SS); the rank is 2r = |S|.
         Since (L * B)^(r-1) = L^(r-1) * B^(r-1), the scale
         -r * L/(u * T_int) = -r/(u * T * L^(r-1)) gives the same fields as
-        -r/(u * T) with the minors of B.  The determinant is
-        Pf(h)^2 = u^(2n) * T^2/(n!)^2 at full rank, unexpanded: a Rat when
-        u = 1 and T is constant, else a Prod of one Rat, 2n copies of u
-        and T twice when T is not constant; Rat(0) below full rank.
+        -r/(u * T) with the minors of B.  The full-rank determinant
+        Pf(h)^2 is a Rat when u = 1 and T is constant, else a Prod of one
+        Rat, 2n copies of u and T twice when T is not constant.
         Returns u or T, whichever is not constant, at full rank.
         """
         chart, dim = self.chart, self.chart.dim
@@ -266,9 +260,9 @@ class TwistedGraph:
 
     def _det_nonvanishing(self, factor):
         """True when det = lead * factor^k, with lead a nonzero constant,
-        has no zero on the box, decided on the first of three routes
-        that applies.  A constant det is decided exactly.  A factor whose
-        primitive part is a polynomial in the coordinates with an exact
+        has no zero on the box; False below full rank, where there is no
+        factor and det = 0.  A factor whose primitive part is a nonzero
+        constant, or a polynomial in the coordinates with an exact
         enclosure over the box that excludes 0 (see _box_excludes_zero)
         is nonzero at every point of the box, so at every sample point:
         True without drawing one.  Otherwise the primitive part must
@@ -276,12 +270,12 @@ class TwistedGraph:
         h.  A polynomial in the coordinates has exact sample values, and
         when they take both signs it has a zero in the box, which is
         connected: False."""
-        if isinstance(self.det, Rat):
-            return self.det.value != 0
+        if factor is None:
+            return False
         factor = normalize_sum(factor)[1]
         if _box_excludes_zero(factor, self.cfg, self.chart):
             return True
-        env = oracle_function_env(self.cfg, self.det)
+        env = oracle_function_env(self.cfg, factor)
         polynomial = all(type(m) is int for m in factor)
         signs = set()
         try:
@@ -450,12 +444,24 @@ def _solve(D, f):
     grad = [normal(df.polys.get(1 << i, {})) for i in range(dim)]
     X = VectorField(D.chart, [D._component(k, grad, D.sign)
                               for k in range(dim)])
-    return X, form_is_zero(df - graph_section(D, X).alpha, D.cfg)
+    return X, form_is_zero(df - _contract(X, D._h_lift, D.sign), D.cfg)
+
+
+def _apply(X, f):
+    """X(f) as a new polynomial, normalised once."""
+    return normal(apply_poly(X, _as_poly(f, X.chart)))
 
 
 def poisson_bracket(D, f, g):
     """{f, g} = X_f(g)."""
-    return vf_apply(hamiltonian_vf(D, f), g)
+    return from_poly(_apply(hamiltonian_vf(D, f), g), D.chart)
+
+
+def _bracket_verdict(D, f, g, expect):
+    """({f, g}, the verdict on {f, g} - expect) for the bracket check op."""
+    bracket = _apply(hamiltonian_vf(D, f), g)
+    residual = p_add_inplace(dict(bracket), _as_poly(expect, D.chart), -1)
+    return from_poly(bracket, D.chart), is_zero(residual, D.cfg, D.chart)
 
 
 def is_courant_admissible(D, f):
@@ -503,26 +509,34 @@ def is_admissible_pair(X, alpha, H, cfg=OracleConfig()):
     return form_is_zero(residual, cfg)
 
 
+def _jacobi(D, f, g, k):
+    """jacobi_defect's pair, as polynomials normalised once."""
+    Xf, Xg, Xk = (hamiltonian_vf(D, h) for h in (f, g, k))
+    cyclic = {}
+    for X, Y, h in ((Xf, Xg, k), (Xg, Xk, f), (Xk, Xf, g)):
+        p_add_inplace(cyclic, apply_poly(X, _apply(Y, h)))
+    # the contraction is pinned to the (X, +i_X h) normalization,
+    # whatever the structure's sign flag: negating the three fields
+    # negates it once
+    contraction = interior(Xk, interior(Xg, _contract(Xf, D._H_lift,
+                                                      D.sign)))
+    return normal(cyclic), normal(contraction.polys.get(0, {}))
+
+
 def jacobi_defect(D, f, g, k):
     """Cyclic bracket sum and the matching contraction of the twist.
 
     Returns ({f,{g,k}} + {g,{k,f}} + {k,{f,g}},  H(X_f, X_g, X_k)); the two
     are identical on integrable twisted graphs.
     """
-    Xf = hamiltonian_vf(D, f)
-    Xg = hamiltonian_vf(D, g)
-    Xk = hamiltonian_vf(D, k)
-    fp, gp, kp = (to_poly(as_expr(h)) for h in (f, g, k))
-    cyclic = {}
-    for X, Y, h in ((Xf, Xg, kp), (Xg, Xk, fp), (Xk, Xf, gp)):
-        p_add_inplace(cyclic, apply_poly(X, normal(apply_poly(Y, h))))
-    cyclic = from_poly(normal(cyclic), D.chart)
-    # the contraction is pinned to the (X, +i_X h) normalization,
-    # whatever the structure's sign flag: negating the three fields
-    # negates it once
-    contraction = interior(Xk, interior(Xg, _contract(Xf, D._H_lift,
-                                                      D.sign))).scalar_value()
-    return cyclic, contraction
+    return tuple(from_poly(p, D.chart) for p in _jacobi(D, f, g, k))
+
+
+def _jacobi_verdict(D, f, g, k):
+    """(cyclic sum, the verdict on it - contraction) for the Jacobi op."""
+    cyclic, contraction = _jacobi(D, f, g, k)
+    residual = p_add_inplace(dict(cyclic), contraction, -1)
+    return from_poly(cyclic, D.chart), is_zero(residual, D.cfg, D.chart)
 
 
 def check_theorem(D, f, g, k=None):
@@ -540,28 +554,29 @@ def check_theorem(D, f, g, k=None):
     cfg = D.cfg
 
     X_prod = hamiltonian_vf(D, Prod(f, g))
-    expected = (Xf.scale(g) + Xg.scale(f)).simplified()
+    expected = Xf.scale(g) + Xg.scale(f)
     checks.append(("X_{fg} = g*X_f + f*X_g",
                    vf_is_zero(X_prod - expected, cfg)))
     checks.append(("fg is H-admissible",
                    form_is_zero(_contract(X_prod, D._H_lift), cfg)))
 
-    fg_bracket = vf_apply(Xf, g)
-    X_bracket = hamiltonian_vf(D, fg_bracket)
+    fg_bracket = _apply(Xf, g)
+    X_bracket = hamiltonian_vf(D, from_poly(fg_bracket, D.chart))
     commutator = vf_bracket(Xf, Xg)
     checks.append(("X_{{f,g}} = [X_f, X_g]",
                    vf_is_zero(X_bracket - commutator, cfg)))
     checks.append(("{f,g} is H-admissible",
                    form_is_zero(_contract(commutator, D._H_lift), cfg)))
 
-    gf_bracket = vf_apply(Xg, f)
+    antisymmetry = p_add_inplace(fg_bracket, _apply(Xg, f))
     checks.append(("antisymmetry {f,g} + {g,f} = 0",
-                   is_zero(Sum(fg_bracket, gf_bracket), cfg)))
+                   is_zero(antisymmetry, cfg, D.chart)))
 
-    lhs = vf_apply(X_prod, k)
-    rhs = Sum(Prod(g, vf_apply(Xf, k)), Prod(f, vf_apply(Xg, k)))
+    leibniz = _apply(X_prod, k)
+    p_mul(to_poly(g), _apply(Xf, k), leibniz, -1)
+    p_mul(to_poly(f), _apply(Xg, k), leibniz, -1)
     checks.append(("Leibniz {fg,k} = g{f,k} + f{g,k}",
-                   is_zero(Sum(lhs, Prod(Rat(-1), rhs)), cfg)))
+                   is_zero(leibniz, cfg, D.chart)))
     return ZeroVerdict.combine(checks, "poisson_algebra_closure")
 
 
@@ -584,25 +599,21 @@ def check_image_under_d(pairs, H, cfg=OracleConfig()):
                is_admissible_pair(sec.X, sec.alpha, H, cfg))
               for idx, sec in enumerate(pairs)]
     checks += [(f"pairing({i},{j}) = 0", pairing_is_zero(A, B, cfg))
-               for i, A in enumerate(pairs) for j, B in enumerate(pairs)
-               if i < j]
+               for (i, A), (j, B) in combinations(enumerate(pairs), 2)]
     if not all(v.zero for _, v in checks):
         return ZeroVerdict.combine(checks, "image_under_d")
-    chart = pairs[0].chart
-    images = [GenSection(s.X, ext_d(s.alpha).simplified()) for s in pairs]
-    zero_twist = KForm.zero(chart, images[0].level + 1)
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            A, B = images[i], images[j]
-            checks.append((f"image pairing({i},{j}) = 0",
-                           pairing_is_zero(A, B, cfg)))
-            br = derived_bracket(A, B, zero_twist)
-            expected_vf = vf_bracket(A.X, B.X)
-            expected_form = interior(expected_vf, H).scale(Rat(-1))
-            checks.append((f"image bracket({i},{j}) vector part",
-                           vf_is_zero(br.X - expected_vf, cfg)))
-            checks.append((f"image bracket({i},{j}) form part",
-                           form_is_zero(br.alpha - expected_form, cfg)))
+    images = [GenSection(s.X, ext_d(s.alpha)) for s in pairs]
+    zero_twist = KForm.zero(pairs[0].chart, images[0].level + 1)
+    for (i, A), (j, B) in combinations(enumerate(images), 2):
+        checks.append((f"image pairing({i},{j}) = 0",
+                       pairing_is_zero(A, B, cfg)))
+        br = derived_bracket(A, B, zero_twist)
+        expected_vf = vf_bracket(A.X, B.X)
+        expected_form = interior(expected_vf, H).scale(Rat(-1))
+        checks.append((f"image bracket({i},{j}) vector part",
+                       vf_is_zero(br.X - expected_vf, cfg)))
+        checks.append((f"image bracket({i},{j}) form part",
+                       form_is_zero(br.alpha - expected_form, cfg)))
     return ZeroVerdict.combine(checks, "image_under_d")
 
 
@@ -615,9 +626,8 @@ def check_poiss_brak_adm(D, f, g):
     A = GenSection(Xf, ext_d(KForm.scalar(chart, f)))
     B = GenSection(Xg, ext_d(KForm.scalar(chart, g)))
     lhs = twisted_courant_bracket(A, B, D.H)
-    fg = vf_apply(Xf, g)
     expected_vf = vf_bracket(Xf, Xg)
-    expected_form = ext_d(KForm.scalar(chart, fg))
+    expected_form = ext_d(KForm.scalar(chart, _apply(Xf, g)))
     return ZeroVerdict.combine(
         [("vector part", vf_is_zero(lhs.X - expected_vf, D.cfg)),
          ("form part", form_is_zero(lhs.alpha - expected_form, D.cfg))],

@@ -313,9 +313,7 @@ def lie_derivative(X, a):
 
 def vf_apply(X, f):
     """Directional derivative X(f), as a canonical expression."""
-    f = as_expr(f)
-    _merge_charts(f.chart, X.chart)
-    return from_poly(normal(apply_poly(X, to_poly(f))), X.chart)
+    return from_poly(normal(apply_poly(X, _as_poly(f, X.chart))), X.chart)
 
 
 def apply_poly(X, p):

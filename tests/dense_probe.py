@@ -11,8 +11,12 @@ Hamiltonian field of x0 must have an exact zero residual.  It is not
 nondegenerate on the default sampling box: its Pfaffian, a polynomial in
 the coordinates, takes both signs at the exact sample points, so it has a
 zero in the box (at DIMs 8, 10 and 12 with SEED 1).  At an odd DIM it has
-rank DIM - 1, so it is degenerate and the system for x0 is inconsistent.  Prints the build and the x0 solve times (CPU seconds) and
-exits nonzero when an assertion fails.  pytest does not collect this file.
+rank DIM - 1, so it is degenerate and the system for x0 is inconsistent.
+At an even DIM up to 8 the probe also decides the Jacobi check on x0, x1
+and x2, through the decider of the ``jacobi_defect`` check op, and the
+cyclic sum must equal the contraction of dh exactly.  Prints the build,
+the x0 solve and the Jacobi times (CPU seconds) and exits nonzero when
+an assertion fails.  pytest does not collect this file.
 """
 
 import random
@@ -20,8 +24,8 @@ import sys
 import time
 from fractions import Fraction
 
-from twistdirac.dirac import (TwistedGraph, graph_section, hamiltonian_vf,
-                              is_courant_admissible)
+from twistdirac.dirac import (TwistedGraph, _jacobi_verdict, graph_section,
+                              hamiltonian_vf, is_courant_admissible)
 from twistdirac.exterior import KForm, ext_d, form_is_zero
 from twistdirac.symexpr import Chart, Rat
 
@@ -61,7 +65,14 @@ def main(argv):
         assert D._support.bit_count() == dim - 1
         assert is_courant_admissible(D, f) == (False, None)
     solve = time.process_time() - start
-    print(f"dim {dim} seed {seed}: build {build:.2f} s, x0 solve {solve:.2f} s")
+    line = (f"dim {dim} seed {seed}: build {build:.2f} s, "
+            f"x0 solve {solve:.2f} s")
+    if dim % 2 == 0 and dim <= 8:
+        start = time.process_time()
+        _, verdict = _jacobi_verdict(D, *(chart[f"x{i}"] for i in range(3)))
+        assert verdict.zero and verdict.exact, verdict
+        line += f", jacobi {time.process_time() - start:.2f} s"
+    print(line)
     return 0
 
 

@@ -1,5 +1,7 @@
 """Pairings, the bracket family, and the Courant tensor."""
 
+from fractions import Fraction
+
 import pytest
 
 from twistdirac.symexpr import Rat, is_zero, simplify
@@ -14,6 +16,8 @@ from twistdirac.randgen import (rand_kform, rand_poly, rand_section,
                                 rand_vector_field, rng_for)
 
 from helpers import admissible_pair, standard_omega
+
+HALF = Fraction(1, 2)
 
 
 def section_pair(seed, phase):
@@ -155,13 +159,22 @@ class TestTwistedBracket:
             twisted_courant_bracket(A, B, KForm.zero(phase, 2))
 
 
+def half_difference(A, B, H):
+    """(derived(A, B) - derived(B, A))/2, the defining formula of the skew
+    bracket, as a (vector field, form) pair."""
+    ab = derived_bracket(A, B, H)
+    ba = derived_bracket(B, A, H)
+    return (ab.X - ba.X).scale(HALF), (ab.alpha - ba.alpha).scale(HALF)
+
+
 class TestDerivedBracket:
     def test_level_two_untwisted_is_dorfman(self, phase, cfg):
         A, B = section_pair(51, phase)
-        d1 = derived_bracket(A, B, KForm.zero(phase, 3))
-        d2 = dorfman_bracket(A, B)
-        assert vf_is_zero(d1.X - d2.X, cfg).zero
-        assert form_is_zero(d1.alpha - d2.alpha, cfg).zero
+        d = dorfman_bracket(A, B)
+        # L_X eta - i_Y d xi
+        form = lie_derivative(A.X, B.alpha) - interior(B.X, ext_d(A.alpha))
+        assert vf_is_zero(d.X - vf_bracket(A.X, B.X), cfg).zero
+        assert form_is_zero(d.alpha - form, cfg).zero
 
     def test_reduction_on_admissible_pairs(self, phase, cfg):
         # with d(alpha) + i_X H = 0 the bracket collapses to ([X,Y], L_X beta)
@@ -176,6 +189,7 @@ class TestDerivedBracket:
             assert form_is_zero(out.alpha - expected, cfg).zero, i
 
     def test_level_one_specialization(self, phase, cfg):
+        # both brackets are ([X, Y], X(g) - Y(f) - H(X, Y)) on (X, f), (Y, g)
         rng = rng_for(61, "lvl1")
         X = rand_vector_field(rng, phase)
         Y = rand_vector_field(rng, phase)
@@ -184,19 +198,33 @@ class TestDerivedBracket:
         H2 = rand_kform(rng, phase, 2)
         A = GenSection(X, KForm.scalar(phase, f))
         B = GenSection(Y, KForm.scalar(phase, g))
-        out = derived_bracket(A, B, H2)
         expected = simplify(vf_apply(X, g) - vf_apply(Y, f)
                             - interior(Y, interior(X, H2)).scalar_value())
-        assert is_zero(out.alpha.scalar_value() - expected, cfg).zero
+        for bracket in (derived_bracket, derived_bracket_skew):
+            out = bracket(A, B, H2)
+            assert vf_is_zero(out.X - vf_bracket(X, Y), cfg).zero
+            assert is_zero(out.alpha.scalar_value() - expected, cfg).zero, \
+                bracket.__name__
 
     def test_skew_part_equals_twisted_bracket(self, phase, cfg):
         H = rand_kform(rng_for(71, "H"), phase, 3)
         for i in range(5):
             A, B = section_pair(1500 + i, phase)
-            sk = derived_bracket_skew(A, B, H)
             tw = twisted_courant_bracket(A, B, H)
-            assert vf_is_zero(sk.X - tw.X, cfg).zero, i
-            assert form_is_zero(sk.alpha - tw.alpha, cfg).zero, i
+            X, alpha = half_difference(A, B, H)
+            assert vf_is_zero(tw.X - X, cfg).zero, i
+            assert form_is_zero(tw.alpha - alpha, cfg).zero, i
+
+    def test_skew_formula_at_level_three(self, phase, cfg):
+        rng = rng_for(75, "skew3")
+        H = rand_kform(rng, phase, 4)
+        for i in range(3):
+            A = rand_section(rng, phase, level=3)
+            B = rand_section(rng, phase, level=3)
+            sk = derived_bracket_skew(A, B, H)
+            X, alpha = half_difference(A, B, H)
+            assert vf_is_zero(sk.X - X, cfg).zero, i
+            assert form_is_zero(sk.alpha - alpha, cfg).zero, i
 
     def test_skew_part_is_antisymmetric_at_higher_level(self, phase, cfg):
         rng = rng_for(73, "hlskew")

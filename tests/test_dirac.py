@@ -11,12 +11,12 @@ import pytest
 from twistdirac import dirac
 from twistdirac._normal import to_poly
 from twistdirac.symexpr import (Chart, ChartMismatchError, OracleConfig, Pow,
-                                Prod, Rat, Sum, diff, eval_expr, is_zero,
-                                parse_expr, simplify)
+                                Prod, Rat, Sum, SymExprError, diff,
+                                eval_expr, is_zero, parse_expr, simplify)
 from twistdirac.exterior import (KForm, VectorField, ext_d, form_is_zero,
                                  interior, parse_form, vf_bracket,
                                  vf_is_zero, wedge)
-from twistdirac.courant import GenSection
+from twistdirac.courant import GenSection, pairing, pairing_is_zero
 from twistdirac.dirac import (NondegeneracyError, SolveError,
                               TwistNotClosedError, TwistedGraph,
                               VerdictNotDeterminedError,
@@ -25,7 +25,8 @@ from twistdirac.dirac import (NondegeneracyError, SolveError,
                               hamiltonian_vf, is_H_admissible,
                               is_admissible_pair, is_courant_admissible,
                               jacobi_defect, poisson_bracket)
-from twistdirac.randgen import rand_poly, rand_vector_field, rng_for
+from twistdirac.randgen import (rand_expr, rand_kform, rand_poly,
+                                rand_vector_field, rng_for)
 
 from helpers import admissible_pair, fraction_solve, standard_omega
 
@@ -1025,3 +1026,56 @@ class TestLiftedContractions:
                          cfg=cfg)
         assert D._support.bit_count() == 4
         assert _exact_dict(D._top) == _exact_dict(wedge(D.h, D.h))
+
+
+def _verdict_key(call):
+    """The fields of a verdict that a report shows, or the error raised."""
+    try:
+        v = call()
+    except SymExprError as exc:
+        return type(exc).__name__, str(exc)
+    env = v.func_env and tuple((name, pf.coeffs) for name, pf in v.func_env)
+    return v.zero, v.exact, v.witness, repr(v.magnitude), env
+
+
+class TestPolynomialDeciders:
+    """The bracket, Jacobi and pairing verdicts, decided on the polynomials
+    the checks build, against is_zero on the trees the public functions
+    return: conformal structures with no twist, their twist dh and a
+    random closed twist, and functions and sections with radicals,
+    inverse powers and function symbols."""
+
+    def test_verdicts_match_the_tree_route(self, cfg):
+        chart = Chart("deciders", ["q1", "q2", "p1", "p2"])
+        omega = standard_omega(chart)
+        for i in range(24):
+            rng = rng_for(i, "deciders")
+            h = omega.scale(Sum(Rat(3), rand_poly(rng, chart, 1, 2)))
+            f, g = rand_poly(rng, chart), rand_poly(rng, chart)
+            k = rand_expr(rng, chart, 2)
+            expect = rand_poly(rng, chart) if i % 2 else Rat(0)
+            for twist in ("dh", None, ext_d(rand_kform(rng, chart, 2))):
+                D = TwistedGraph(chart, h, twist, cfg=cfg)
+                for a, b in ((f, g), (g, k), (k, f)):
+                    bracket = poisson_bracket(D, a, b)
+                    printed, verdict = dirac._bracket_verdict(D, a, b,
+                                                              expect)
+                    assert str(printed) == str(bracket), i
+                    assert _verdict_key(lambda: verdict) == _verdict_key(
+                        lambda: is_zero(bracket - expect, cfg)), i
+                cyclic, contraction = jacobi_defect(D, f, g, k)
+                printed, verdict = dirac._jacobi_verdict(D, f, g, k)
+                assert str(printed) == str(cyclic), i
+                assert _verdict_key(lambda: verdict) == _verdict_key(
+                    lambda: is_zero(cyclic - contraction, cfg)), i
+            sections = [graph_section(D, hamiltonian_vf(D, f))] + [
+                GenSection(VectorField(chart, [rand_expr(rng, chart, 1)
+                                               for _ in range(4)]),
+                           KForm(chart, 1, {1 << j: rand_expr(rng, chart, 2)
+                                            for j in range(2)}))
+                for _ in range(2)]
+            for n, A in enumerate(sections):
+                for B in sections[n:]:
+                    assert _verdict_key(
+                        lambda: pairing_is_zero(A, B, cfg)) == _verdict_key(
+                        lambda: is_zero(pairing(A, B), cfg)), i
